@@ -45,7 +45,6 @@ from .renewal import (
     c_alpha,
     p_alpha_weight,
     renewal_sequence,
-    sigma_sq,
     var_xstar,
     weights,
 )
@@ -106,7 +105,6 @@ __all__ = [
     "sample_forest",
     "sample_urn",
     "seed_to_hex",
-    "sigma_sq",
     "simulate",
     "var_xstar",
     "weights",

@@ -33,9 +33,6 @@ __all__ = [
     "MarginalLaw",
     "make_karlin_pmf",
     "make_hs_pmf",
-    "sample",
-    "pmf_at",
-    "tail_at",
 ]
 
 # Largest label/jump magnitude we materialize.  Mass above is handled by
@@ -145,19 +142,6 @@ def make_hs_pmf(alpha: float) -> PowerLawPmf:
     if not 0.0 < alpha < 0.5:
         raise ValueError(f"alpha must lie in (0,1/2), got {alpha}")
     return PowerLawPmf(PmfKind.HS_TAIL, float(alpha), 1.0)
-
-
-# Spec-style free-function aliases.
-def sample(pmf, rng: np.random.Generator, size: int | None = None):
-    return pmf.sample(rng, size)
-
-
-def pmf_at(pmf, k):
-    return pmf.pmf_at(k)
-
-
-def tail_at(pmf, n):
-    return pmf.tail_at(n)
 
 
 def _sample_hs(alpha: float, rng: np.random.Generator, m: int) -> np.ndarray:

@@ -1,11 +1,12 @@
 """Partition-driven spin fields and their partial sums at grid corners.
 
-Every model follows the same recipe: sample the partition structure per
-direction, attach replayable spin values to partition classes through the
-keyed hash, materialize the spin field X, and sweep prefix sums once to read
-off S at the requested corners floor(n*t).  All three 2D models share the
-sweep; they differ only in what a "class" is per direction (urn box with
-alternating signs, or forest root with identical signs).
+Every model is a product of independent per-direction axes.  An axis is a
+random partition of the sites 1..n of one direction: urn boxes with
+alternating signs, or forest trees with identical signs.  A replicate
+samples each axis, attaches replayable spin values to the (product) classes
+through the keyed hash, and sums the field up to the corners floor(n*t).
+The limit variance, the Hurst index and the normalization factor by
+direction as well, so each axis owns its share of them.
 
 Normalizations divide by Z so that the normalized field converges to the
 *standard* fractional Brownian sheet; the plain power-law normalization is
@@ -17,32 +18,30 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Mapping
+from fractions import Fraction
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gamma
 
 from ._hashing import hash1, hash2, signs_from
-from .distributions import MarginalLaw, make_hs_pmf, make_karlin_pmf
-from .partition1d import UrnPath, roots_of, sample_forest, sample_urn
+from .distributions import MarginalLaw, PowerLawPmf, make_hs_pmf, make_karlin_pmf
+from .partition1d import UrnPath, roots_of, sample_forest, sample_urn, truncation_pair_bound
 from .renewal import bn_sq_growth_constant, cached_renewal_sequence, var_xstar
 from .seeding import spin_key
 
 __all__ = [
+    "AxisKind",
+    "Axis",
+    "KIND_TABLE",
     "ModelKind",
     "ModelSpec",
     "CornerGrid",
     "FieldSample",
     "simulate",
-    "simulate_karlin1d",
-    "simulate_hs1d",
-    "simulate_karlin2d",
-    "simulate_hs2d",
-    "simulate_combined",
     "rectangle_sum",
     "normalization",
-    "karlin1d_field",
 ]
 
 DEFAULT_FOREST_FLOOR = 10**5
@@ -59,23 +58,103 @@ class ModelKind(enum.Enum):
     COMBINED_2D = "combined2d"
 
 
-_1D_KINDS = {
-    ModelKind.KARLIN_1D,
-    ModelKind.GENERALIZED_KARLIN_1D,
-    ModelKind.HS_1D,
-    ModelKind.GENERALIZED_HS_1D,
+class AxisKind(enum.Enum):
+    """The partition of one direction: urn boxes or ancestral-forest trees."""
+
+    URN = "urn"
+    FOREST = "forest"
+
+    @property
+    def alpha_max(self) -> float:
+        """Admissible alphas are (0, alpha_max)."""
+        return 1.0 if self is AxisKind.URN else 0.5
+
+
+class KindRow(NamedTuple):
+    axes: tuple[AxisKind, ...]  # in direction order
+    identity: str  # name of the finite-n variance identity in reports
+    generalized: bool  # accepts a non-Rademacher marginal law
+
+
+_URN, _FOREST = AxisKind.URN, AxisKind.FOREST
+KIND_TABLE = {
+    ModelKind.KARLIN_1D: KindRow((_URN,), "karlin_var", False),
+    ModelKind.GENERALIZED_KARLIN_1D: KindRow((_URN,), "karlin_var", True),
+    ModelKind.HS_1D: KindRow((_FOREST,), "hs_var", False),
+    ModelKind.GENERALIZED_HS_1D: KindRow((_FOREST,), "hs_var", True),
+    ModelKind.KARLIN_2D: KindRow((_URN, _URN), "karlin2d_var", False),
+    ModelKind.HS_2D: KindRow((_FOREST, _FOREST), "hs2d_var", False),
+    ModelKind.COMBINED_2D: KindRow((_FOREST, _URN), "combined_var", False),
 }
-_GENERALIZED = {ModelKind.GENERALIZED_KARLIN_1D, ModelKind.GENERALIZED_HS_1D}
-# per-direction admissible alpha ranges; "karlin" means open (0,1), "hs" (0,1/2)
-_ALPHA_DOMAINS = {
-    ModelKind.KARLIN_1D: ("karlin",),
-    ModelKind.GENERALIZED_KARLIN_1D: ("karlin",),
-    ModelKind.HS_1D: ("hs",),
-    ModelKind.GENERALIZED_HS_1D: ("hs",),
-    ModelKind.KARLIN_2D: ("karlin", "karlin"),
-    ModelKind.HS_2D: ("hs", "hs"),
-    ModelKind.COMBINED_2D: ("hs", "karlin"),
-}
+
+
+@lru_cache(maxsize=64)
+def _forest_var_xstar(alpha: float) -> float:
+    """Var(X*) = 1 / sum of q_k^2 for the exact-tail jump law at ``alpha``."""
+    rs = cached_renewal_sequence(make_hs_pmf(alpha), _RENEWAL_KMAX_NORM)
+    return var_xstar(rs, warn=False)
+
+
+def _alternating_signs(path: UrnPath) -> np.ndarray:
+    # (-1)**(count+1): +1 when the running count of the draw's box is odd
+    return (2 * path.running_parity.astype(np.int8) - 1).astype(np.int8)
+
+
+@dataclass(frozen=True)
+class Axis:
+    """One direction of a model: a random partition of the sites 1..n.
+
+    ``depth`` is the forest window depth below site 1 (forest axes only).
+    """
+
+    kind: AxisKind
+    alpha: float
+    n: int
+    depth: int = 0
+
+    @property
+    def is_urn(self) -> bool:
+        return self.kind is AxisKind.URN
+
+    @property
+    def pmf(self) -> PowerLawPmf:
+        """Label law (urn) or jump law (forest)."""
+        return make_karlin_pmf(self.alpha) if self.is_urn else make_hs_pmf(self.alpha)
+
+    @property
+    def hurst(self) -> float:
+        """Limit Hurst index: alpha/2 (urn), alpha + 1/2 (forest)."""
+        return self.alpha / 2.0 if self.is_urn else self.alpha + 0.5
+
+    @property
+    def variance_factors(self) -> tuple[float, float]:
+        """Factors of this direction's limit variance at t = 1."""
+        if self.is_urn:
+            return gamma(1 - self.alpha), 2 ** (self.alpha - 1)
+        return bn_sq_growth_constant(self.alpha), _forest_var_xstar(self.alpha)
+
+    @property
+    def truncation_bound(self) -> float | None:
+        """Forest window per-pair truncation bound; None for an urn axis."""
+        if self.is_urn:
+            return None
+        return truncation_pair_bound(self.pmf, -self.depth)
+
+    def sample(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """(class ids, each site's index into them, site signs or None for all +1)."""
+        if self.is_urn:
+            path = sample_urn(self.pmf, self.n, rng)
+            uniq, inv = np.unique(path.labels, return_inverse=True)
+            return uniq, inv, _alternating_signs(path)
+        window = sample_forest(self.pmf, -self.depth, self.n, rng)
+        uniq, inv = np.unique(roots_of(window, np.arange(1, self.n + 1)), return_inverse=True)
+        return uniq, inv, None
+
+    def draw(self, marginal: MarginalLaw, h: np.ndarray) -> np.ndarray:
+        """One class value per hash word; urn boxes add an independent sign."""
+        if self.is_urn:
+            return marginal.draw_symmetrized_from_hash(h)
+        return marginal.draw_from_hash(h)
 
 
 @dataclass(frozen=True)
@@ -89,34 +168,38 @@ class ModelSpec:
     forest_depth: int | None = None
 
     def __post_init__(self):
-        domains = _ALPHA_DOMAINS[self.kind]
+        row = KIND_TABLE[self.kind]
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
         object.__setattr__(self, "n", tuple(int(v) for v in self.n))
-        if len(self.alphas) != len(domains) or len(self.n) != len(domains):
+        if len(self.alphas) != len(row.axes) or len(self.n) != len(row.axes):
             raise ValueError(
-                f"{self.kind.value} needs {len(domains)} alpha(s) and horizon(s)"
+                f"{self.kind.value} needs {len(row.axes)} alpha(s) and horizon(s)"
             )
-        for a, dom in zip(self.alphas, domains):
-            hi = 1.0 if dom == "karlin" else 0.5
-            if not 0.0 < a < hi:
-                raise ValueError(f"alpha={a} outside (0,{hi}) for {self.kind.value}")
+        for a, kind in zip(self.alphas, row.axes):
+            if not 0.0 < a < kind.alpha_max:
+                raise ValueError(f"alpha={a} outside (0,{kind.alpha_max}) for {self.kind.value}")
         if any(v < 1 for v in self.n):
             raise ValueError("horizons must be >= 1")
         if self.forest_depth is not None and self.forest_depth < 1:
             raise ValueError("forest_depth must be positive")
-        if self.kind not in _GENERALIZED and not self.marginal.is_rademacher:
+        if not row.generalized and not self.marginal.is_rademacher:
             raise ValueError(f"{self.kind.value} uses ±1 spins; marginal laws apply to generalized variants")
+
+    @cached_property
+    def axes(self) -> tuple[Axis, ...]:
+        """The model's per-direction axes, in direction order."""
+        return tuple(
+            Axis(kind, a, n, self.effective_forest_depth(n) if kind is AxisKind.FOREST else 0)
+            for kind, a, n in zip(KIND_TABLE[self.kind].axes, self.alphas, self.n)
+        )
 
     @property
     def is_2d(self) -> bool:
-        return self.kind not in _1D_KINDS
+        return len(KIND_TABLE[self.kind].axes) == 2
 
     def hurst(self) -> tuple[float, ...]:
         """Limit Hurst index per direction: alpha/2 (urn), alpha + 1/2 (forest)."""
-        return tuple(
-            a / 2.0 if dom == "karlin" else a + 0.5
-            for a, dom in zip(self.alphas, _ALPHA_DOMAINS[self.kind])
-        )
+        return tuple(axis.hurst for axis in self.axes)
 
     def effective_forest_depth(self, hi: int) -> int:
         if self.forest_depth is not None:
@@ -150,9 +233,33 @@ class CornerGrid:
         return (len(self.t1),) if self.t2 is None else (len(self.t1), len(self.t2))
 
 
-def _corner_floor(n: int, ts: tuple[float, ...]) -> np.ndarray:
-    # floor(n*t) with a guard against 699.9999999999999-style representation
-    return np.floor(n * np.asarray(ts) + 1e-9).astype(np.int64)
+def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
+    """The fraction with the smallest denominator in the open interval (lo, hi), 0 < lo."""
+    whole = math.floor(lo)
+    if whole + 1 < hi:
+        return Fraction(whole + 1)
+    return whole + 1 / _simplest_between(1 / (hi - whole), 1 / (lo - whole))
+
+
+def _grid_time(t: float) -> Fraction:
+    """The fraction with the smallest denominator that rounds to the float t.
+
+    A time written as a fraction with denominator at most 10^7 (a decimal
+    with up to 7 places, or i/m) is recovered exactly: no other such
+    fraction rounds to the same float.  floor(n*t) in floats is off by one
+    at large n (0.25686 * 10^8 = 25685999.999999996) or at n*t = integer
+    (3 * (1/3) = 0.9999999999999999 in decimal).
+    """
+    below, above = math.nextafter(t, 0.0), math.nextafter(t, 2.0)
+    return _simplest_between((Fraction(below) + Fraction(t)) / 2, (Fraction(t) + Fraction(above)) / 2)
+
+
+@lru_cache(maxsize=256)
+def _corner_index(n: int, ts: tuple[float, ...]) -> np.ndarray:
+    """floor(n*t) per grid time, in exact integer arithmetic (read-only)."""
+    idx = np.array([math.floor(n * _grid_time(t)) for t in ts], dtype=np.int64)
+    idx.flags.writeable = False
+    return idx
 
 
 @dataclass(frozen=True)
@@ -169,103 +276,44 @@ class FieldSample:
     metadata: dict = field(default_factory=dict)
 
 
-def _check_kind(spec: ModelSpec, allowed: set[ModelKind]) -> None:
-    if spec.kind not in allowed:
-        raise ValueError(f"model kind {spec.kind.value} not handled by this simulator")
-
-
 @lru_cache(maxsize=64)
-def _forest_constants(alpha: float) -> tuple[float, float]:
-    """(sum of q_k^2, Var(X*)) for the exact-tail jump law at ``alpha``."""
-    rs = cached_renewal_sequence(make_hs_pmf(alpha), _RENEWAL_KMAX_NORM)
-    varx = var_xstar(rs, warn=False)
-    return 1.0 / varx, varx
-
-
 def normalization(spec: ModelSpec) -> tuple[float, float]:
     """(Z, sigma) such that S/Z converges to the standard limit sheet.
 
-    Z = sigma * prod_q n_q^{H_q} * (slowly-varying constants)^(1/2), where
-    sigma^2 is the model's limit variance at t = 1.
+    sigma^2 is the product of the axes' limit-variance factors times E[X^2],
+    and Z = sqrt(sigma^2 * prod_q sv_q) * prod_q n_q^{H_q}, with sv_q the
+    axes' slowly-varying constants, multiplied in direction order.
     """
-    m2 = spec.marginal.second_moment
-    kind = spec.kind
-    if kind in (ModelKind.KARLIN_1D, ModelKind.GENERALIZED_KARLIN_1D):
-        (a,), (n,) = spec.alphas, spec.n
-        sigma_sq = gamma(1 - a) * 2 ** (a - 1) * m2
-        z = math.sqrt(sigma_sq * make_karlin_pmf(a).sv_constant) * n ** (a / 2)
-    elif kind in (ModelKind.HS_1D, ModelKind.GENERALIZED_HS_1D):
-        (a,), (n,) = spec.alphas, spec.n
-        sigma_sq = bn_sq_growth_constant(a) * _forest_constants(a)[1] * m2
-        z = math.sqrt(sigma_sq) * n ** (a + 0.5)
-    elif kind is ModelKind.KARLIN_2D:
-        (a1, a2), (n1, n2) = spec.alphas, spec.n
-        sigma_sq = gamma(1 - a1) * 2 ** (a1 - 1) * gamma(1 - a2) * 2 ** (a2 - 1)
-        sv = make_karlin_pmf(a1).sv_constant * make_karlin_pmf(a2).sv_constant
-        z = math.sqrt(sigma_sq * sv) * n1 ** (a1 / 2) * n2 ** (a2 / 2)
-    elif kind is ModelKind.HS_2D:
-        (a1, a2), (n1, n2) = spec.alphas, spec.n
-        sigma_sq = (
-            bn_sq_growth_constant(a1)
-            * bn_sq_growth_constant(a2)
-            * _forest_constants(a1)[1]
-            * _forest_constants(a2)[1]
-        )
-        z = math.sqrt(sigma_sq) * n1 ** (a1 + 0.5) * n2 ** (a2 + 0.5)
-    elif kind is ModelKind.COMBINED_2D:
-        (a1, a2), (n1, n2) = spec.alphas, spec.n
-        sigma_sq = (
-            bn_sq_growth_constant(a1)
-            * _forest_constants(a1)[1]
-            * gamma(1 - a2)
-            * 2 ** (a2 - 1)
-        )
-        z = (
-            math.sqrt(sigma_sq * make_karlin_pmf(a2).sv_constant)
-            * n1 ** (a1 + 0.5)
-            * n2 ** (a2 / 2)
-        )
-    else:  # pragma: no cover
-        raise ValueError(kind)
-    return z, math.sqrt(sigma_sq)
-
-
-# ---------------------------------------------------------------------------
-# shared building blocks
-# ---------------------------------------------------------------------------
-
-def _alternating_signs(path: UrnPath) -> np.ndarray:
-    # (-1)**(count+1): +1 when the running count of the draw's box is odd
-    return (2 * path.running_parity.astype(np.int8) - 1).astype(np.int8)
-
-
-def karlin1d_field(path: UrnPath, box_values) -> np.ndarray:
-    """Spin series X_i = V(box of Y_i) * (-1)**(count_i + 1).
-
-    ``box_values`` is either a mapping label -> value or an array aligned
-    with np.unique(path.labels); mainly a hook for forced-stream tests.
-    """
-    uniq, inv = np.unique(path.labels, return_inverse=True)
-    if isinstance(box_values, Mapping):
-        values = np.array([box_values[int(u)] for u in uniq], dtype=np.float64)
-    else:
-        values = np.asarray(box_values, dtype=np.float64)
-        if values.shape != uniq.shape:
-            raise ValueError("box_values must align with the distinct labels")
-    return values[inv] * _alternating_signs(path)
+    axes = spec.axes
+    limit_var = math.prod(f for axis in axes for f in axis.variance_factors)
+    limit_var *= spec.marginal.second_moment
+    z = math.sqrt(limit_var * math.prod(axis.pmf.sv_constant for axis in axes))
+    for axis in axes:
+        z *= axis.n ** axis.hurst
+    return z, math.sqrt(limit_var)
 
 
 def _prefix_at_corners_1d(x: np.ndarray, n: int, t1) -> np.ndarray:
     c = np.cumsum(x, dtype=np.float64 if x.dtype.kind == "f" else np.int64)
-    idx = _corner_floor(n, t1)
+    idx = _corner_index(n, t1)
     out = np.where(idx >= 1, c[np.maximum(idx - 1, 0)], 0)
     return out.astype(np.float64)
 
 
-def _prefix_at_corners_2d(x: np.ndarray, n: tuple[int, int], grid: CornerGrid) -> np.ndarray:
+def _dense_corners_2d(core: np.ndarray, inv1, inv2, s1, s2, n: tuple[int, int], grid: CornerGrid) -> np.ndarray:
+    """Corner sums of X[i,j] = core[inv1[i], inv2[j]] * s1[i] * s2[j].
+
+    A sign array of None (forest axis) stands for all +1.  The full n1 x n2
+    field is materialized and swept by prefix sums once.
+    """
+    x = core[np.ix_(inv1, inv2)]
+    if s1 is not None:
+        x = x * s1[:, None]
+    if s2 is not None:
+        x = x * s2[None, :]
     c = np.cumsum(np.cumsum(x, axis=0, dtype=np.int64), axis=1)
-    i1 = _corner_floor(n[0], grid.t1)
-    i2 = _corner_floor(n[1], grid.t2)
+    i1 = _corner_index(n[0], grid.t1)
+    i2 = _corner_index(n[1], grid.t2)
     out = np.zeros((i1.size, i2.size), dtype=np.float64)
     live1 = i1 >= 1
     live2 = i2 >= 1
@@ -275,129 +323,38 @@ def _prefix_at_corners_2d(x: np.ndarray, n: tuple[int, int], grid: CornerGrid) -
     return out
 
 
-def _product_sweep(core: np.ndarray, inv1, inv2, s1=None, s2=None) -> np.ndarray:
-    """X[i,j] = core[class1(i), class2(j)] * s1[i] * s2[j] (full sweep)."""
-    x = core[np.ix_(inv1, inv2)]
-    if s1 is not None:
-        x = x * s1[:, None]
-    if s2 is not None:
-        x = x * s2[None, :]
-    return x
-
-
-# ---------------------------------------------------------------------------
-# simulators
-# ---------------------------------------------------------------------------
-
-def simulate_karlin1d(spec: ModelSpec, grid: CornerGrid, rng: np.random.Generator, seed=None) -> FieldSample:
-    """Urn model with alternating signs; per-box value is (sign) x (marginal)."""
-    _check_kind(spec, {ModelKind.KARLIN_1D, ModelKind.GENERALIZED_KARLIN_1D})
-    if grid.is_2d:
-        raise ValueError("1D model needs a 1D grid")
-    (a,), (n,) = spec.alphas, spec.n
-    key = spin_key(rng)
-    path = sample_urn(make_karlin_pmf(a), n, rng)
-    uniq, inv = np.unique(path.labels, return_inverse=True)
-    values = spec.marginal.draw_symmetrized_from_hash(hash1(key, uniq))
-    x = values[inv] * _alternating_signs(path)
-    raw = _prefix_at_corners_1d(x, n, grid.t1)
-    z, sigma = normalization(spec)
-    return FieldSample(spec, grid, raw, raw / z, z, sigma, seed, {})
-
-
-def simulate_hs1d(spec: ModelSpec, grid: CornerGrid, rng: np.random.Generator, seed=None) -> FieldSample:
-    """Forest model with identical signs: one marginal draw per window root."""
-    _check_kind(spec, {ModelKind.HS_1D, ModelKind.GENERALIZED_HS_1D})
-    if grid.is_2d:
-        raise ValueError("1D model needs a 1D grid")
-    (a,), (n,) = spec.alphas, spec.n
-    key = spin_key(rng)
-    window = sample_forest(make_hs_pmf(a), -spec.effective_forest_depth(n), n, rng)
-    roots = roots_of(window, np.arange(1, n + 1))
-    uniq, inv = np.unique(roots, return_inverse=True)
-    values = spec.marginal.draw_from_hash(hash1(key, uniq))
-    x = values[inv]
-    raw = _prefix_at_corners_1d(x, n, grid.t1)
-    z, sigma = normalization(spec)
-    meta = {"truncation_error_bound": window.truncation_error_bound}
-    return FieldSample(spec, grid, raw, raw / z, z, sigma, seed, meta)
-
-
-def simulate_karlin2d(spec: ModelSpec, grid: CornerGrid, rng: np.random.Generator, seed=None) -> FieldSample:
-    """Product urn model, alternating in both directions."""
-    _check_kind(spec, {ModelKind.KARLIN_2D})
-    _require_2d(grid)
-    (a1, a2), (n1, n2) = spec.alphas, spec.n
-    key = spin_key(rng)
-    path1 = sample_urn(make_karlin_pmf(a1), n1, rng)
-    path2 = sample_urn(make_karlin_pmf(a2), n2, rng)
-    u1, inv1 = np.unique(path1.labels, return_inverse=True)
-    u2, inv2 = np.unique(path2.labels, return_inverse=True)
-    core = signs_from(hash2(key, u1[:, None], u2[None, :]))
-    x = _product_sweep(core, inv1, inv2, _alternating_signs(path1), _alternating_signs(path2))
-    raw = _prefix_at_corners_2d(x, (n1, n2), grid)
-    z, sigma = normalization(spec)
-    return FieldSample(spec, grid, raw, raw / z, z, sigma, seed, {})
-
-
-def simulate_hs2d(spec: ModelSpec, grid: CornerGrid, rng: np.random.Generator, seed=None) -> FieldSample:
-    """Product forest model, identical signs on product components."""
-    _check_kind(spec, {ModelKind.HS_2D})
-    _require_2d(grid)
-    (a1, a2), (n1, n2) = spec.alphas, spec.n
-    key = spin_key(rng)
-    w1 = sample_forest(make_hs_pmf(a1), -spec.effective_forest_depth(n1), n1, rng)
-    w2 = sample_forest(make_hs_pmf(a2), -spec.effective_forest_depth(n2), n2, rng)
-    u1, inv1 = np.unique(roots_of(w1, np.arange(1, n1 + 1)), return_inverse=True)
-    u2, inv2 = np.unique(roots_of(w2, np.arange(1, n2 + 1)), return_inverse=True)
-    core = signs_from(hash2(key, u1[:, None], u2[None, :]))
-    x = _product_sweep(core, inv1, inv2)
-    raw = _prefix_at_corners_2d(x, (n1, n2), grid)
-    z, sigma = normalization(spec)
-    meta = {
-        "truncation_error_bound": max(w1.truncation_error_bound, w2.truncation_error_bound),
-        "truncation_error_bounds": (w1.truncation_error_bound, w2.truncation_error_bound),
-    }
-    return FieldSample(spec, grid, raw, raw / z, z, sigma, seed, meta)
-
-
-def simulate_combined(spec: ModelSpec, grid: CornerGrid, rng: np.random.Generator, seed=None) -> FieldSample:
-    """Forest direction 1 (identical signs) x urn direction 2 (alternating)."""
-    _check_kind(spec, {ModelKind.COMBINED_2D})
-    _require_2d(grid)
-    (a1, a2), (n1, n2) = spec.alphas, spec.n
-    key = spin_key(rng)
-    w1 = sample_forest(make_hs_pmf(a1), -spec.effective_forest_depth(n1), n1, rng)
-    path2 = sample_urn(make_karlin_pmf(a2), n2, rng)
-    u1, inv1 = np.unique(roots_of(w1, np.arange(1, n1 + 1)), return_inverse=True)
-    u2, inv2 = np.unique(path2.labels, return_inverse=True)
-    core = signs_from(hash2(key, u1[:, None], u2[None, :]))
-    x = _product_sweep(core, inv1, inv2, None, _alternating_signs(path2))
-    raw = _prefix_at_corners_2d(x, (n1, n2), grid)
-    z, sigma = normalization(spec)
-    meta = {"truncation_error_bound": w1.truncation_error_bound}
-    return FieldSample(spec, grid, raw, raw / z, z, sigma, seed, meta)
-
-
-_SIMULATORS = {
-    ModelKind.KARLIN_1D: simulate_karlin1d,
-    ModelKind.GENERALIZED_KARLIN_1D: simulate_karlin1d,
-    ModelKind.HS_1D: simulate_hs1d,
-    ModelKind.GENERALIZED_HS_1D: simulate_hs1d,
-    ModelKind.KARLIN_2D: simulate_karlin2d,
-    ModelKind.HS_2D: simulate_hs2d,
-    ModelKind.COMBINED_2D: simulate_combined,
-}
+def _metadata(spec: ModelSpec) -> dict:
+    bounds = tuple(axis.truncation_bound for axis in spec.axes if not axis.is_urn)
+    if not bounds:
+        return {}
+    meta = {"truncation_error_bound": max(bounds)}
+    if len(bounds) > 1:
+        meta["truncation_error_bounds"] = bounds
+    return meta
 
 
 def simulate(spec: ModelSpec, grid: CornerGrid, rng: np.random.Generator, seed=None) -> FieldSample:
-    """Dispatch to the model's simulator (pure function of spec, grid, rng state)."""
-    return _SIMULATORS[spec.kind](spec, grid, rng, seed)
+    """One replicate; a pure function of (spec, grid, rng state).
 
-
-def _require_2d(grid: CornerGrid) -> None:
-    if not grid.is_2d:
-        raise ValueError("2D model needs a 2D grid")
+    The spin key is drawn first and the axes then sample in direction order,
+    which fixes the layout of the replicate's stream.
+    """
+    if grid.is_2d != spec.is_2d:
+        raise ValueError(f"{spec.kind.value} needs a {'2D' if spec.is_2d else '1D'} grid")
+    key = spin_key(rng)
+    sampled = [axis.sample(rng) for axis in spec.axes]
+    if spec.is_2d:
+        (u1, inv1, s1), (u2, inv2, s2) = sampled
+        core = signs_from(hash2(key, u1[:, None], u2[None, :]))
+        raw = _dense_corners_2d(core, inv1, inv2, s1, s2, spec.n, grid)
+    else:
+        (axis,), ((uniq, inv, signs),) = spec.axes, sampled
+        x = axis.draw(spec.marginal, hash1(key, uniq))[inv]
+        if signs is not None:
+            x = x * signs
+        raw = _prefix_at_corners_1d(x, axis.n, grid.t1)
+    z, sigma = normalization(spec)
+    return FieldSample(spec, grid, raw, raw / z, z, sigma, seed, _metadata(spec))
 
 
 def rectangle_sum(sample: FieldSample, a, b) -> float:

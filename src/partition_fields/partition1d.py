@@ -187,9 +187,6 @@ class ForestWindow:
         if self.jumps.shape != (w,) or self.roots.shape != (w,):
             raise ValueError("jumps/roots must cover the window")
 
-    def roots_of(self, indices) -> np.ndarray:
-        return roots_of(self, indices)
-
 
 def build_forest(jumps, lo: int, hi: int, truncation_error_bound: float = float("nan")) -> ForestWindow:
     """Resolve components for given jumps on (lo, hi] by pointer doubling.

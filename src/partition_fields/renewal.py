@@ -33,7 +33,6 @@ __all__ = [
     "weights",
     "c_alpha",
     "bn_sq_growth_constant",
-    "sigma_sq",
     "p_alpha_weight",
     "p_alpha_weights",
 ]
@@ -225,40 +224,6 @@ def bn_sq_growth_constant(alpha: float) -> float:
     if not 0.0 < alpha < 0.5:
         raise ValueError(f"alpha must lie strictly inside (0,1/2), got {alpha}")
     return gamma(1 - 2 * alpha) / (gamma(1 + alpha) * gamma(1 - alpha) ** 3 * (2 * alpha + 1))
-
-
-def sigma_sq(
-    model: str,
-    alphas: tuple[float, ...],
-    rs1: RenewalSequence | None = None,
-    rs2: RenewalSequence | None = None,
-) -> float:
-    """Limit variance constant of the normalized field at t = (1, 1).
-
-    ``model`` is "karlin2d", "hs2d" or "combined".  Forest directions use the
-    realized weight-growth constant (see :func:`bn_sq_growth_constant`)
-    divided by the corresponding sum of squared renewal probabilities, whose
-    convergence warnings propagate through :func:`var_xstar`.
-    """
-    if model == "karlin2d":
-        a1, a2 = alphas
-        return gamma(1 - a1) * 2 ** (a1 - 1) * gamma(1 - a2) * 2 ** (a2 - 1)
-    if model == "hs2d":
-        if rs1 is None or rs2 is None:
-            raise ValueError("hs2d requires both renewal sequences")
-        a1, a2 = alphas
-        return (
-            bn_sq_growth_constant(a1)
-            * bn_sq_growth_constant(a2)
-            * var_xstar(rs1)
-            * var_xstar(rs2)
-        )
-    if model == "combined":
-        if rs1 is None:
-            raise ValueError("combined requires the direction-1 renewal sequence")
-        a1, a2 = alphas
-        return bn_sq_growth_constant(a1) * var_xstar(rs1) * gamma(1 - a2) * 2 ** (a2 - 1)
-    raise ValueError(f"unknown model {model!r}")
 
 
 def p_alpha_weight(alpha: float, r: int) -> float:

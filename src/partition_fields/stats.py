@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import make_hs_pmf, make_karlin_pmf
-from .fields import CornerGrid, ModelKind, ModelSpec, normalization, simulate
-from .partition1d import expected_occupancy, truncation_pair_bound
+from .fields import KIND_TABLE, Axis, CornerGrid, ModelSpec, normalization, simulate
+from .partition1d import expected_occupancy
 from .renewal import cached_renewal_sequence, var_xstar, weights
 from .seeding import SCHEME_ID, normalize_seed, replicate_generator, seed_to_hex
 
@@ -150,6 +149,8 @@ def run_replicates(
     if replicates < 2:
         raise ValueError("need at least 2 replicates")
     base_seed = normalize_seed(base_seed)
+    # the identity target can fail (see expected_occupancy); fail before simulating
+    target = _identity_target(spec) if _grid_ends_at_one(grid) else None
     raw = simulate_raw_matrix(spec, grid, replicates, base_seed, parallelism)
     z, sigma = normalization(spec)
     normalized = raw / z
@@ -168,11 +169,17 @@ def run_replicates(
         ks.append(entry)
 
     identities = {}
-    if _grid_ends_at_one(grid):
-        rec = _identity_record(spec, raw[:, -1])
+    if target is not None:
+        rec = _identity_record(spec, raw[:, -1], target)
         identities[rec.name] = rec
 
-    truncation = _truncation_summary(spec)
+    truncation = {
+        f"direction_{q + 1}": axis.truncation_bound
+        for q, axis in enumerate(spec.axes)
+        if not axis.is_urn
+    }
+    if truncation:
+        truncation["max"] = max(truncation.values())
     return ReplicateReport(
         spec=spec,
         grid=grid,
@@ -199,23 +206,6 @@ def _corner_labels(grid: CornerGrid) -> list:
 def _grid_ends_at_one(grid: CornerGrid) -> bool:
     ends = grid.t1[-1] == 1.0 and (grid.t2 is None or grid.t2[-1] == 1.0)
     return ends
-
-
-def _truncation_summary(spec: ModelSpec) -> dict[str, float]:
-    out: dict[str, float] = {}
-    domains = {
-        ModelKind.HS_1D: (0,),
-        ModelKind.GENERALIZED_HS_1D: (0,),
-        ModelKind.HS_2D: (0, 1),
-        ModelKind.COMBINED_2D: (0,),
-    }.get(spec.kind, ())
-    for d in domains:
-        depth = spec.effective_forest_depth(spec.n[d])
-        bound = truncation_pair_bound(make_hs_pmf(spec.alphas[d]), -depth)
-        out[f"direction_{d + 1}"] = bound
-    if out:
-        out["max"] = max(v for k, v in out.items() if k.startswith("direction"))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -285,15 +275,6 @@ def _kolmogorov_sf(lam: float, tol: float = 1e-12) -> float:
     return float(min(1.0, max(0.0, 2.0 * total)))
 
 
-_IDENTITY_SPECS = {
-    "karlin_var": (ModelKind.KARLIN_1D, ModelKind.GENERALIZED_KARLIN_1D),
-    "karlin2d_var": (ModelKind.KARLIN_2D,),
-    "hs_var": (ModelKind.HS_1D, ModelKind.GENERALIZED_HS_1D),
-    "hs2d_var": (ModelKind.HS_2D,),
-    "combined_var": (ModelKind.COMBINED_2D,),
-}
-
-
 def check_identity(
     name: str,
     spec: ModelSpec,
@@ -308,70 +289,47 @@ def check_identity(
     the window truncation allowance 2 * pair_bound * (number of site pairs).
     SE assumes approximate normality of S_n: Var_hat * sqrt(2/(R-1)).
     """
-    if name not in _IDENTITY_SPECS:
+    if name not in {row.identity for row in KIND_TABLE.values()}:
         raise ValueError(f"unknown identity {name!r}")
-    if spec.kind not in _IDENTITY_SPECS[name]:
-        raise ValueError(f"identity {name} expects kinds {_IDENTITY_SPECS[name]}")
+    if KIND_TABLE[spec.kind].identity != name:
+        raise ValueError(f"identity {name} does not apply to {spec.kind.value}")
+    target = _identity_target(spec)
     grid = CornerGrid(t1=(1.0,), t2=(1.0,) if spec.is_2d else None)
     raw = simulate_raw_matrix(spec, grid, replicates, base_seed, parallelism)
-    s_final = raw[:, -1]
-    mc = float(np.var(s_final, ddof=1))
-    se = mc * math.sqrt(2.0 / (replicates - 1))
-    analytic, kind, allowance = _identity_target(name, spec)
-    return IdentityRecord(name, analytic, mc, se, kind, allowance)
+    return _identity_record(spec, raw[:, -1], target)
 
 
-def _identity_record(spec: ModelSpec, s_final: np.ndarray) -> IdentityRecord:
-    name = next(k for k, kinds in _IDENTITY_SPECS.items() if spec.kind in kinds)
+def _identity_record(spec: ModelSpec, s_final: np.ndarray, target: tuple[float, str, float]) -> IdentityRecord:
+    analytic, kind, allowance = target
     mc = float(np.var(s_final, ddof=1))
     se = mc * math.sqrt(2.0 / (s_final.size - 1))
-    analytic, kind, allowance = _identity_target(name, spec)
-    return IdentityRecord(name, analytic, mc, se, kind, allowance)
+    return IdentityRecord(KIND_TABLE[spec.kind].identity, analytic, mc, se, kind, allowance)
 
 
-def _bn_sq(alpha: float, n: int) -> float:
-    kmax = max(_IDENTITY_KMAX, 16 * n)
-    rs = cached_renewal_sequence(make_hs_pmf(alpha), kmax)
-    return weights(rs, n).b_sq
+def _axis_variance(axis: Axis) -> float:
+    """Exact Var of one axis's ±1 partial sum S_n (untruncated forest)."""
+    if axis.is_urn:
+        return expected_occupancy(axis.pmf, axis.n)[1]  # E[#odd boxes]
+    kmax = max(_IDENTITY_KMAX, 16 * axis.n)
+    b_sq = weights(cached_renewal_sequence(axis.pmf, kmax), axis.n).b_sq
+    sum_q_sq = 1.0 / var_xstar(cached_renewal_sequence(axis.pmf, _IDENTITY_KMAX))
+    return b_sq / sum_q_sq
 
 
-def _sum_q_sq(alpha: float) -> float:
-    rs = cached_renewal_sequence(make_hs_pmf(alpha), _IDENTITY_KMAX)
-    return 1.0 / var_xstar(rs)
+def _identity_target(spec: ModelSpec) -> tuple[float, str, float]:
+    """(analytic Var(S_n) at t = 1, identity kind, truncation allowance).
 
-
-def _pair_allowance(spec: ModelSpec, direction: int, scale: float) -> float:
-    n = spec.n[direction]
-    depth = spec.effective_forest_depth(n)
-    bound = truncation_pair_bound(make_hs_pmf(spec.alphas[direction]), -depth)
-    return 2.0 * bound * n * n * scale
-
-
-def _identity_target(name: str, spec: ModelSpec) -> tuple[float, str, float]:
+    The variance is the product of the axes' variances times E[X^2].  A pair
+    lost to truncation on one forest axis decorrelates terms weighted by the
+    other axes' full pair-correlation mass (their variances), so each forest
+    axis contributes 2 * bound * n^2 * (product of the other variances) * E[X^2].
+    """
     m2 = spec.marginal.second_moment
-    if name == "karlin_var":
-        _, ek_odd = expected_occupancy(make_karlin_pmf(spec.alphas[0]), spec.n[0])
-        return ek_odd * m2, "exact", 0.0
-    if name == "karlin2d_var":
-        (a1, a2), (n1, n2) = spec.alphas, spec.n
-        _, ek1 = expected_occupancy(make_karlin_pmf(a1), n1)
-        _, ek2 = expected_occupancy(make_karlin_pmf(a2), n2)
-        return ek1 * ek2, "exact", 0.0
-    if name == "hs_var":
-        a, n = spec.alphas[0], spec.n[0]
-        analytic = _bn_sq(a, n) * m2 / _sum_q_sq(a)
-        return analytic, "exact-mod-truncation", _pair_allowance(spec, 0, m2)
-    if name == "hs2d_var":
-        (a1, a2), (n1, n2) = spec.alphas, spec.n
-        var1 = _bn_sq(a1, n1) / _sum_q_sq(a1)
-        var2 = _bn_sq(a2, n2) / _sum_q_sq(a2)
-        # a pair lost in one direction decorrelates terms weighted by the
-        # other direction's full pair-correlation mass (its 1D variance)
-        allowance = _pair_allowance(spec, 0, var2) + _pair_allowance(spec, 1, var1)
-        return var1 * var2, "exact-mod-truncation", allowance
-    if name == "combined_var":
-        (a1, a2), (n1, n2) = spec.alphas, spec.n
-        _, ek_odd = expected_occupancy(make_karlin_pmf(a2), n2)
-        analytic = _bn_sq(a1, n1) * ek_odd / _sum_q_sq(a1)
-        return analytic, "exact-mod-truncation", _pair_allowance(spec, 0, ek_odd)
-    raise ValueError(name)
+    variances = [_axis_variance(axis) for axis in spec.axes]
+    allowance = 0.0
+    for q, axis in enumerate(spec.axes):
+        if not axis.is_urn:
+            others = math.prod(v for p, v in enumerate(variances) if p != q) * m2
+            allowance += 2.0 * axis.truncation_bound * axis.n * axis.n * others
+    kind = "exact" if all(axis.is_urn for axis in spec.axes) else "exact-mod-truncation"
+    return math.prod(variances) * m2, kind, allowance

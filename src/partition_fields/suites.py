@@ -22,7 +22,7 @@ from scipy.special import gamma
 
 from .distributions import FinitePmf, make_hs_pmf, make_karlin_pmf
 from .fbs import HurstPair, fbs_cov_matrix
-from .fields import CornerGrid, ModelKind, ModelSpec
+from .fields import KIND_TABLE, CornerGrid, ModelSpec
 from .partition1d import occupancy, sample_urn
 from .renewal import (
     bn_sq_growth_constant,
@@ -47,17 +47,6 @@ __all__ = [
     "suite_renewal_asymptotics",
     "enumerate_renewal_probability",
 ]
-
-_IDENTITY_BY_KIND = {
-    ModelKind.KARLIN_1D: "karlin_var",
-    ModelKind.GENERALIZED_KARLIN_1D: "karlin_var",
-    ModelKind.KARLIN_2D: "karlin2d_var",
-    ModelKind.HS_1D: "hs_var",
-    ModelKind.GENERALIZED_HS_1D: "hs_var",
-    ModelKind.HS_2D: "hs2d_var",
-    ModelKind.COMBINED_2D: "combined_var",
-}
-
 
 def _plain(obj):
     """Recursively coerce numpy scalars so the payload is JSON-clean."""
@@ -141,9 +130,7 @@ def suite_occupancy(alpha: float = 0.6, n: int = 10**6, seed=0xC0FFEE) -> SuiteR
 
 def suite_variance(spec: ModelSpec, replicates: int, seed, parallelism: int = 1) -> SuiteReport:
     """Finite-n variance identity |MC - analytic| <= 3 SE (+ truncation allowance)."""
-    name = _IDENTITY_BY_KIND.get(spec.kind)
-    if name is None:
-        raise ValueError(f"no variance identity for {spec.kind.value}")
+    name = KIND_TABLE[spec.kind].identity
     rec = check_identity(name, spec, replicates, seed, parallelism)
     tol = 3.0 * rec.se + rec.truncation_allowance
     check = CheckResult(

@@ -1,9 +1,12 @@
 """Model simulators: forced-stream algebra, invariants, determinism."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from partition_fields import (
     CornerGrid,
@@ -18,11 +21,14 @@ from partition_fields import (
     replicate_generator,
     simulate,
 )
+from partition_fields import fields
 from partition_fields.fields import (
+    KIND_TABLE,
+    Axis,
+    AxisKind,
     _alternating_signs,
-    _prefix_at_corners_2d,
-    _product_sweep,
-    karlin1d_field,
+    _corner_index,
+    _dense_corners_2d,
 )
 
 SEED = "f1e1d0000000000000000000000000aa"
@@ -47,6 +53,52 @@ def test_model_spec_validation():
     assert ModelSpec(ModelKind.HS_1D, (0.25,), (10,), forest_depth=777).effective_forest_depth(10) == 777
 
 
+def test_kind_table_drives_hurst_and_alpha_domains():
+    assert set(KIND_TABLE) == set(ModelKind)
+    for kind, row in KIND_TABLE.items():
+        alphas = tuple(0.4 * axis.alpha_max for axis in row.axes)
+        spec = ModelSpec(kind, alphas, (8,) * len(row.axes))
+        assert tuple(axis.kind for axis in spec.axes) == row.axes
+        assert spec.is_2d == (len(row.axes) == 2)
+        assert spec.hurst() == tuple(
+            a / 2 if axis is AxisKind.URN else a + 0.5 for a, axis in zip(alphas, row.axes)
+        )
+        for q, axis in enumerate(row.axes):
+            edge = alphas[:q] + (axis.alpha_max,) + alphas[q + 1:]
+            with pytest.raises(ValueError):
+                ModelSpec(kind, edge, (8,) * len(row.axes))
+            just_inside = alphas[:q] + (0.99 * axis.alpha_max,) + alphas[q + 1:]
+            ModelSpec(kind, just_inside, (8,) * len(row.axes))
+
+
+@example(10**8, 25686, 10**5)  # the float product is 25685999.999999996
+@example(3, 1, 3)  # 3 * (1/3) reads 0.9999999999999999 as a decimal
+@given(
+    st.integers(1, 10**10),
+    st.integers(1, 10**7),
+    st.one_of(st.sampled_from([10**d for d in range(1, 8)]), st.integers(1, 10**7)),
+)
+def test_corner_index_is_exact_floor(n, i, m):
+    # a grid time written as the decimal or quotient i/m, with m <= 10^7
+    t = Fraction(min(i, m), m)
+    assert _corner_index(n, (float(t),))[0] == math.floor(n * t)
+
+
+def test_corner_index_is_cached_and_read_only():
+    idx = _corner_index(1000, (0.25, 1.0))
+    assert idx is _corner_index(1000, (0.25, 1.0))
+    assert idx.tolist() == [250, 1000] and not idx.flags.writeable
+
+
+def test_grid_dimension_must_match_model():
+    with pytest.raises(ValueError):
+        simulate(ModelSpec(ModelKind.KARLIN_1D, (0.6,), (8,)), CornerGrid((1.0,), (1.0,)),
+                 replicate_generator(SEED, 0))
+    with pytest.raises(ValueError):
+        simulate(ModelSpec(ModelKind.HS_2D, (0.25, 0.25), (8, 8)), CornerGrid((1.0,)),
+                 replicate_generator(SEED, 0))
+
+
 def test_corner_grid_validation():
     with pytest.raises(ValueError):
         CornerGrid((0.5, 0.5))
@@ -58,9 +110,12 @@ def test_corner_grid_validation():
     assert grid.is_2d and grid.shape() == (2, 2)
 
 
-def test_karlin1d_forced_labels():
-    path = UrnPath.from_labels([3, 3, 5])
-    x = karlin1d_field(path, {3: 1.0, 5: -1.0})
+def test_karlin1d_forced_labels(monkeypatch):
+    monkeypatch.setattr(fields, "sample_urn", lambda pmf, n, rng: UrnPath.from_labels([3, 3, 5]))
+    uniq, inv, signs = Axis(AxisKind.URN, 0.6, 3).sample(None)
+    assert uniq.tolist() == [3, 5]
+    box_values = np.array([1.0, -1.0])  # V(3) = 1, V(5) = -1
+    x = box_values[inv] * signs
     assert x.tolist() == [1.0, -1.0, -1.0]
     assert x.sum() == -1.0
 
@@ -76,11 +131,9 @@ def test_karlin2d_forced_alternation_cancels():
     p1 = UrnPath.from_labels([3, 3])
     p2 = UrnPath.from_labels([7])
     core = np.array([[1]], dtype=np.int8)  # eps(3,7) = +1
-    x = _product_sweep(core, np.zeros(2, np.int64), np.zeros(1, np.int64),
-                       _alternating_signs(p1), _alternating_signs(p2))
-    assert x[:, 0].tolist() == [1, -1]
     grid = CornerGrid((0.5, 1.0), (1.0,))
-    raw = _prefix_at_corners_2d(x, (2, 1), grid)
+    raw = _dense_corners_2d(core, np.zeros(2, np.int64), np.zeros(1, np.int64),
+                            _alternating_signs(p1), _alternating_signs(p2), (2, 1), grid)
     assert raw[0, 0] == 1.0 and raw[1, 0] == 0.0  # S(1,1)=eps, S(2,1)=0
 
 
@@ -88,7 +141,6 @@ def test_hs1d_forced_chain_and_isolates():
     spec = ModelSpec(ModelKind.HS_1D, (0.25,), (64,), forest_depth=2000)
     grid = CornerGrid((1.0,))
     # chain: every site joined downward => one root => |S_n| = n
-    from partition_fields.fields import simulate_hs1d
     from partition_fields.partition1d import build_forest, roots_of
 
     window = build_forest(np.ones(2064, dtype=np.int64), -2000, 64, 0.0)
@@ -98,7 +150,7 @@ def test_hs1d_forced_chain_and_isolates():
     roots2 = roots_of(window2, np.arange(1, 65))
     assert len(np.unique(roots2)) == 64
 
-    s = simulate_hs1d(spec, grid, replicate_generator(SEED, 1))
+    s = simulate(spec, grid, replicate_generator(SEED, 1))
     assert float(s.raw[0]).is_integer() and abs(s.raw[0]) <= 64
 
 
@@ -124,7 +176,9 @@ def test_hs2d_forced_product_structure():
     core = np.array([[1, -1], [-1, 1]], dtype=np.int8)
     inv1 = np.array([0, 0, 1], dtype=np.int64)
     inv2 = np.array([1, 0], dtype=np.int64)
-    x = _product_sweep(core, inv1, inv2)
+    grid = CornerGrid((1 / 3, 2 / 3, 1.0), (0.5, 1.0))  # every site is a corner
+    raw = _dense_corners_2d(core, inv1, inv2, None, None, (3, 2), grid)
+    x = np.diff(np.diff(np.pad(raw, ((1, 0), (1, 0))), axis=0), axis=1)
     assert x.tolist() == [[-1, 1], [-1, 1], [1, -1]]
 
 
@@ -132,10 +186,9 @@ def test_combined_forced_single_components():
     # one forest component x one urn box: S(n1, n2) = ±n1·(n2 mod 2)
     p2 = UrnPath.from_labels([9, 9, 9])
     core = np.array([[1]], dtype=np.int8)
-    x = _product_sweep(core, np.zeros(4, np.int64), np.zeros(3, np.int64),
-                       None, _alternating_signs(p2))
     grid = CornerGrid((1.0,), (1.0 / 3.0, 2.0 / 3.0, 1.0))
-    raw = _prefix_at_corners_2d(x, (4, 3), grid)
+    raw = _dense_corners_2d(core, np.zeros(4, np.int64), np.zeros(3, np.int64),
+                            None, _alternating_signs(p2), (4, 3), grid)
     assert raw[0].tolist() == [4.0, 0.0, 4.0]
 
 

@@ -16,10 +16,10 @@ from partition_fields import (
     p_alpha_weight,
     renewal_sequence,
     replicate_generator,
-    sigma_sq,
     var_xstar,
     weights,
 )
+from partition_fields.fields import Axis, AxisKind
 from partition_fields.renewal import (
     RenewalConvergenceWarning,
     p_alpha_tail,
@@ -161,23 +161,26 @@ def test_growth_constant_matches_quadrature():
         assert bn_sq_growth_constant(a) == pytest.approx(direct, rel=1e-9)
 
 
+def _limit_var(*axes: Axis) -> float:
+    return math.prod(f for axis in axes for f in axis.variance_factors)
+
+
 def test_sigma_sq_karlin2d_closed_form():
-    assert sigma_sq("karlin2d", (0.5, 0.5)) == pytest.approx(math.pi / 2, abs=1e-12)
+    urn = Axis(AxisKind.URN, 0.5, 1)
+    assert _limit_var(urn, urn) == pytest.approx(math.pi / 2, abs=1e-12)
 
 
 def test_sigma_sq_forest_formula_shapes():
-    rs = renewal_sequence(make_hs_pmf(0.25), 1 << 16, method="newton")
+    # the forest axis takes Var(X*) from the renewal sequence at kmax 2^18
+    rs = renewal_sequence(make_hs_pmf(0.25), 1 << 18, method="newton")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RenewalConvergenceWarning)
         v = var_xstar(rs)
-        hs2d = sigma_sq("hs2d", (0.25, 0.25), rs, rs)
-        comb = sigma_sq("combined", (0.25, 0.5), rs)
-    assert hs2d == pytest.approx(bn_sq_growth_constant(0.25) ** 2 * v * v, rel=1e-12)
-    assert comb == pytest.approx(
+    forest, urn = Axis(AxisKind.FOREST, 0.25, 1), Axis(AxisKind.URN, 0.5, 1)
+    assert _limit_var(forest, forest) == pytest.approx(bn_sq_growth_constant(0.25) ** 2 * v * v, rel=1e-12)
+    assert _limit_var(forest, urn) == pytest.approx(
         bn_sq_growth_constant(0.25) * v * gamma(0.5) * 2**-0.5, rel=1e-12
     )
-    with pytest.raises(ValueError):
-        sigma_sq("hs2d", (0.25, 0.25))  # missing renewal input
 
 
 def test_p_alpha_weight_values():

@@ -159,6 +159,26 @@ def test_check_identity_kind_mismatch():
         check_identity("nope", spec, 10, SEED)
 
 
+def test_identity_target_fails_before_any_simulation(monkeypatch):
+    # expected_occupancy gives up (RuntimeError) for urn axes with large
+    # alpha; that must surface before R replicates are simulated
+    from partition_fields import stats
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("simulated before the identity target was known")
+
+    def give_up(pmf, n):
+        raise RuntimeError("expected_occupancy gave up")
+
+    monkeypatch.setattr(stats, "simulate_raw_matrix", unreachable)
+    monkeypatch.setattr(stats, "expected_occupancy", give_up)
+    spec = ModelSpec(ModelKind.KARLIN_1D, (0.8,), (1024,))
+    with pytest.raises(RuntimeError, match="gave up"):
+        run_replicates(spec, CornerGrid((0.5, 1.0)), 10, SEED)
+    with pytest.raises(RuntimeError, match="gave up"):
+        check_identity("karlin_var", spec, 10, SEED)
+
+
 def test_covariance_estimator_consistency_rate():
     # against the exactly known law of the reference sheet sampler, the
     # entrywise error must shrink roughly like 1/sqrt(R); averaging over
