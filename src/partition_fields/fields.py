@@ -246,9 +246,9 @@ def _grid_time(t: float) -> Fraction:
 
     A time written as a fraction with denominator at most 10^7 (a decimal
     with up to 7 places, or i/m) is recovered exactly: no other such
-    fraction rounds to the same float.  floor(n*t) in floats is off by one
-    at large n (0.25686 * 10^8 = 25685999.999999996) or at n*t = integer
-    (3 * (1/3) = 0.9999999999999999 in decimal).
+    fraction rounds to the same float.  Reading t as a float or as the
+    decimal repr(t) instead is off by one: 0.25686 * 10^8 is
+    25685999.999999996 in floats, and 3 * 0.3333333333333333 < 1.
     """
     below, above = math.nextafter(t, 0.0), math.nextafter(t, 2.0)
     return _simplest_between((Fraction(below) + Fraction(t)) / 2, (Fraction(t) + Fraction(above)) / 2)
