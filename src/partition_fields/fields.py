@@ -92,7 +92,7 @@ KIND_TABLE = {
 def _forest_var_xstar(alpha: float) -> float:
     """Var(X*) = 1 / sum of q_k^2 for the exact-tail jump law at ``alpha``."""
     rs = cached_renewal_sequence(make_hs_pmf(alpha), _RENEWAL_KMAX_NORM)
-    return var_xstar(rs, warn=False)
+    return var_xstar(rs)
 
 
 def _alternating_signs(path: UrnPath) -> np.ndarray:
@@ -144,8 +144,7 @@ class Axis:
         """(class ids, each site's index into them, site signs or None for all +1)."""
         if self.is_urn:
             path = sample_urn(self.pmf, self.n, rng)
-            uniq, inv = np.unique(path.labels, return_inverse=True)
-            return uniq, inv, _alternating_signs(path)
+            return path.classes, path.inverse, _alternating_signs(path)
         window = sample_forest(self.pmf, -self.depth, self.n, rng)
         uniq, inv = np.unique(roots_of(window, np.arange(1, self.n + 1)), return_inverse=True)
         return uniq, inv, None

@@ -7,9 +7,13 @@ Two partitions of the index line are provided:
   counts, odd-occupancy count);
 * the ancestral forest: each site i is joined to i - J_i for heavy-tailed
   jumps J_i, and i ~ j iff their ancestral lines meet.  Lines are infinite,
-  so the forest is sampled on a window (lo, hi] with a quantified truncation
-  diagnostic; sites whose line exits the window become their own roots,
-  which errs toward independence.
+  so the jumps are sampled on a window (lo, hi] with a quantified truncation
+  bound; a line is cut where it would leave the window, which errs toward
+  independence.  Roots are found only for the query sites, by walking
+  their lines down the window.
+
+Each engine resolves its partition once, in the form the fields read: the
+urn's box of each draw, the forest's root of each query site.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ __all__ = [
     "occupancy_increment",
     "expected_occupancy",
     "sample_forest",
-    "build_forest",
     "roots_of",
     "truncation_pair_bound",
 ]
@@ -39,12 +42,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class UrnPath:
-    """Label draws Y_1..Y_n with running per-label count parities.
+    """Label draws Y_1..Y_n, their boxes, and running per-box count parities.
 
-    running_parity[i] is 1 when the number of j <= i with Y_j = Y_i is odd.
+    ``classes`` are the distinct labels in increasing order and
+    ``classes[inverse[i]] == labels[i]``; running_parity[i] is 1 when the
+    number of j <= i with Y_j = Y_i is odd.
     """
 
     labels: np.ndarray
+    classes: np.ndarray
+    inverse: np.ndarray
     running_parity: np.ndarray
 
     @classmethod
@@ -52,26 +59,19 @@ class UrnPath:
         labels = np.asarray(labels, dtype=np.int64)
         if labels.size == 0:
             raise ValueError("label sequence must be nonempty")
-        return cls(labels=labels, running_parity=_running_parity(labels))
+        classes, inverse = np.unique(labels, return_inverse=True)
+        return cls(labels, classes, inverse, _running_parity(inverse))
 
     def __len__(self) -> int:
         return self.labels.size
 
 
-def _running_parity(labels: np.ndarray) -> np.ndarray:
-    # occurrence rank of each draw within its own label, via one stable sort
-    n = labels.size
-    _, inv = np.unique(labels, return_inverse=True)
-    order = np.argsort(inv, kind="stable")
-    sorted_inv = inv[order]
-    boundaries = np.empty(n, dtype=bool)
-    boundaries[0] = True
-    np.not_equal(sorted_inv[1:], sorted_inv[:-1], out=boundaries[1:])
-    starts = np.flatnonzero(boundaries)
-    offsets = np.zeros(n, dtype=np.int64)
-    offsets[starts] = np.arange(n, dtype=np.int64)[starts]
-    np.maximum.accumulate(offsets, out=offsets)
-    rank_sorted = np.arange(n, dtype=np.int64) - offsets  # 0-based within label
+def _running_parity(inverse: np.ndarray) -> np.ndarray:
+    # occurrence rank of each draw within its own box, via one stable sort
+    n = inverse.size
+    order = np.argsort(inverse, kind="stable")
+    counts = np.bincount(inverse)
+    rank_sorted = np.arange(n, dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
     parity = np.empty(n, dtype=np.uint8)
     parity[order] = ((rank_sorted + 1) & 1).astype(np.uint8)
     return parity
@@ -102,21 +102,21 @@ def sample_urn(pmf, n: int, rng: np.random.Generator) -> UrnPath:
 
 def occupancy(path: UrnPath) -> OccupancySummary:
     """Exact occupancy counts of the whole path."""
-    return _occupancy_of(path.labels)
+    return _occupancy_of(np.bincount(path.inverse))
 
 
 def occupancy_increment(path: UrnPath, m: int, n: int) -> OccupancySummary:
     """Occupancy of the sub-sample Y_{m+1}..Y_n alone."""
     if not 0 <= m < n <= len(path):
         raise IndexError(f"need 0 <= m < n <= {len(path)}, got ({m}, {n})")
-    return _occupancy_of(path.labels[m:n])
+    return _occupancy_of(np.bincount(path.inverse[m:n]))
 
 
-def _occupancy_of(labels: np.ndarray) -> OccupancySummary:
-    _, counts = np.unique(labels, return_counts=True)
+def _occupancy_of(box_counts: np.ndarray) -> OccupancySummary:
+    counts = box_counts[box_counts > 0]
     mult, mult_counts = np.unique(counts, return_counts=True)
     return OccupancySummary(
-        n=int(labels.size),
+        n=int(counts.sum()),
         k_n=int(counts.size),
         k_n_r={int(r): int(c) for r, c in zip(mult, mult_counts)},
         k_odd=int(np.count_nonzero(counts & 1)),
@@ -166,65 +166,32 @@ def expected_occupancy(pmf, n: int, tol: float = 1e-10, max_terms: int = 1 << 28
 
 @dataclass(frozen=True)
 class ForestWindow:
-    """Ancestral forest restricted to the index window (lo, hi].
+    """Ancestral-forest jumps on the index window (lo, hi].
 
-    ``roots[i - lo - 1]`` is the canonical component representative of site
-    i: the smallest index on its ancestral path inside the window.  Sites
-    whose parent i - J_i falls at or below lo are their own roots.
-    ``truncation_error_bound`` bounds, per ordered site pair of [1, hi], the
-    probability that the pair shares a component in the untruncated model
-    but not in the window (see :func:`truncation_pair_bound`).
+    ``jumps[i - lo - 1]`` is J_i: site i is joined to its parent i - J_i.
+    Components are resolved on demand by :func:`roots_of`.
     """
 
     lo: int
     hi: int
     jumps: np.ndarray
-    roots: np.ndarray
-    truncation_error_bound: float
 
     def __post_init__(self):
+        object.__setattr__(self, "jumps", np.asarray(self.jumps, dtype=np.int64))
         w = self.hi - self.lo
-        if self.jumps.shape != (w,) or self.roots.shape != (w,):
-            raise ValueError("jumps/roots must cover the window")
-
-
-def build_forest(jumps, lo: int, hi: int, truncation_error_bound: float = float("nan")) -> ForestWindow:
-    """Resolve components for given jumps on (lo, hi] by pointer doubling.
-
-    Every site has exactly one parent below it, so the parent map is already
-    a forest; iterating parent <- parent[parent] reaches the fixed point in
-    O(log depth) vectorized passes.  Roots are automatically the smallest
-    window index of their component, hence stable and idempotent.
-    """
-    jumps = np.asarray(jumps, dtype=np.int64)
-    w = hi - lo
-    if jumps.shape != (w,):
-        raise ValueError(f"need {w} jumps for window ({lo}, {hi}]")
-    if np.any(jumps < 1):
-        raise ValueError("jumps must be >= 1")
-    offsets = np.arange(w, dtype=np.int64)
-    parent = offsets - jumps
-    np.copyto(parent, offsets, where=parent < 0)
-    while True:
-        nxt = parent[parent]
-        if np.array_equal(nxt, parent):
-            break
-        parent = nxt
-    roots = parent + (lo + 1)
-    return ForestWindow(
-        lo=lo, hi=hi, jumps=jumps, roots=roots, truncation_error_bound=truncation_error_bound
-    )
+        if self.jumps.shape != (w,):
+            raise ValueError(f"need {w} jumps for window ({self.lo}, {self.hi}]")
+        if np.any(self.jumps < 1):
+            raise ValueError("jumps must be >= 1")  # a zero jump never leaves its site
 
 
 def sample_forest(pmf: PowerLawPmf, lo: int, hi: int, rng: np.random.Generator) -> ForestWindow:
-    """Sample jumps on (lo, hi] and resolve window components."""
+    """Sample the jumps of the window (lo, hi]."""
     if getattr(pmf, "kind", None) is not PmfKind.HS_TAIL:
         raise ValueError("forest jumps must follow an HsTail pmf")
     if not lo < 0 <= hi:
         raise ValueError(f"window must satisfy lo < 0 <= hi, got ({lo}, {hi})")
-    jumps = pmf.sample(rng, size=hi - lo)
-    bound = truncation_pair_bound(pmf, lo)
-    return build_forest(jumps, lo, hi, truncation_error_bound=bound)
+    return ForestWindow(lo, hi, pmf.sample(rng, size=hi - lo))
 
 
 @lru_cache(maxsize=64)
@@ -249,8 +216,22 @@ def truncation_pair_bound(pmf: PowerLawPmf, lo: int) -> float:
 
 
 def roots_of(window: ForestWindow, indices) -> np.ndarray:
-    """Canonical component representative for each requested index."""
+    """Canonical component representative for each requested index.
+
+    The representative of site i is the smallest index on its ancestral line
+    inside the window: the line is walked down, all requested lines at once,
+    until its next parent i - J_i falls at or below lo.  The walk takes as
+    many vectorized steps as the longest requested line has in-window sites.
+    """
     idx = np.asarray(indices, dtype=np.int64)
     if np.any(idx <= window.lo) or np.any(idx > window.hi):
         raise IndexError(f"indices must lie in ({window.lo}, {window.hi}]")
-    return window.roots[idx - window.lo - 1]
+    first = window.lo + 1
+    roots = idx.reshape(-1) - first  # window offsets; a line leaves at offset < 0
+    live, offsets = np.arange(roots.size), roots
+    while live.size:
+        parents = offsets - window.jumps[offsets]
+        inside = parents >= 0
+        live, offsets = live[inside], parents[inside]
+        roots[live] = offsets
+    return roots.reshape(idx.shape) + first

@@ -144,15 +144,15 @@ def cached_renewal_sequence(pmf, kmax: int) -> RenewalSequence:
     return renewal_sequence(pmf, kmax)
 
 
-def var_xstar(rs: RenewalSequence, warn: bool = True) -> float:
+def var_xstar(rs: RenewalSequence) -> float:
     """Reciprocal of sum q_k**2: the innovation variance of the ±1 model.
 
-    Warns (does not fail) when the squared tail has not converged at kmax,
-    e.g. for finitely supported jump laws where q_k tends to a positive
-    renewal density and the sum diverges.  ``warn=False`` is for internal
-    callers that rely on the power-decay tail estimate instead.
+    Warns (does not fail) when the squared tail has not converged at kmax
+    and no power-decay tail estimate covers it, e.g. for finitely supported
+    jump laws where q_k tends to a positive renewal density and the sum
+    diverges.
     """
-    if warn and rs.q[-1] ** 2 >= 1e-10:
+    if rs.sum_sq_tail_estimate == 0.0 and rs.q[-1] ** 2 >= 1e-10:
         warnings.warn(
             f"sum of q^2 not converged at kmax={rs.kmax} "
             f"(last increment {rs.q[-1]**2:.3e})",

@@ -116,22 +116,19 @@ def simulate_raw_matrix(
     """Raw corner sums, one row per replicate, assembled in replicate order."""
     base_seed = normalize_seed(base_seed)
     workers = max(1, int(parallelism))
-    if workers == 1:
+    if workers == 1 or replicates < 2:
         return _replicate_chunk(spec, grid, base_seed, 0, replicates)
-    # warm shared caches (renewal constants, zeta) before forking workers
-    normalization(spec)
-    _replicate_chunk(spec, grid, base_seed, 0, 1)
+    # replicate 0 runs here first, warming shared caches (renewal constants,
+    # zeta) before forking workers; its row is kept
+    first = _replicate_chunk(spec, grid, base_seed, 0, 1)
     chunk = max(16, math.ceil(replicates / (4 * workers)))
-    bounds = list(range(0, replicates, chunk)) + [replicates]
-    parts: list[np.ndarray | None] = [None] * (len(bounds) - 1)
+    bounds = list(range(1, replicates, chunk)) + [replicates]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = {
-            pool.submit(_replicate_chunk, spec, grid, base_seed, bounds[i], bounds[i + 1]): i
-            for i in range(len(bounds) - 1)
-        }
-        for fut, i in futures.items():
-            parts[i] = fut.result()
-    return np.concatenate(parts, axis=0)
+        futures = [
+            pool.submit(_replicate_chunk, spec, grid, base_seed, r0, r1)
+            for r0, r1 in zip(bounds[:-1], bounds[1:])
+        ]
+        return np.concatenate([first] + [fut.result() for fut in futures], axis=0)
 
 
 def run_replicates(

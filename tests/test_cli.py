@@ -165,7 +165,6 @@ def test_verify_parallelism_does_not_change_bytes(tmp_path):
     assert Path(out1 + ".checks.csv").read_bytes() == Path(out8 + ".checks.csv").read_bytes()
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")  # tiny kmax: unconverged sum is the point
 def test_renewal_command_and_kmax_validation(tmp_path):
     runner = CliRunner()
     cfg = {
@@ -184,7 +183,6 @@ def test_renewal_command_and_kmax_validation(tmp_path):
     assert res.exit_code == 2
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_renewal_weights_csv(tmp_path):
     runner = CliRunner()
     cfg = {

@@ -141,12 +141,12 @@ def test_hs1d_forced_chain_and_isolates():
     spec = ModelSpec(ModelKind.HS_1D, (0.25,), (64,), forest_depth=2000)
     grid = CornerGrid((1.0,))
     # chain: every site joined downward => one root => |S_n| = n
-    from partition_fields.partition1d import build_forest, roots_of
+    from partition_fields.partition1d import ForestWindow, roots_of
 
-    window = build_forest(np.ones(2064, dtype=np.int64), -2000, 64, 0.0)
+    window = ForestWindow(-2000, 64, np.ones(2064, dtype=np.int64))
     roots = roots_of(window, np.arange(1, 65))
     assert len(np.unique(roots)) == 1
-    window2 = build_forest(np.full(2064, 10**7, dtype=np.int64), -2000, 64, 0.0)
+    window2 = ForestWindow(-2000, 64, np.full(2064, 10**7, dtype=np.int64))
     roots2 = roots_of(window2, np.arange(1, 65))
     assert len(np.unique(roots2)) == 64
 
@@ -157,11 +157,11 @@ def test_hs1d_forced_chain_and_isolates():
 def test_hs1d_independent_limit_variance():
     # all parents forced below the window floor => spins are iid => Var = n
     from partition_fields._hashing import hash1, signs_from
-    from partition_fields.partition1d import build_forest, roots_of
+    from partition_fields.partition1d import ForestWindow, roots_of
     from partition_fields.seeding import spin_key
 
     n = 64
-    window = build_forest(np.full(n + 4, 10**9, dtype=np.int64), -4, n, 0.0)
+    window = ForestWindow(-4, n, np.full(n + 4, 10**9, dtype=np.int64))
     roots = roots_of(window, np.arange(1, n + 1))
     assert len(np.unique(roots)) == n
     vals = []

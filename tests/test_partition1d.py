@@ -10,6 +10,7 @@ from scipy.special import gamma
 
 from partition_fields import (
     FinitePmf,
+    ForestWindow,
     UrnPath,
     expected_occupancy,
     make_hs_pmf,
@@ -20,7 +21,7 @@ from partition_fields import (
     sample_forest,
     sample_urn,
 )
-from partition_fields.partition1d import build_forest, roots_of, truncation_pair_bound
+from partition_fields.partition1d import roots_of, truncation_pair_bound
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +60,8 @@ def test_occupancy_increment():
 @settings(max_examples=100, deadline=None)
 def test_occupancy_mass_conservation_and_parity_oracle(labels):
     path = UrnPath.from_labels(labels)
+    assert path.classes.tolist() == sorted(set(labels))
+    assert np.array_equal(path.classes[path.inverse], path.labels)
     occ = occupancy(path)
     assert sum(r * c for r, c in occ.k_n_r.items()) == len(labels)
     assert sum(occ.k_n_r.values()) == occ.k_n
@@ -142,16 +145,48 @@ def test_expected_occupancy_rejects_bad_n():
 # ancestral forest
 # ---------------------------------------------------------------------------
 
+def _doubling_roots(jumps: np.ndarray, lo: int) -> np.ndarray:
+    """Reference: the root of every window site, by pointer doubling."""
+    offsets = np.arange(jumps.size)
+    parent = np.where(offsets >= jumps, offsets - jumps, offsets)
+    while not np.array_equal(parent[parent], parent):
+        parent = parent[parent]
+    return parent + lo + 1
+
+
 def test_forced_chain_forest():
-    w = build_forest(np.ones(40, dtype=np.int64), lo=-10, hi=30)
+    w = ForestWindow(-10, 30, np.ones(40, dtype=np.int64))
     roots = roots_of(w, np.arange(1, 31))
     assert np.all(roots == -9)  # everything chains down to the window floor
 
 
 def test_forced_isolated_forest():
-    w = build_forest(np.full(40, 1000, dtype=np.int64), lo=-10, hi=30)
+    w = ForestWindow(-10, 30, np.full(40, 1000, dtype=np.int64))
     roots = roots_of(w, np.arange(1, 31))
     assert np.array_equal(roots, np.arange(1, 31))
+
+
+def test_forest_window_rejects_bad_jumps():
+    with pytest.raises(ValueError):
+        ForestWindow(-10, 30, np.ones(39, dtype=np.int64))
+    jumps = np.ones(40, dtype=np.int64)
+    jumps[7] = 0  # a zero jump never leaves its site
+    with pytest.raises(ValueError):
+        ForestWindow(-10, 30, jumps)
+    with pytest.raises(IndexError):
+        roots_of(ForestWindow(-10, 30, np.ones(40, dtype=np.int64)), [-10])
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_roots_walk_matches_pointer_doubling(data):
+    depth = data.draw(st.integers(1, 50))
+    hi = data.draw(st.integers(0, 50))
+    # jumps up to 100 send some lines out of the window from any site
+    jumps = np.asarray(data.draw(st.lists(st.integers(1, 100), min_size=depth + hi, max_size=depth + hi)))
+    query = np.asarray(data.draw(st.lists(st.integers(1 - depth, hi), max_size=40)), dtype=np.int64)
+    expected = _doubling_roots(jumps, -depth)[query + depth - 1]
+    assert np.array_equal(roots_of(ForestWindow(-depth, hi, jumps), query), expected)
 
 
 @given(st.lists(st.integers(1, 12), min_size=5, max_size=80))
@@ -159,7 +194,7 @@ def test_forced_isolated_forest():
 def test_forest_component_invariants(jump_list):
     w = hi = len(jump_list) // 2
     lo = hi - len(jump_list)
-    window = build_forest(np.asarray(jump_list), lo=lo, hi=hi)
+    window = ForestWindow(lo, hi, jump_list)
     idx = np.arange(lo + 1, hi + 1)
     roots = roots_of(window, idx)
     # canonical root is the smallest member of its class and is idempotent
@@ -179,7 +214,9 @@ def test_sample_forest_validation_and_determinism():
         sample_forest(pmf, 0, 5, replicate_generator("aa", 0))
     w1 = sample_forest(pmf, -500, 100, replicate_generator("aa", 1))
     w2 = sample_forest(pmf, -500, 100, replicate_generator("aa", 1))
-    assert np.array_equal(w1.jumps, w2.jumps) and np.array_equal(w1.roots, w2.roots)
+    sites = np.arange(-499, 101)
+    assert np.array_equal(w1.jumps, w2.jumps)
+    assert np.array_equal(roots_of(w1, sites), roots_of(w2, sites))
 
 
 def test_truncation_bound_spec_point():

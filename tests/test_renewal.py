@@ -22,6 +22,7 @@ from partition_fields import (
 from partition_fields.fields import Axis, AxisKind
 from partition_fields.renewal import (
     RenewalConvergenceWarning,
+    cached_renewal_sequence,
     p_alpha_tail,
     p_alpha_weights,
 )
@@ -69,14 +70,21 @@ def test_var_xstar_degenerate_chain_flags_divergence():
     assert v == pytest.approx(1.0 / 513.0)
 
 
+def test_var_xstar_power_tail_estimate_does_not_warn():
+    # the last q_k^2 is not small, but the power-decay tail estimate covers it
+    rs = cached_renewal_sequence(make_hs_pmf(0.4), 1 << 21)
+    assert rs.q[-1] ** 2 >= 1e-10 and rs.sum_sq_tail_estimate > 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RenewalConvergenceWarning)
+        var_xstar(rs)
+
+
 def test_var_xstar_against_line_meeting_oracle():
     """1/sum(q^2) equals P(two independent ancestral lines meet only at 0)."""
     alpha = 0.25
     pmf = make_hs_pmf(alpha)
     rs = renewal_sequence(pmf, 1 << 18, method="newton")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RenewalConvergenceWarning)
-        analytic = var_xstar(rs)
+    analytic = var_xstar(rs)
 
     reps = 10**5
     depth = 10**6
@@ -173,9 +181,7 @@ def test_sigma_sq_karlin2d_closed_form():
 def test_sigma_sq_forest_formula_shapes():
     # the forest axis takes Var(X*) from the renewal sequence at kmax 2^18
     rs = renewal_sequence(make_hs_pmf(0.25), 1 << 18, method="newton")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RenewalConvergenceWarning)
-        v = var_xstar(rs)
+    v = var_xstar(rs)
     forest, urn = Axis(AxisKind.FOREST, 0.25, 1), Axis(AxisKind.URN, 0.5, 1)
     assert _limit_var(forest, forest) == pytest.approx(bn_sq_growth_constant(0.25) ** 2 * v * v, rel=1e-12)
     assert _limit_var(forest, urn) == pytest.approx(
