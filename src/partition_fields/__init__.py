@@ -25,7 +25,6 @@ from .fields import (
     ModelKind,
     ModelSpec,
     normalization,
-    rectangle_sum,
     simulate,
 )
 from .partition1d import (
@@ -34,7 +33,6 @@ from .partition1d import (
     UrnPath,
     expected_occupancy,
     occupancy,
-    occupancy_increment,
     sample_forest,
     sample_urn,
 )
@@ -43,7 +41,6 @@ from .renewal import (
     WeightProfile,
     bn_sq_growth_constant,
     c_alpha,
-    p_alpha_weight,
     renewal_sequence,
     var_xstar,
     weights,
@@ -94,9 +91,6 @@ __all__ = [
     "normalization",
     "normalize_seed",
     "occupancy",
-    "occupancy_increment",
-    "p_alpha_weight",
-    "rectangle_sum",
     "renewal_sequence",
     "replicate_generator",
     "run_replicates",

@@ -41,6 +41,13 @@ def _take(data: dict, path: str, known: set[str]) -> None:
         raise ConfigError(f"unknown field(s) at {path}: {sorted(unknown)}")
 
 
+def _positive_int(value, path: str):
+    """None or a positive integer; JSON true/false are not counts."""
+    if value is not None and (isinstance(value, bool) or not isinstance(value, int) or value < 1):
+        raise ConfigError(f"{path}: must be a positive integer")
+    return value
+
+
 def _marginal_from(data: dict, path: str) -> MarginalLaw:
     _take(data, path, {"kind", "c", "a", "b", "p"})
     kind = data.get("kind", "rademacher")
@@ -144,26 +151,23 @@ class RunConfig:
             seed_hex = seed_to_hex(normalize_seed(data["seed"]))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"seed: {exc}") from None
-        replicates = data.get("replicates")
-        if replicates is not None and (not isinstance(replicates, int) or replicates < 1):
-            raise ConfigError("replicates: must be a positive integer")
+        replicates = _positive_int(data.get("replicates"), "replicates")
         parallelism = data.get("parallelism")
         if parallelism is None:
-            parallelism = int(os.environ.get(_ENV_THREADS, "1"))
-        if not isinstance(parallelism, int) or parallelism < 1:
-            raise ConfigError("parallelism: must be a positive integer")
+            env = os.environ.get(_ENV_THREADS, "1")
+            try:
+                parallelism = int(env)
+            except ValueError:
+                raise ConfigError(f"{_ENV_THREADS}: must be a positive integer, got {env!r}") from None
+        _positive_int(parallelism, "parallelism")
         fmt = data.get("format", "csv")
         if fmt not in ("csv", "json"):
             raise ConfigError(f"format: unknown format {fmt!r}")
         suite = data.get("suite")
         if suite is not None and suite not in SUITES:
             raise ConfigError(f"suite: unknown suite {suite!r}; choose from {SUITES}")
-        kmax = data.get("kmax")
-        if kmax is not None and (not isinstance(kmax, int) or kmax < 1):
-            raise ConfigError("kmax: must be a positive integer")
-        weights_n = data.get("weights_n")
-        if weights_n is not None and (not isinstance(weights_n, int) or weights_n < 1):
-            raise ConfigError("weights_n: must be a positive integer")
+        kmax = _positive_int(data.get("kmax"), "kmax")
+        weights_n = _positive_int(data.get("weights_n"), "weights_n")
         hurst = data.get("hurst")
         if hurst is not None:
             try:
@@ -314,12 +318,15 @@ def cmd_renewal(cfg: RunConfig) -> list[Path]:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     rs = cached_renewal_sequence(pmf, cfg.kmax)
+    try:
+        prof = None if cfg.weights_n is None else weights(rs, cfg.weights_n)
+    except ValueError as exc:  # kmax too small for weights_n
+        raise ConfigError(str(exc)) from None
     paths = []
     q_path = Path(f"{cfg.output}.renewal.csv")
     _write_csv(q_path, ["k", "q_k"], [(k, float(rs.q[k])) for k in range(cfg.kmax + 1)])
     paths.append(q_path)
-    if cfg.weights_n is not None:
-        prof = weights(rs, cfg.weights_n)
+    if prof is not None:
         w_path = Path(f"{cfg.output}.weights.csv")
         _write_csv(
             w_path, ["j", "b_nj"],

@@ -310,8 +310,3 @@ class MarginalLaw:
             return signs_from(h).astype(np.float64)
         z = np.where(low_uniforms_from(h) < self.prob_a, self.value_a, self.value_b)
         return signs_from(h) * z
-
-    def sample(self, rng: np.random.Generator, size: int | None = None):
-        m = 1 if size is None else int(size)
-        out = np.where(rng.random(m) < self.prob_a, self.value_a, self.value_b)
-        return float(out[0]) if size is None else out

@@ -2,11 +2,16 @@
 
 Every model is a product of independent per-direction axes.  An axis is a
 random partition of the sites 1..n of one direction: urn boxes with
-alternating signs, or forest trees with identical signs.  A replicate
-samples each axis, attaches replayable spin values to the (product) classes
-through the keyed hash, and sums the field up to the corners floor(n*t).
-The limit variance, the Hurst index and the normalization factor by
-direction as well, so each axis owns its share of them.
+alternating signs, or forest trees with identical signs.  A partial sum
+depends on the partition only through how many sites of each class lie
+below the corner, so a replicate samples each axis, turns it into a
+corner-count matrix A[m, c] (sites of class c among 1..floor(n*t_m); for an
+urn box, the parity of that count, which is the running sum of its
+alternating signs), attaches replayable spin values to the (product)
+classes through the keyed hash, and evaluates every corner with one
+product: A v in 1D, A1 eps A2^T in 2D.  The limit variance, the Hurst
+index and the normalization factor by direction as well, so each axis owns
+its share of them.
 
 Normalizations divide by Z so that the normalized field converges to the
 *standard* fractional Brownian sheet; the plain power-law normalization is
@@ -27,7 +32,7 @@ from scipy.special import gamma
 
 from ._hashing import hash1, hash2, signs_from
 from .distributions import MarginalLaw, PowerLawPmf, make_hs_pmf, make_karlin_pmf
-from .partition1d import UrnPath, roots_of, sample_forest, sample_urn, truncation_pair_bound
+from .partition1d import roots_of, sample_forest, sample_urn, truncation_pair_bound
 from .renewal import bn_sq_growth_constant, cached_renewal_sequence, var_xstar
 from .seeding import spin_key
 
@@ -40,7 +45,6 @@ __all__ = [
     "CornerGrid",
     "FieldSample",
     "simulate",
-    "rectangle_sum",
     "normalization",
 ]
 
@@ -95,11 +99,6 @@ def _forest_var_xstar(alpha: float) -> float:
     return var_xstar(rs)
 
 
-def _alternating_signs(path: UrnPath) -> np.ndarray:
-    # (-1)**(count+1): +1 when the running count of the draw's box is odd
-    return (2 * path.running_parity.astype(np.int8) - 1).astype(np.int8)
-
-
 @dataclass(frozen=True)
 class Axis:
     """One direction of a model: a random partition of the sites 1..n.
@@ -140,14 +139,25 @@ class Axis:
             return None
         return truncation_pair_bound(self.pmf, -self.depth)
 
-    def sample(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """(class ids, each site's index into them, site signs or None for all +1)."""
+    def sample(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """(class ids, each site's index into them)."""
         if self.is_urn:
             path = sample_urn(self.pmf, self.n, rng)
-            return path.classes, path.inverse, _alternating_signs(path)
+            return path.classes, path.inverse
         window = sample_forest(self.pmf, -self.depth, self.n, rng)
-        uniq, inv = np.unique(roots_of(window, np.arange(1, self.n + 1)), return_inverse=True)
-        return uniq, inv, None
+        return np.unique(roots_of(window, np.arange(1, self.n + 1)), return_inverse=True)
+
+    def corner_counts(self, inv: np.ndarray, k: int, ts: tuple[float, ...]) -> np.ndarray:
+        """int64 (corners, k): row m counts the sites of class c among 1..floor(n*t_m).
+
+        An urn axis keeps only each count's parity: its signs alternate +1, -1
+        within a box, so their running sum is 1 after an odd count, else 0.
+        """
+        idx = _corner_index(self.n, ts)
+        first = np.searchsorted(idx, np.arange(self.n), side="right")  # first corner holding each site
+        counts = np.bincount(first * k + inv, minlength=(idx.size + 1) * k)
+        counts = np.cumsum(counts.reshape(idx.size + 1, k)[:-1], axis=0)
+        return counts & 1 if self.is_urn else counts
 
     def draw(self, marginal: MarginalLaw, h: np.ndarray) -> np.ndarray:
         """One class value per hash word; urn boxes add an independent sign."""
@@ -292,36 +302,6 @@ def normalization(spec: ModelSpec) -> tuple[float, float]:
     return z, math.sqrt(limit_var)
 
 
-def _prefix_at_corners_1d(x: np.ndarray, n: int, t1) -> np.ndarray:
-    c = np.cumsum(x, dtype=np.float64 if x.dtype.kind == "f" else np.int64)
-    idx = _corner_index(n, t1)
-    out = np.where(idx >= 1, c[np.maximum(idx - 1, 0)], 0)
-    return out.astype(np.float64)
-
-
-def _dense_corners_2d(core: np.ndarray, inv1, inv2, s1, s2, n: tuple[int, int], grid: CornerGrid) -> np.ndarray:
-    """Corner sums of X[i,j] = core[inv1[i], inv2[j]] * s1[i] * s2[j].
-
-    A sign array of None (forest axis) stands for all +1.  The full n1 x n2
-    field is materialized and swept by prefix sums once.
-    """
-    x = core[np.ix_(inv1, inv2)]
-    if s1 is not None:
-        x = x * s1[:, None]
-    if s2 is not None:
-        x = x * s2[None, :]
-    c = np.cumsum(np.cumsum(x, axis=0, dtype=np.int64), axis=1)
-    i1 = _corner_index(n[0], grid.t1)
-    i2 = _corner_index(n[1], grid.t2)
-    out = np.zeros((i1.size, i2.size), dtype=np.float64)
-    live1 = i1 >= 1
-    live2 = i2 >= 1
-    if np.any(live1) and np.any(live2):
-        sub = c[np.ix_(i1[live1] - 1, i2[live2] - 1)]
-        out[np.ix_(live1, live2)] = sub
-    return out
-
-
 def _metadata(spec: ModelSpec) -> dict:
     bounds = tuple(axis.truncation_bound for axis in spec.axes if not axis.is_urn)
     if not bounds:
@@ -342,49 +322,17 @@ def simulate(spec: ModelSpec, grid: CornerGrid, rng: np.random.Generator, seed=N
         raise ValueError(f"{spec.kind.value} needs a {'2D' if spec.is_2d else '1D'} grid")
     key = spin_key(rng)
     sampled = [axis.sample(rng) for axis in spec.axes]
+    counts = [
+        axis.corner_counts(inv, uniq.size, ts)
+        for axis, (uniq, inv), ts in zip(spec.axes, sampled, (grid.t1, grid.t2))
+    ]
     if spec.is_2d:
-        (u1, inv1, s1), (u2, inv2, s2) = sampled
+        (u1, _), (u2, _) = sampled
         core = signs_from(hash2(key, u1[:, None], u2[None, :]))
-        raw = _dense_corners_2d(core, inv1, inv2, s1, s2, spec.n, grid)
+        raw = (counts[0] @ core @ counts[1].T).astype(np.float64)  # exact: int64 matmul
     else:
-        (axis,), ((uniq, inv, signs),) = spec.axes, sampled
-        x = axis.draw(spec.marginal, hash1(key, uniq))[inv]
-        if signs is not None:
-            x = x * signs
-        raw = _prefix_at_corners_1d(x, axis.n, grid.t1)
+        (axis,), ((uniq, _),), (a,) = spec.axes, sampled, counts
+        # a reduction, not float @: BLAS may sum in a CPU-dependent order
+        raw = (a * axis.draw(spec.marginal, hash1(key, uniq))).sum(axis=1)
     z, sigma = normalization(spec)
     return FieldSample(spec, grid, raw, raw / z, z, sigma, seed, _metadata(spec))
-
-
-def rectangle_sum(sample: FieldSample, a, b) -> float:
-    """Sum of X over the rectangle (a, b] of grid corners, by inclusion-exclusion.
-
-    Corners are given as grid indices where 0 denotes the origin (time 0) and
-    i >= 1 denotes the i-th grid time; ``a <= b`` componentwise.
-    """
-    if sample.grid.is_2d:
-        a1, a2 = a
-        b1, b2 = b
-        _check_corner(a1, len(sample.grid.t1)), _check_corner(a2, len(sample.grid.t2))
-        _check_corner(b1, len(sample.grid.t1)), _check_corner(b2, len(sample.grid.t2))
-        if a1 > b1 or a2 > b2:
-            raise ValueError("need a <= b componentwise")
-
-        def s(i, j):
-            return 0.0 if (i == 0 or j == 0) else float(sample.raw[i - 1, j - 1])
-
-        return s(b1, b2) - s(a1, b2) - s(b1, a2) + s(a1, a2)
-    ai, bi = int(a), int(b)
-    _check_corner(ai, len(sample.grid.t1)), _check_corner(bi, len(sample.grid.t1))
-    if ai > bi:
-        raise ValueError("need a <= b")
-
-    def s1(i):
-        return 0.0 if i == 0 else float(sample.raw[i - 1])
-
-    return s1(bi) - s1(ai)
-
-
-def _check_corner(i: int, m: int) -> None:
-    if not 0 <= i <= m:
-        raise IndexError(f"corner index {i} outside [0, {m}]")

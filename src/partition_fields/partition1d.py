@@ -13,7 +13,9 @@ Two partitions of the index line are provided:
   their lines down the window.
 
 Each engine resolves its partition once, in the form the fields read: the
-urn's box of each draw, the forest's root of each query site.
+urn's box of each draw, the forest's root of each query site.  The fields
+count each class's sites below every corner from these; an urn box's
+alternating signs sum to the parity of its count.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ __all__ = [
     "ForestWindow",
     "sample_urn",
     "occupancy",
-    "occupancy_increment",
     "expected_occupancy",
     "sample_forest",
     "roots_of",
@@ -42,39 +43,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class UrnPath:
-    """Label draws Y_1..Y_n, their boxes, and running per-box count parities.
+    """Label draws Y_1..Y_n and their boxes.
 
     ``classes`` are the distinct labels in increasing order and
-    ``classes[inverse[i]] == labels[i]``; running_parity[i] is 1 when the
-    number of j <= i with Y_j = Y_i is odd.
+    ``classes[inverse[i]] == labels[i]``.
     """
 
     labels: np.ndarray
     classes: np.ndarray
     inverse: np.ndarray
-    running_parity: np.ndarray
 
     @classmethod
     def from_labels(cls, labels) -> "UrnPath":
         labels = np.asarray(labels, dtype=np.int64)
         if labels.size == 0:
             raise ValueError("label sequence must be nonempty")
-        classes, inverse = np.unique(labels, return_inverse=True)
-        return cls(labels, classes, inverse, _running_parity(inverse))
+        return cls(labels, *np.unique(labels, return_inverse=True))
 
     def __len__(self) -> int:
         return self.labels.size
-
-
-def _running_parity(inverse: np.ndarray) -> np.ndarray:
-    # occurrence rank of each draw within its own box, via one stable sort
-    n = inverse.size
-    order = np.argsort(inverse, kind="stable")
-    counts = np.bincount(inverse)
-    rank_sorted = np.arange(n, dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
-    parity = np.empty(n, dtype=np.uint8)
-    parity[order] = ((rank_sorted + 1) & 1).astype(np.uint8)
-    return parity
 
 
 @dataclass(frozen=True)
@@ -94,7 +81,7 @@ class OccupancySummary:
 
 
 def sample_urn(pmf, n: int, rng: np.random.Generator) -> UrnPath:
-    """Draw n labels i.i.d. from the pmf and compute running parities."""
+    """Draw n labels i.i.d. from the pmf and sort them into boxes."""
     if n < 1:
         raise ValueError("n must be >= 1")
     return UrnPath.from_labels(pmf.sample(rng, size=n))
@@ -102,18 +89,7 @@ def sample_urn(pmf, n: int, rng: np.random.Generator) -> UrnPath:
 
 def occupancy(path: UrnPath) -> OccupancySummary:
     """Exact occupancy counts of the whole path."""
-    return _occupancy_of(np.bincount(path.inverse))
-
-
-def occupancy_increment(path: UrnPath, m: int, n: int) -> OccupancySummary:
-    """Occupancy of the sub-sample Y_{m+1}..Y_n alone."""
-    if not 0 <= m < n <= len(path):
-        raise IndexError(f"need 0 <= m < n <= {len(path)}, got ({m}, {n})")
-    return _occupancy_of(np.bincount(path.inverse[m:n]))
-
-
-def _occupancy_of(box_counts: np.ndarray) -> OccupancySummary:
-    counts = box_counts[box_counts > 0]
+    counts = np.bincount(path.inverse)  # every box of the path holds a draw
     mult, mult_counts = np.unique(counts, return_counts=True)
     return OccupancySummary(
         n=int(counts.sum()),

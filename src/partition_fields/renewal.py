@@ -33,7 +33,6 @@ __all__ = [
     "weights",
     "c_alpha",
     "bn_sq_growth_constant",
-    "p_alpha_weight",
     "p_alpha_weights",
 ]
 
@@ -171,11 +170,6 @@ class WeightProfile:
     b: np.ndarray
     b_sq: float
 
-    def b_at(self, j: int) -> float:
-        if not self.j_lo <= j <= self.n:
-            return 0.0
-        return float(self.b[j - self.j_lo])
-
 
 def weights(rs: RenewalSequence, n: int, min_ratio: int = 16) -> WeightProfile:
     """Window weights b_{n,j} = sum_{i=1..n} q_{i-j} and b_n^2.
@@ -224,18 +218,6 @@ def bn_sq_growth_constant(alpha: float) -> float:
     if not 0.0 < alpha < 0.5:
         raise ValueError(f"alpha must lie strictly inside (0,1/2), got {alpha}")
     return gamma(1 - 2 * alpha) / (gamma(1 + alpha) * gamma(1 - alpha) ** 3 * (2 * alpha + 1))
-
-
-def p_alpha_weight(alpha: float, r: int) -> float:
-    """alpha (1-alpha) ... (r-1-alpha) / r!, computed iteratively."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0,1)")
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    value = alpha
-    for i in range(1, r):
-        value *= (i - alpha) / (i + 1)
-    return value
 
 
 def p_alpha_weights(alpha: float, rmax: int) -> np.ndarray:

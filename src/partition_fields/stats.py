@@ -290,6 +290,8 @@ def check_identity(
         raise ValueError(f"unknown identity {name!r}")
     if KIND_TABLE[spec.kind].identity != name:
         raise ValueError(f"identity {name} does not apply to {spec.kind.value}")
+    if replicates < 2:
+        raise ValueError("need at least 2 replicates")
     target = _identity_target(spec)
     grid = CornerGrid(t1=(1.0,), t2=(1.0,) if spec.is_2d else None)
     raw = simulate_raw_matrix(spec, grid, replicates, base_seed, parallelism)

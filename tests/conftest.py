@@ -16,3 +16,13 @@ def rng():
 
 def workers() -> int:
     return min(2, os.cpu_count() or 1)
+
+
+def running_parity_oracle(labels) -> list[int]:
+    """1 where the number of earlier-or-equal draws with the same label is odd."""
+    seen: dict[int, int] = {}
+    out = []
+    for lab in labels:
+        seen[lab] = seen.get(lab, 0) + 1
+        out.append(seen[lab] % 2)
+    return out

@@ -238,3 +238,41 @@ def test_seed_override(tmp_path):
     assert (tmp_path / "x.csv").read_bytes() != (tmp_path / "y.csv").read_bytes()
     meta = json.loads((tmp_path / "y.meta.json").read_text())
     assert meta["config"]["seed"] == "000000000000000000000000000000ff"
+
+
+def test_verify_variance_one_replicate_exits_2(tmp_path):
+    runner = CliRunner()
+    cfg = {
+        "command": "verify", "suite": "variance",
+        "model": {"kind": "karlin1d", "alphas": [0.6], "n": [16]},
+        "replicates": 1, "seed": SEED, "output": str(tmp_path / "v"),
+    }
+    res = runner.invoke(main, ["verify", "--config", _write(tmp_path, "c.json", cfg)])
+    assert res.exit_code == 2, res.output
+    assert "at least 2 replicates" in res.output
+
+
+def test_non_integer_threads_env_exits_2(tmp_path):
+    cfg_path = _write(tmp_path, "c.json", _sim_config(output=str(tmp_path / "s")))
+    res = CliRunner().invoke(main, ["simulate", "--config", cfg_path], env={"PARTITION_FIELDS_THREADS": "abc"})
+    assert res.exit_code == 2, res.output
+    assert "PARTITION_FIELDS_THREADS" in res.output
+
+
+def test_renewal_kmax_below_weights_ratio_exits_2(tmp_path):
+    cfg = {
+        "command": "renewal",
+        "model": {"kind": "hs1d", "alphas": [0.25], "n": [8]},
+        "seed": SEED, "kmax": 255, "weights_n": 16, "output": str(tmp_path / "r"),
+    }
+    res = CliRunner().invoke(main, ["renewal", "--config", _write(tmp_path, "c.json", cfg)])
+    assert res.exit_code == 2, res.output
+    assert "kmax=255 too small" in res.output
+    assert not (tmp_path / "r.renewal.csv").exists()
+
+
+def test_boolean_replicates_exits_2(tmp_path):
+    cfg_path = _write(tmp_path, "c.json", _sim_config(replicates=True, output=str(tmp_path / "s")))
+    res = CliRunner().invoke(main, ["simulate", "--config", cfg_path])
+    assert res.exit_code == 2, res.output
+    assert "replicates" in res.output

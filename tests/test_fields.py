@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from partition_fields import (
@@ -17,21 +17,81 @@ from partition_fields import (
     expected_occupancy,
     make_karlin_pmf,
     normalization,
-    rectangle_sum,
     replicate_generator,
     simulate,
 )
 from partition_fields import fields
-from partition_fields.fields import (
-    KIND_TABLE,
-    Axis,
-    AxisKind,
-    _alternating_signs,
-    _corner_index,
-    _dense_corners_2d,
-)
+from partition_fields.fields import KIND_TABLE, Axis, AxisKind, _corner_index
+
+from conftest import running_parity_oracle
 
 SEED = "f1e1d0000000000000000000000000aa"
+
+
+# ---------------------------------------------------------------------------
+# site-by-site reference paths for the corner-count products
+# ---------------------------------------------------------------------------
+
+def _site_signs(axis: Axis, inv: np.ndarray) -> np.ndarray:
+    """Per-site signs: alternating +1, -1 within an urn box, all +1 on a forest axis."""
+    if not axis.is_urn:
+        return np.ones(inv.size, dtype=np.int64)
+    return 2 * np.asarray(running_parity_oracle(inv.tolist()), dtype=np.int64) - 1
+
+
+def _prefix_oracle_1d(x: np.ndarray, n: int, t1) -> np.ndarray:
+    """Corner sums of the site values x by one running sum in site order."""
+    c = np.cumsum(x, dtype=np.float64 if x.dtype.kind == "f" else np.int64)
+    idx = _corner_index(n, t1)
+    return np.where(idx >= 1, c[np.maximum(idx - 1, 0)], 0).astype(np.float64)
+
+
+def _dense_oracle_2d(core, inv1, inv2, s1, s2, n: tuple[int, int], grid: CornerGrid) -> np.ndarray:
+    """Corner sums of X[i,j] = core[inv1[i], inv2[j]] * s1[i] * s2[j], field built in full."""
+    x = core[np.ix_(inv1, inv2)] * s1[:, None] * s2[None, :]
+    c = np.pad(np.cumsum(np.cumsum(x, axis=0, dtype=np.int64), axis=1), ((1, 0), (1, 0)))
+    return c[np.ix_(_corner_index(n[0], grid.t1), _corner_index(n[1], grid.t2))].astype(np.float64)
+
+
+@st.composite
+def _axis_case(draw):
+    """An axis, a class assignment of its n sites and a grid with corners at 0."""
+    n = draw(st.integers(1, 40))
+    k = draw(st.integers(1, 6))
+    inv = np.asarray(draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)), dtype=np.int64)
+    steps = draw(st.lists(st.integers(1, 4 * n), min_size=1, max_size=6, unique=True))
+    ts = tuple(j / (4 * n) for j in sorted(steps))  # j < 4 puts a corner at 0
+    axis = Axis(draw(st.sampled_from(AxisKind)), 0.25, n)
+    return axis, inv, k, ts
+
+
+@given(_axis_case(), _axis_case(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_corner_count_product_matches_dense_field(case1, case2, data):
+    (ax1, inv1, k1, t1), (ax2, inv2, k2, t2) = case1, case2
+    core = np.asarray(
+        data.draw(st.lists(st.sampled_from([-1, 1]), min_size=k1 * k2, max_size=k1 * k2)), dtype=np.int64
+    ).reshape(k1, k2)
+    a1, a2 = ax1.corner_counts(inv1, k1, t1), ax2.corner_counts(inv2, k2, t2)
+    assert a1.dtype == np.int64 and a1.shape == (len(t1), k1)
+    expected = _dense_oracle_2d(core, inv1, inv2, _site_signs(ax1, inv1), _site_signs(ax2, inv2),
+                                (ax1.n, ax2.n), CornerGrid(t1, t2))
+    assert np.array_equal((a1 @ core @ a2.T).astype(np.float64), expected)
+
+
+@given(_axis_case(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_corner_count_sum_matches_site_prefix_sum(case, data):
+    axis, inv, k, ts = case
+    a = axis.corner_counts(inv, k, ts)
+    signs = _site_signs(axis, inv)
+    ints = np.asarray(data.draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k)), dtype=np.float64)
+    assert np.array_equal((a * ints).sum(axis=1), _prefix_oracle_1d(ints[inv] * signs, axis.n, ts))
+    # non-dyadic values: each side rounds within (n/2)*eps*sum|x| (recursive summation bound)
+    v = np.asarray(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=k, max_size=k)))
+    tol = axis.n * np.finfo(np.float64).eps * np.abs(v[inv]).sum()
+    np.testing.assert_allclose((a * v).sum(axis=1), _prefix_oracle_1d(v[inv] * signs, axis.n, ts),
+                               rtol=0, atol=tol)
 
 
 def test_model_spec_validation():
@@ -110,12 +170,27 @@ def test_corner_grid_validation():
     assert grid.is_2d and grid.shape() == (2, 2)
 
 
+def _force_partitions(monkeypatch, urn=None, roots=None, core=None):
+    """Pin the sampled partitions (labels / roots by horizon n) and the 2D spin core."""
+    if urn is not None:
+        monkeypatch.setattr(fields, "sample_urn", lambda pmf, n, rng: UrnPath.from_labels(urn[n]))
+    if roots is not None:
+        monkeypatch.setattr(fields, "sample_forest", lambda pmf, lo, hi, rng: hi)
+        monkeypatch.setattr(fields, "roots_of", lambda hi, idx: np.asarray(roots[hi], dtype=np.int64))
+    if core is not None:
+        monkeypatch.setattr(fields, "signs_from", lambda h: np.asarray(core, dtype=np.int8))
+
+
 def test_karlin1d_forced_labels(monkeypatch):
-    monkeypatch.setattr(fields, "sample_urn", lambda pmf, n, rng: UrnPath.from_labels([3, 3, 5]))
-    uniq, inv, signs = Axis(AxisKind.URN, 0.6, 3).sample(None)
+    _force_partitions(monkeypatch, urn={3: [3, 3, 5]})
+    monkeypatch.setattr(Axis, "draw", lambda self, marginal, h: np.array([1.0, -1.0]))  # V(3)=1, V(5)=-1
+    uniq, inv = Axis(AxisKind.URN, 0.6, 3).sample(None)
     assert uniq.tolist() == [3, 5]
-    box_values = np.array([1.0, -1.0])  # V(3) = 1, V(5) = -1
-    x = box_values[inv] * signs
+    thirds = (1 / 3, 2 / 3, 1.0)
+    assert Axis(AxisKind.URN, 0.6, 3).corner_counts(inv, 2, thirds).tolist() == [[1, 0], [0, 0], [0, 1]]
+    raw = simulate(ModelSpec(ModelKind.KARLIN_1D, (0.6,), (3,)), CornerGrid(thirds),
+                   replicate_generator(SEED, 0)).raw
+    x = np.diff(raw, prepend=0.0)
     assert x.tolist() == [1.0, -1.0, -1.0]
     assert x.sum() == -1.0
 
@@ -126,14 +201,12 @@ def test_karlin1d_single_draw_is_sign():
     assert abs(s.raw[0]) == 1.0
 
 
-def test_karlin2d_forced_alternation_cancels():
+def test_karlin2d_forced_alternation_cancels(monkeypatch):
     # labels dir1 = (3,3) share a box: signs +1,-1; dir2 = (7,) single draw
-    p1 = UrnPath.from_labels([3, 3])
-    p2 = UrnPath.from_labels([7])
-    core = np.array([[1]], dtype=np.int8)  # eps(3,7) = +1
+    _force_partitions(monkeypatch, urn={2: [3, 3], 1: [7]}, core=[[1]])  # eps(3,7) = +1
     grid = CornerGrid((0.5, 1.0), (1.0,))
-    raw = _dense_corners_2d(core, np.zeros(2, np.int64), np.zeros(1, np.int64),
-                            _alternating_signs(p1), _alternating_signs(p2), (2, 1), grid)
+    assert Axis(AxisKind.URN, 0.6, 2).corner_counts(np.zeros(2, np.int64), 1, grid.t1).tolist() == [[1], [0]]
+    raw = simulate(ModelSpec(ModelKind.KARLIN_2D, (0.6, 0.6), (2, 1)), grid, replicate_generator(SEED, 0)).raw
     assert raw[0, 0] == 1.0 and raw[1, 0] == 0.0  # S(1,1)=eps, S(2,1)=0
 
 
@@ -172,23 +245,25 @@ def test_hs1d_independent_limit_variance():
     assert abs(mc - n) < 3 * n * math.sqrt(2 / 3999)
 
 
-def test_hs2d_forced_product_structure():
-    core = np.array([[1, -1], [-1, 1]], dtype=np.int8)
-    inv1 = np.array([0, 0, 1], dtype=np.int64)
-    inv2 = np.array([1, 0], dtype=np.int64)
+def test_hs2d_forced_product_structure(monkeypatch):
+    # roots (5,5,9) x (9,5): classes inv1 = (0,0,1), inv2 = (1,0)
+    _force_partitions(monkeypatch, roots={3: [5, 5, 9], 2: [9, 5]}, core=[[1, -1], [-1, 1]])
     grid = CornerGrid((1 / 3, 2 / 3, 1.0), (0.5, 1.0))  # every site is a corner
-    raw = _dense_corners_2d(core, inv1, inv2, None, None, (3, 2), grid)
+    counts = Axis(AxisKind.FOREST, 0.25, 3).corner_counts(np.array([0, 0, 1]), 2, grid.t1)
+    assert counts.tolist() == [[1, 0], [2, 0], [2, 1]]
+    spec = ModelSpec(ModelKind.HS_2D, (0.25, 0.25), (3, 2), forest_depth=10)
+    raw = simulate(spec, grid, replicate_generator(SEED, 0)).raw
     x = np.diff(np.diff(np.pad(raw, ((1, 0), (1, 0))), axis=0), axis=1)
     assert x.tolist() == [[-1, 1], [-1, 1], [1, -1]]
 
 
-def test_combined_forced_single_components():
+def test_combined_forced_single_components(monkeypatch):
     # one forest component x one urn box: S(n1, n2) = ±n1·(n2 mod 2)
-    p2 = UrnPath.from_labels([9, 9, 9])
-    core = np.array([[1]], dtype=np.int8)
+    _force_partitions(monkeypatch, roots={4: [0, 0, 0, 0]}, urn={3: [9, 9, 9]}, core=[[1]])
     grid = CornerGrid((1.0,), (1.0 / 3.0, 2.0 / 3.0, 1.0))
-    raw = _dense_corners_2d(core, np.zeros(4, np.int64), np.zeros(3, np.int64),
-                            None, _alternating_signs(p2), (4, 3), grid)
+    assert Axis(AxisKind.URN, 0.6, 3).corner_counts(np.zeros(3, np.int64), 1, grid.t2).tolist() == [[1], [0], [1]]
+    spec = ModelSpec(ModelKind.COMBINED_2D, (0.25, 0.6), (4, 3), forest_depth=10)
+    raw = simulate(spec, grid, replicate_generator(SEED, 0)).raw
     assert raw[0].tolist() == [4.0, 0.0, 4.0]
 
 
@@ -258,19 +333,10 @@ def test_generalized_karlin_variance_identity():
     assert abs(mc - target) <= 3 * se, (mc, target, se)
 
 
-def test_rectangle_sum_1d_and_2d_edges():
-    spec = ModelSpec(ModelKind.KARLIN_1D, (0.6,), (100,))
-    s = simulate(spec, CornerGrid((0.5, 1.0)), replicate_generator(SEED, 8))
-    assert rectangle_sum(s, 0, 2) == s.raw[1]
-    assert rectangle_sum(s, 1, 1) == 0.0
-    with pytest.raises(IndexError):
-        rectangle_sum(s, 0, 3)
-
-    spec2 = ModelSpec(ModelKind.KARLIN_2D, (0.6, 0.6), (16, 16))
-    g2 = CornerGrid((0.5, 1.0), (0.5, 1.0))
-    s2 = simulate(spec2, g2, replicate_generator(SEED, 9))
-    assert rectangle_sum(s2, (0, 0), (2, 2)) == s2.raw[1, 1]
-    assert rectangle_sum(s2, (1, 1), (1, 1)) == 0.0
+def _rectangle_sum(full: np.ndarray, a, b) -> float:
+    """Sum over the corner rectangle (a, b] of the origin-padded corner sums, by inclusion-exclusion."""
+    (a1, a2), (b1, b2) = a, b
+    return float(full[b1, b2] - full[a1, b2] - full[b1, a2] + full[a1, a2])
 
 
 def test_rectangle_sum_matches_direct_summation():
@@ -280,15 +346,14 @@ def test_rectangle_sum_matches_direct_summation():
     spec = ModelSpec(ModelKind.KARLIN_2D, (0.6, 0.6), (n, n))
     grid = CornerGrid(ts, ts)
     s = simulate(spec, grid, replicate_generator(SEED, 10))
-    full = np.zeros((n + 1, n + 1))
-    full[1:, 1:] = s.raw
+    full = np.pad(s.raw, ((1, 0), (1, 0)))
     x = np.diff(np.diff(full, axis=0), axis=1)
     rng = np.random.default_rng(3)
     for _ in range(25):
         a1, b1 = sorted(rng.integers(0, n + 1, 2))
         a2, b2 = sorted(rng.integers(0, n + 1, 2))
         direct = x[a1:b1, a2:b2].sum()
-        assert rectangle_sum(s, (a1, a2), (b1, b2)) == pytest.approx(direct)
+        assert _rectangle_sum(full, (a1, a2), (b1, b2)) == pytest.approx(direct)
 
 
 def test_normalization_formulas_spot_check():
@@ -313,8 +378,9 @@ def test_karlin2d_rectangle_increments_are_stationary():
     for r in range(reps):
         s = simulate(spec, grid, replicate_generator(SEED, 200 + r))
         means.append(s.raw[-1, -1] / (n * n))
+        full = np.pad(s.raw, ((1, 0), (1, 0)))
         for a1, a2 in positions:
-            sums[(a1, a2)].append(rectangle_sum(s, (a1, a2), (a1 + h, a2 + h)))
+            sums[(a1, a2)].append(_rectangle_sum(full, (a1, a2), (a1 + h, a2 + h)))
     variances = [np.var(sums[pos], ddof=1) for pos in positions]
     se = max(variances) * math.sqrt(2 / (reps - 1))
     assert max(variances) - min(variances) < 6 * se, variances

@@ -16,27 +16,36 @@ from partition_fields import (
     make_hs_pmf,
     make_karlin_pmf,
     occupancy,
-    occupancy_increment,
     replicate_generator,
     sample_forest,
     sample_urn,
 )
+from partition_fields.fields import Axis, AxisKind
 from partition_fields.partition1d import roots_of, truncation_pair_bound
+
+from conftest import running_parity_oracle
 
 
 # ---------------------------------------------------------------------------
 # urn paths and occupancy
 # ---------------------------------------------------------------------------
 
+def _parity_rows(path: UrnPath) -> np.ndarray:
+    # per-box count parities after each draw: the urn axis's corner counts at every site
+    n = len(path)
+    axis = Axis(AxisKind.URN, 0.5, n)
+    return axis.corner_counts(path.inverse, path.classes.size, tuple(m / n for m in range(1, n + 1)))
+
+
 def test_running_parity_hand_example():
     path = UrnPath.from_labels([3, 3, 5])
-    assert path.running_parity.tolist() == [1, 0, 1]
+    assert _parity_rows(path).tolist() == [[1, 0], [0, 0], [0, 1]]
 
 
 def test_single_draw():
     path = UrnPath.from_labels([42])
     occ = occupancy(path)
-    assert occ.k_n == 1 and occ.k_odd == 1 and path.running_parity.tolist() == [1]
+    assert occ.k_n == 1 and occ.k_odd == 1 and _parity_rows(path).tolist() == [[1]]
 
 
 def test_occupancy_hand_counts():
@@ -44,16 +53,6 @@ def test_occupancy_hand_counts():
     assert (occ.k_n, occ.k_n_r, occ.k_odd) == (2, {1: 1, 2: 1}, 1)
     occ4 = occupancy(UrnPath.from_labels([1, 1, 1, 1]))
     assert (occ4.k_n, occ4.k_odd) == (1, 0)
-
-
-def test_occupancy_increment():
-    path = UrnPath.from_labels([3, 3, 5])
-    assert occupancy_increment(path, 0, 2) == occupancy(UrnPath.from_labels([3, 3]))
-    inc = occupancy_increment(path, 1, 3)
-    assert (inc.k_n, inc.k_odd) == (2, 2)
-    for bad in ((-1, 2), (2, 2), (0, 4)):
-        with pytest.raises(IndexError):
-            occupancy_increment(path, *bad)
 
 
 @given(st.lists(st.integers(1, 8), min_size=1, max_size=60))
@@ -66,13 +65,12 @@ def test_occupancy_mass_conservation_and_parity_oracle(labels):
     assert sum(r * c for r, c in occ.k_n_r.items()) == len(labels)
     assert sum(occ.k_n_r.values()) == occ.k_n
     assert occ.k_odd <= occ.k_n
-    # dict-based one-pass oracle for the running parity
-    seen: dict[int, int] = {}
-    expected = []
-    for lab in labels:
-        seen[lab] = seen.get(lab, 0) + 1
-        expected.append(seen[lab] % 2)
-    assert path.running_parity.tolist() == expected
+    # draw m flips its own box's parity row entry and leaves the others
+    rows = np.vstack([np.zeros(path.classes.size, np.int64), _parity_rows(path)])
+    flipped = np.diff(rows, axis=0)
+    assert np.array_equal(np.nonzero(flipped)[1], path.inverse)
+    signs = flipped[np.arange(len(labels)), path.inverse]
+    assert np.array_equal((signs + 1) // 2, running_parity_oracle(labels))
 
 
 def test_sample_urn_statistics():
@@ -90,7 +88,7 @@ def test_occupancy_increment_scaling():
     rng = replicate_generator("ab01", 1)
     path = sample_urn(pmf, 10**5, rng)
     n = len(path)
-    inc = occupancy_increment(path, n // 4, 3 * n // 4)
+    inc = occupancy(UrnPath.from_labels(path.labels[n // 4:3 * n // 4]))
     scale = n**0.6 * pmf.sv_constant
     assert inc.k_n / scale == pytest.approx(0.5**0.6 * gamma(0.4), rel=0.10)
 

@@ -13,7 +13,6 @@ from partition_fields import (
     c_alpha,
     make_hs_pmf,
     make_karlin_pmf,
-    p_alpha_weight,
     renewal_sequence,
     replicate_generator,
     var_xstar,
@@ -119,12 +118,11 @@ def test_var_xstar_against_line_meeting_oracle():
 def test_weights_hand_values():
     rs = renewal_sequence(FinitePmf((0.5, 0.5)), 64)
     prof1 = weights(rs, 1)
-    assert prof1.b_at(1) == pytest.approx(1.0)
+    assert prof1.b[1 - prof1.j_lo] == pytest.approx(1.0)
     prof2 = weights(rs, 2)
-    assert prof2.b_at(1) == pytest.approx(1.5)      # q0 + q1
-    assert prof2.b_at(2) == pytest.approx(1.0)      # q0
-    assert prof2.b_at(0) == pytest.approx(1.25)     # q1 + q2
-    assert prof2.b_at(-10**9) == 0.0
+    assert prof2.b[1 - prof2.j_lo] == pytest.approx(1.5)      # q0 + q1
+    assert prof2.b[2 - prof2.j_lo] == pytest.approx(1.0)      # q0
+    assert prof2.b[0 - prof2.j_lo] == pytest.approx(1.25)     # q1 + q2
 
 
 def test_weights_nonnegative_and_saturating():
@@ -190,8 +188,7 @@ def test_sigma_sq_forest_formula_shapes():
 
 
 def test_p_alpha_weight_values():
-    assert p_alpha_weight(0.3, 1) == pytest.approx(0.3)
-    assert p_alpha_weight(0.5, 2) == pytest.approx(0.125)
+    assert p_alpha_weights(0.3, 1)[0] == pytest.approx(0.3)
     vec = p_alpha_weights(0.5, 10)
     assert vec[0] == 0.5 and vec[1] == pytest.approx(0.125)
     assert np.all(np.diff(vec) < 0)

@@ -151,6 +151,12 @@ def test_run_replicates_validates_r():
         run_replicates(spec, CornerGrid((1.0,)), 1, SEED)
 
 
+def test_check_identity_validates_r():
+    spec = ModelSpec(ModelKind.KARLIN_1D, (0.6,), (10,))
+    with pytest.raises(ValueError, match="at least 2 replicates"):
+        check_identity("karlin_var", spec, 1, SEED)
+
+
 def test_check_identity_kind_mismatch():
     spec = ModelSpec(ModelKind.KARLIN_1D, (0.6,), (10,))
     with pytest.raises(ValueError):
