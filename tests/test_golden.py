@@ -3,8 +3,9 @@
 Each case pins one replicate's raw corner sums, Z, sigma and metadata, and
 the identities, truncation summary and sha256 of a small ``run_replicates``
 report on a grid that ends at 1 (so the variance identity and the truncation
-allowance are covered).  Outputs are bit-reproducible, so every comparison
-is exact.  A change that moves these bits on purpose (a ``SCHEME_ID`` bump)
+allowance are covered).  The suite cases pin the sha256 of small
+``run_suite`` reports, the bytes that ``verify`` writes.  Outputs are
+bit-reproducible, so every comparison is exact.  A change that moves these bits on purpose (a ``SCHEME_ID`` bump)
 regenerates the file with
 
     PYTHONPATH=src python tests/test_golden.py --write
@@ -24,6 +25,7 @@ from partition_fields import (
     ModelSpec,
     replicate_generator,
     run_replicates,
+    run_suite,
     simulate,
 )
 
@@ -50,6 +52,15 @@ CASES = {
     "combined2d": ModelSpec(ModelKind.COMBINED_2D, (0.25, 0.6), (24, 40), forest_depth=2000),
 }
 
+# name -> (suite, spec, grid, replicates)
+SUITE_CASES = {
+    "variance-karlin1d": ("variance", CASES["karlin1d"], None, 64),
+    "variance-hs1d": ("variance", CASES["hs1d"], None, 64),
+    "variance-karlin2d": ("variance", CASES["karlin2d"], None, 64),
+    "normality-karlin1d": ("normality", CASES["karlin1d"], None, 128),
+    "covariance-karlin2d": ("covariance", CASES["karlin2d"], CornerGrid((0.5, 1.0), (0.5, 1.0)), 100),
+}
+
 
 def record(spec: ModelSpec) -> dict:
     """Everything pinned for one case, as it reads back from JSON."""
@@ -67,6 +78,11 @@ def record(spec: ModelSpec) -> dict:
         "report_sha256": digest,
     }
     return json.loads(json.dumps(out))
+
+
+def suite_digest(suite: str, spec: ModelSpec, grid: CornerGrid | None, replicates: int) -> str:
+    report = run_suite(suite, spec=spec, grid=grid, replicates=replicates, seed=SEED).to_dict()
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +104,11 @@ def test_golden_vectors(golden, name):
         assert got[key] == want[key], f"{name}: {key} moved"
 
 
+@pytest.mark.parametrize("name", sorted(SUITE_CASES))
+def test_golden_suite_reports(golden, name):
+    assert suite_digest(*SUITE_CASES[name]) == golden["suites"][name], f"{name}: report moved"
+
+
 def main() -> None:
     if sys.argv[1:] != ["--write"]:
         raise SystemExit("usage: PYTHONPATH=src python tests/test_golden.py --write")
@@ -96,6 +117,7 @@ def main() -> None:
         "replicate": REPLICATE,
         "report_replicates": REPORT_REPLICATES,
         "cases": {name: record(spec) for name, spec in CASES.items()},
+        "suites": {name: suite_digest(*case) for name, case in SUITE_CASES.items()},
     }
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(payload, indent=1) + "\n")
