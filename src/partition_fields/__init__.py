@@ -49,7 +49,6 @@ from .seeding import SCHEME_ID, normalize_seed, replicate_generator, seed_to_hex
 from .stats import (
     IdentityRecord,
     ReplicateReport,
-    check_identity,
     empirical_cov,
     ks_normal,
     run_replicates,
@@ -79,7 +78,6 @@ __all__ = [
     "WeightProfile",
     "bn_sq_growth_constant",
     "c_alpha",
-    "check_identity",
     "empirical_cov",
     "expected_occupancy",
     "fbm_cov",

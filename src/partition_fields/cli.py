@@ -36,6 +36,9 @@ class ConfigError(ValueError):
 
 
 def _take(data: dict, path: str, known: set[str]) -> None:
+    """Every config section is a JSON object with only known fields."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: must be a JSON object")
     unknown = set(data) - known
     if unknown:
         raise ConfigError(f"unknown field(s) at {path}: {sorted(unknown)}")
@@ -122,7 +125,6 @@ class RunConfig:
     replicates: int | None = None
     parallelism: int = 1
     output: str = "run"
-    format: str = "csv"
     suite: str | None = None
     kmax: int | None = None
     weights_n: int | None = None
@@ -130,13 +132,11 @@ class RunConfig:
 
     _KNOWN = {
         "command", "seed", "model", "grid", "replicates", "parallelism",
-        "output", "format", "suite", "kmax", "weights_n", "hurst",
+        "output", "suite", "kmax", "weights_n", "hurst",
     }
 
     @classmethod
     def from_dict(cls, data: dict, command: str | None = None) -> "RunConfig":
-        if not isinstance(data, dict):
-            raise ConfigError("config root must be a JSON object")
         _take(data, "<root>", cls._KNOWN)
         cmd = data.get("command", command)
         if cmd is None:
@@ -160,9 +160,6 @@ class RunConfig:
             except ValueError:
                 raise ConfigError(f"{_ENV_THREADS}: must be a positive integer, got {env!r}") from None
         _positive_int(parallelism, "parallelism")
-        fmt = data.get("format", "csv")
-        if fmt not in ("csv", "json"):
-            raise ConfigError(f"format: unknown format {fmt!r}")
         suite = data.get("suite")
         if suite is not None and suite not in SUITES:
             raise ConfigError(f"suite: unknown suite {suite!r}; choose from {SUITES}")
@@ -183,7 +180,6 @@ class RunConfig:
             replicates=replicates,
             parallelism=parallelism,
             output=data.get("output", "run"),
-            format=fmt,
             suite=suite,
             kmax=kmax,
             weights_n=weights_n,
@@ -209,7 +205,6 @@ class RunConfig:
             out["replicates"] = self.replicates
         out["parallelism"] = self.parallelism
         out["output"] = self.output
-        out["format"] = self.format
         for name in ("suite", "kmax", "weights_n"):
             if getattr(self, name) is not None:
                 out[name] = getattr(self, name)
@@ -225,6 +220,7 @@ def _load_config(path: str, command: str, seed, parallelism, out) -> RunConfig:
         raise ConfigError(f"cannot read config: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
+    _take(data, "<root>", RunConfig._KNOWN)  # before the overrides write into it
     if seed is not None:
         data["seed"] = seed
     if parallelism is not None:
@@ -260,7 +256,7 @@ def cmd_simulate(cfg: RunConfig) -> list[Path]:
         raise ConfigError("simulate requires model and grid")
     if cfg.model.is_2d != cfg.grid.is_2d:
         raise ConfigError("grid dimensionality must match the model")
-    sample = simulate(cfg.model, cfg.grid, replicate_generator(cfg.seed, 0), seed=0)
+    sample = simulate(cfg.model, cfg.grid, replicate_generator(cfg.seed, 0))
     rows = []
     if cfg.grid.is_2d:
         for i, t1 in enumerate(cfg.grid.t1):
@@ -282,11 +278,6 @@ def cmd_simulate(cfg: RunConfig) -> list[Path]:
 def cmd_verify(cfg: RunConfig) -> tuple[list[Path], bool]:
     if cfg.suite is None:
         raise ConfigError("verify requires a suite name")
-    if cfg.suite in ("variance", "covariance", "normality"):
-        if cfg.model is None:
-            raise ConfigError(f"suite {cfg.suite} requires a model")
-        if cfg.replicates is None:
-            raise ConfigError(f"suite {cfg.suite} requires replicates")
     try:
         report = run_suite(
             cfg.suite,

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -166,6 +167,16 @@ class Axis:
         return marginal.draw_from_hash(h)
 
 
+def _whole(value, what: str) -> int:
+    """An integer (Python or numpy); floats and booleans are not counts."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Which model to simulate, at which horizons."""
@@ -179,7 +190,9 @@ class ModelSpec:
     def __post_init__(self):
         row = KIND_TABLE[self.kind]
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
-        object.__setattr__(self, "n", tuple(int(v) for v in self.n))
+        object.__setattr__(self, "n", tuple(_whole(v, "each horizon") for v in self.n))
+        if self.forest_depth is not None:
+            object.__setattr__(self, "forest_depth", _whole(self.forest_depth, "forest_depth"))
         if len(self.alphas) != len(row.axes) or len(self.n) != len(row.axes):
             raise ValueError(
                 f"{self.kind.value} needs {len(row.axes)} alpha(s) and horizon(s)"
@@ -228,7 +241,8 @@ class CornerGrid:
             if ts is None:
                 continue
             arr = np.asarray(ts, dtype=np.float64)
-            if arr.size == 0 or np.any(arr <= 0.0) or arr[-1] > 1.0 or np.any(np.diff(arr) <= 0):
+            # stated as what must hold, so NaN fails every comparison
+            if not (arr.size and arr[0] > 0.0 and arr[-1] <= 1.0 and np.all(np.diff(arr) > 0)):
                 raise ValueError("grid times must be strictly increasing within (0, 1]")
         object.__setattr__(self, "t1", tuple(float(t) for t in self.t1))
         if self.t2 is not None:
@@ -281,7 +295,6 @@ class FieldSample:
     normalized: np.ndarray
     z_norm: float
     sigma: float
-    seed: object = None
     metadata: dict = field(default_factory=dict)
 
 
@@ -312,7 +325,7 @@ def _metadata(spec: ModelSpec) -> dict:
     return meta
 
 
-def simulate(spec: ModelSpec, grid: CornerGrid, rng: np.random.Generator, seed=None) -> FieldSample:
+def simulate(spec: ModelSpec, grid: CornerGrid, rng: np.random.Generator) -> FieldSample:
     """One replicate; a pure function of (spec, grid, rng state).
 
     The spin key is drawn first and the axes then sample in direction order,
@@ -335,4 +348,4 @@ def simulate(spec: ModelSpec, grid: CornerGrid, rng: np.random.Generator, seed=N
         # a reduction, not float @: BLAS may sum in a CPU-dependent order
         raw = (a * axis.draw(spec.marginal, hash1(key, uniq))).sum(axis=1)
     z, sigma = normalization(spec)
-    return FieldSample(spec, grid, raw, raw / z, z, sigma, seed, _metadata(spec))
+    return FieldSample(spec, grid, raw, raw / z, z, sigma, _metadata(spec))

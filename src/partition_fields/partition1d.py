@@ -40,6 +40,9 @@ __all__ = [
     "truncation_pair_bound",
 ]
 
+_OCCUPANCY_TOL = 1e-10  # certificate on the discarded second-order tail
+_OCCUPANCY_MAX_BOXES = 1 << 28
+
 
 @dataclass(frozen=True)
 class UrnPath:
@@ -99,15 +102,16 @@ def occupancy(path: UrnPath) -> OccupancySummary:
     )
 
 
-def expected_occupancy(pmf, n: int, tol: float = 1e-10, max_terms: int = 1 << 28) -> tuple[float, float]:
+def expected_occupancy(pmf, n: int) -> tuple[float, float]:
     """(E[#occupied boxes], E[#odd-occupied boxes]) after n draws, exactly.
 
     Sums 1-(1-p_l)^n and (1-(1-2 p_l)^n)/2 over boxes in blocks.  Both
     summands are n*p_l + O((n p_l)^2), so once the squared-mass tail bound
-    n^2 * sum_{l>=m} p_l^2 drops below ``tol`` the remaining boxes are
+    n^2 * sum_{l>=m} p_l^2 drops below 1e-10 the remaining boxes are
     replaced by the analytic first-order tail n * tail(m); the discarded
-    second-order part is below ``tol`` by construction.  (Float rounding adds
-    about eps per explicitly summed box on top of the certificate.)
+    second-order part is below 1e-10 by construction.  (Float rounding adds
+    about eps per explicitly summed box on top of the certificate.)  Gives up
+    (RuntimeError) past 2^28 boxes.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -117,13 +121,13 @@ def expected_occupancy(pmf, n: int, tol: float = 1e-10, max_terms: int = 1 << 28
     lo = 1
     while True:
         cert = n * n * pmf.tail_sq_at(lo)
-        if cert < tol:
+        if cert < _OCCUPANCY_TOL:
             t = float(pmf.tail_at(lo))
             return phi + n * t, odd + n * t
-        if lo > max_terms:
+        if lo > _OCCUPANCY_MAX_BOXES:
             raise RuntimeError(
-                f"expected_occupancy needs more than {max_terms} explicit boxes "
-                f"for n={n} at tol={tol}; loosen tol"
+                f"expected_occupancy needs more than {_OCCUPANCY_MAX_BOXES} explicit boxes "
+                f"for n={n}; the urn variance target is out of reach, use a smaller alpha or n"
             )
         p = pmf.pmf_block(lo, lo + block)
         live = p > 0.0

@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 _DIRECT_CUTOFF = 2048
+_MIN_KMAX_RATIO = 16  # weights() needs kmax >= 16 n
 
 
 class RenewalConvergenceWarning(UserWarning):
@@ -116,24 +117,17 @@ def _q_newton(p: np.ndarray, kmax: int) -> np.ndarray:
     return np.clip(q, 0.0, 1.0)
 
 
-def renewal_sequence(pmf, kmax: int, method: str = "auto") -> RenewalSequence:
+def renewal_sequence(pmf, kmax: int) -> RenewalSequence:
     """Compute q_0..q_kmax by the exact convolution recursion.
 
-    ``method`` is "direct" (O(kmax^2)), "newton" (FFT series inversion,
-    O(kmax log^2 kmax)), or "auto".  The two agree to well below 1e-10 and
-    the suite pins that.
+    Up to kmax = 2048 the recursion runs directly (O(kmax^2)); beyond, as an
+    FFT series inversion (O(kmax log^2 kmax)).  The two agree to well below
+    1e-10 and the tests pin that.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     p = pmf.pmf_block(1, kmax + 1)
-    if method == "auto":
-        method = "direct" if kmax <= _DIRECT_CUTOFF else "newton"
-    if method == "direct":
-        q = _q_direct(p, kmax)
-    elif method == "newton":
-        q = _q_newton(p, kmax)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    q = _q_direct(p, kmax) if kmax <= _DIRECT_CUTOFF else _q_newton(p, kmax)
     return RenewalSequence(q=q, pmf=pmf, kmax=kmax)
 
 
@@ -171,17 +165,17 @@ class WeightProfile:
     b_sq: float
 
 
-def weights(rs: RenewalSequence, n: int, min_ratio: int = 16) -> WeightProfile:
+def weights(rs: RenewalSequence, n: int) -> WeightProfile:
     """Window weights b_{n,j} = sum_{i=1..n} q_{i-j} and b_n^2.
 
-    Requires kmax >= min_ratio*n so that the ignored weight mass beyond the
+    Requires kmax >= 16 n so that the ignored weight mass beyond the
     q-truncation is a small fraction of b_n^2 (the doubling diagnostic in the
     tests quantifies it).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if rs.kmax < min_ratio * n:
-        raise ValueError(f"kmax={rs.kmax} too small for n={n}; need >= {min_ratio}*n")
+    if rs.kmax < _MIN_KMAX_RATIO * n:
+        raise ValueError(f"kmax={rs.kmax} too small for n={n}; need >= {_MIN_KMAX_RATIO}*n")
     cq = rs.cum_q
 
     def partial(m: np.ndarray) -> np.ndarray:

@@ -25,7 +25,6 @@ __all__ = [
     "DegenerateSampleError",
     "run_replicates",
     "ks_normal",
-    "check_identity",
     "empirical_cov",
 ]
 
@@ -105,7 +104,7 @@ class ReplicateReport:
 def _replicate_chunk(spec: ModelSpec, grid: CornerGrid, base_seed: int, r0: int, r1: int) -> np.ndarray:
     rows = []
     for r in range(r0, r1):
-        sample = simulate(spec, grid, replicate_generator(base_seed, r), seed=r)
+        sample = simulate(spec, grid, replicate_generator(base_seed, r))
         rows.append(sample.raw.ravel())
     return np.asarray(rows)
 
@@ -272,33 +271,14 @@ def _kolmogorov_sf(lam: float, tol: float = 1e-12) -> float:
     return float(min(1.0, max(0.0, 2.0 * total)))
 
 
-def check_identity(
-    name: str,
-    spec: ModelSpec,
-    replicates: int,
-    base_seed: int | str,
-    parallelism: int = 1,
-) -> IdentityRecord:
+def _identity_record(spec: ModelSpec, s_final: np.ndarray, target: tuple[float, str, float]) -> IdentityRecord:
     """Monte Carlo Var(S_n) at t = 1 against the finite-n analytic value.
 
     The urn identity Var(S_n) = E[#odd boxes] is exact; the forest-backed
     identities are exact for the untruncated partition, so the record carries
-    the window truncation allowance 2 * pair_bound * (number of site pairs).
-    SE assumes approximate normality of S_n: Var_hat * sqrt(2/(R-1)).
+    the window truncation allowance of ``_identity_target``.  SE assumes
+    approximate normality of S_n: Var_hat * sqrt(2/(R-1)).
     """
-    if name not in {row.identity for row in KIND_TABLE.values()}:
-        raise ValueError(f"unknown identity {name!r}")
-    if KIND_TABLE[spec.kind].identity != name:
-        raise ValueError(f"identity {name} does not apply to {spec.kind.value}")
-    if replicates < 2:
-        raise ValueError("need at least 2 replicates")
-    target = _identity_target(spec)
-    grid = CornerGrid(t1=(1.0,), t2=(1.0,) if spec.is_2d else None)
-    raw = simulate_raw_matrix(spec, grid, replicates, base_seed, parallelism)
-    return _identity_record(spec, raw[:, -1], target)
-
-
-def _identity_record(spec: ModelSpec, s_final: np.ndarray, target: tuple[float, str, float]) -> IdentityRecord:
     analytic, kind, allowance = target
     mc = float(np.var(s_final, ddof=1))
     se = mc * math.sqrt(2.0 / (s_final.size - 1))

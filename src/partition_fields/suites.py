@@ -33,7 +33,7 @@ from .renewal import (
     weights,
 )
 from .seeding import normalize_seed, replicate_generator
-from .stats import check_identity, run_replicates
+from .stats import run_replicates
 
 __all__ = [
     "CheckResult",
@@ -47,6 +47,12 @@ __all__ = [
     "suite_renewal_asymptotics",
     "enumerate_renewal_probability",
 ]
+
+_COV_SLACK = 0.05  # entrywise allowance for finite-n bias against the limit sheet
+_KS_P_FLOOR = 1e-3
+_ODD_SUM_TERMS = 2000
+_ORACLE_KMAX = 15
+
 
 def _plain(obj):
     """Recursively coerce numpy scalars so the payload is JSON-clean."""
@@ -128,10 +134,15 @@ def suite_occupancy(alpha: float = 0.6, n: int = 10**6, seed=0xC0FFEE) -> SuiteR
     return SuiteReport("occupancy", checks)
 
 
+def _unit_grid(spec: ModelSpec) -> CornerGrid:
+    """The single corner (1, .., 1): S_n itself."""
+    return CornerGrid(t1=(1.0,), t2=(1.0,) if spec.is_2d else None)
+
+
 def suite_variance(spec: ModelSpec, replicates: int, seed, parallelism: int = 1) -> SuiteReport:
     """Finite-n variance identity |MC - analytic| <= 3 SE (+ truncation allowance)."""
     name = KIND_TABLE[spec.kind].identity
-    rec = check_identity(name, spec, replicates, seed, parallelism)
+    rec = run_replicates(spec, _unit_grid(spec), replicates, seed, parallelism).identities[name]
     tol = 3.0 * rec.se + rec.truncation_allowance
     check = CheckResult(
         name, rec.gap() <= tol, rec.mc, rec.analytic, tol,
@@ -141,15 +152,8 @@ def suite_variance(spec: ModelSpec, replicates: int, seed, parallelism: int = 1)
     return SuiteReport("variance", (check,))
 
 
-def suite_covariance(
-    spec: ModelSpec,
-    grid: CornerGrid,
-    replicates: int,
-    seed,
-    parallelism: int = 1,
-    slack: float = 0.05,
-) -> SuiteReport:
-    """Entrywise |empirical cov - limit sheet cov| <= slack + 3 SE on the grid."""
+def suite_covariance(spec: ModelSpec, grid: CornerGrid, replicates: int, seed, parallelism: int = 1) -> SuiteReport:
+    """Entrywise |empirical cov - limit sheet cov| <= 0.05 + 3 SE on the grid."""
     if replicates < 100:
         raise ValueError("covariance suite needs at least 100 replicates")
     if not spec.is_2d or not grid.is_2d:
@@ -157,7 +161,7 @@ def suite_covariance(
     report = run_replicates(spec, grid, replicates, seed, parallelism)
     h1, h2 = spec.hurst()
     target = fbs_cov_matrix(HurstPair(h1, h2), grid.t1, grid.t2)
-    excess = np.abs(report.cov_mat - target) - (slack + 3.0 * report.cov_se)
+    excess = np.abs(report.cov_mat - target) - (_COV_SLACK + 3.0 * report.cov_se)
     worst = int(np.argmax(excess))
     i, j = np.unravel_index(worst, excess.shape)
     check = CheckResult(
@@ -165,7 +169,7 @@ def suite_covariance(
         bool(np.all(excess <= 0)),
         float(report.cov_mat[i, j]),
         float(target[i, j]),
-        float(slack + 3.0 * report.cov_se[i, j]),
+        float(_COV_SLACK + 3.0 * report.cov_se[i, j]),
         {
             "max_excess": float(excess[i, j]),
             "worst_entry": [int(i), int(j)],
@@ -177,16 +181,14 @@ def suite_covariance(
     return SuiteReport("covariance", (check,))
 
 
-def suite_normality(spec: ModelSpec, replicates: int, seed, parallelism: int = 1,
-                    p_floor: float = 1e-3) -> SuiteReport:
-    """KS test of the standardized corner value S(1,..,1)/Z against N(0,1)."""
-    grid = CornerGrid(t1=(1.0,), t2=(1.0,) if spec.is_2d else None)
-    report = run_replicates(spec, grid, replicates, seed, parallelism)
+def suite_normality(spec: ModelSpec, replicates: int, seed, parallelism: int = 1) -> SuiteReport:
+    """KS test of the standardized corner value S(1,..,1)/Z against N(0,1), p > 1e-3."""
+    report = run_replicates(spec, _unit_grid(spec), replicates, seed, parallelism)
     entry = report.ks[-1]
-    passed = entry.get("p_value") is not None and entry["p_value"] > p_floor
+    passed = entry.get("p_value") is not None and entry["p_value"] > _KS_P_FLOOR
     check = CheckResult(
         "ks-standard-normal", bool(passed),
-        float(entry.get("p_value") or 0.0), 1.0, p_floor,
+        float(entry.get("p_value") or 0.0), 1.0, _KS_P_FLOOR,
         {"statistic": entry.get("statistic"), "replicates": replicates},
     )
     return SuiteReport("normality", (check,))
@@ -209,27 +211,21 @@ def enumerate_renewal_probability(probs: tuple[float, ...], k: int) -> float:
     return total
 
 
-def suite_renewal_asymptotics(
-    alpha: float = 0.25,
-    n: int = 10**5,
-    seed=0xFEED,
-    odd_sum_terms: int = 2000,
-    oracle_kmax: int = 15,
-) -> SuiteReport:
+def suite_renewal_asymptotics(alpha: float = 0.25, n: int = 10**5, seed=0xFEED) -> SuiteReport:
     """Renewal recursion oracle, odd-weight partial sums, weight growth."""
     checks: list[CheckResult] = []
 
     # 1) odd-index partial sums of the occupancy weights (known failing:
     #    the tail is ~ (2R)**(-a) / (2 Gamma(1-a)), far above 1e-6)
     for a in (0.3, 0.5, 0.7):
-        partial = float(p_alpha_weights(a, 2 * odd_sum_terms)[0::2].sum())
+        partial = float(p_alpha_weights(a, 2 * _ODD_SUM_TERMS)[0::2].sum())
         target = 2.0 ** (a - 1.0)
         checks.append(
             CheckResult(
                 f"odd-weight-partial-sum-alpha-{a}",
                 abs(partial - target) <= 1e-6,
                 partial, target, 1e-6,
-                {"terms": odd_sum_terms, "gap": partial - target},
+                {"terms": _ODD_SUM_TERMS, "gap": partial - target},
             )
         )
 
@@ -237,13 +233,13 @@ def suite_renewal_asymptotics(
     rng = replicate_generator(normalize_seed(seed), 0)
     raw = rng.random(5) + 0.1
     probs = tuple(raw / raw.sum())
-    rs = renewal_sequence(FinitePmf(probs), oracle_kmax, method="direct")
+    rs = renewal_sequence(FinitePmf(probs), _ORACLE_KMAX)
     worst = max(
-        abs(rs.q[k] - enumerate_renewal_probability(probs, k)) for k in range(oracle_kmax + 1)
+        abs(rs.q[k] - enumerate_renewal_probability(probs, k)) for k in range(_ORACLE_KMAX + 1)
     )
     checks.append(
         CheckResult("renewal-recursion-oracle", worst <= 1e-12, worst, 0.0, 1e-12,
-                    {"support": 5, "kmax": oracle_kmax, "probs": list(probs)})
+                    {"support": 5, "kmax": _ORACLE_KMAX, "probs": list(probs)})
     )
 
     # 3) squared-weight growth at kmax = 16n against both constants: the

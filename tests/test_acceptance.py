@@ -22,7 +22,6 @@ from partition_fields import (
     ModelSpec,
     bn_sq_growth_constant,
     c_alpha,
-    check_identity,
     fbs_cov_matrix,
     make_hs_pmf,
     make_karlin_pmf,
@@ -93,7 +92,8 @@ def test_criterion_02_p_alpha_partial_sums():
 def test_criterion_03_karlin_variance_identity():
     t0 = time.monotonic()
     spec = ModelSpec(ModelKind.KARLIN_1D, (0.6,), (10**3,))
-    rec = check_identity("karlin_var", spec, 2 * 10**4, SEED, parallelism=workers())
+    report = run_replicates(spec, CornerGrid((1.0,)), 2 * 10**4, SEED, parallelism=workers())
+    rec = report.identities["karlin_var"]
     elapsed = time.monotonic() - t0
     passed = rec.gap() <= 3 * rec.se and elapsed < 60
     assert _verdict(
@@ -110,7 +110,7 @@ def test_criterion_04_renewal_oracle():
     rng = replicate_generator(SEED, 4)
     raw = rng.random(5) + 0.05
     probs = tuple(raw / raw.sum())
-    rs = renewal_sequence(FinitePmf(probs), 15, method="direct")
+    rs = renewal_sequence(FinitePmf(probs), 15)
     worst = max(
         abs(rs.q[k] - enumerate_renewal_probability(probs, k)) for k in range(16)
     )
@@ -146,7 +146,8 @@ def test_criterion_05_weight_asymptotics():
 def test_criterion_06_hs_variance_identity():
     t0 = time.monotonic()
     spec = ModelSpec(ModelKind.HS_1D, (0.25,), (512,), forest_depth=10**5)
-    rec = check_identity("hs_var", spec, 2 * 10**4, SEED, parallelism=workers())
+    report = run_replicates(spec, CornerGrid((1.0,)), 2 * 10**4, SEED, parallelism=workers())
+    rec = report.identities["hs_var"]
     tol = 3 * rec.se + rec.truncation_allowance
     elapsed = time.monotonic() - t0
     passed = rec.gap() <= tol and elapsed < 300

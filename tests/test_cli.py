@@ -276,3 +276,51 @@ def test_boolean_replicates_exits_2(tmp_path):
     res = CliRunner().invoke(main, ["simulate", "--config", cfg_path])
     assert res.exit_code == 2, res.output
     assert "replicates" in res.output
+
+
+@pytest.mark.parametrize("model", [
+    {"kind": "karlin1d", "alphas": [0.6], "n": [10.5]},
+    {"kind": "karlin1d", "alphas": [0.6], "n": [True]},
+    {"kind": "hs1d", "alphas": [0.25], "n": [10], "forest_depth": 10.5},
+])
+def test_non_integer_model_counts_exit_2(tmp_path, model):
+    cfg_path = _write(tmp_path, "c.json", _sim_config(model=model, output=str(tmp_path / "s")))
+    res = CliRunner().invoke(main, ["simulate", "--config", cfg_path])
+    assert res.exit_code == 2, res.output
+    assert "must be an integer" in res.output
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_nan_grid_time_exits_2(tmp_path):
+    cfg_path = _write(tmp_path, "c.json", _sim_config(grid={"t1": [0.5, float("nan")]},
+                                                      output=str(tmp_path / "s")))
+    res = CliRunner().invoke(main, ["simulate", "--config", cfg_path])
+    assert res.exit_code == 2, res.output
+    assert "grid" in res.output
+
+
+@pytest.mark.parametrize("override", [[], ["--out", "x"], ["--seed", "ff"], ["--parallelism", "2"]])
+def test_array_config_root_exits_2(tmp_path, override):
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps([_sim_config()]))
+    res = CliRunner().invoke(main, ["simulate", "--config", str(cfg_path), *override])
+    assert res.exit_code == 2, res.output
+    assert "<root>: must be a JSON object" in res.output
+
+
+@pytest.mark.parametrize("section, value", [
+    ("model", [0.6]),
+    ("grid", 5),
+    ("marginal", "rademacher"),
+])
+def test_non_object_config_section_exits_2(tmp_path, section, value):
+    cfg = _sim_config(output=str(tmp_path / "s"))
+    if section == "marginal":
+        cfg["model"] = {"kind": "generalized-karlin1d", "alphas": [0.6], "n": [10], "marginal": value}
+        path = "model.marginal"
+    else:
+        cfg[section] = value
+        path = section
+    res = CliRunner().invoke(main, ["simulate", "--config", _write(tmp_path, "c.json", cfg)])
+    assert res.exit_code == 2, res.output
+    assert f"{path}: must be a JSON object" in res.output

@@ -113,6 +113,19 @@ def test_model_spec_validation():
     assert ModelSpec(ModelKind.HS_1D, (0.25,), (10,), forest_depth=777).effective_forest_depth(10) == 777
 
 
+@pytest.mark.parametrize("n, depth", [((10.5,), None), ((10.0,), None), ((True,), None),
+                                      ((10,), 10.5), ((10,), True)])
+def test_model_spec_rejects_non_integer_counts(n, depth):
+    with pytest.raises(ValueError, match="must be an integer"):
+        ModelSpec(ModelKind.HS_1D, (0.25,), n, forest_depth=depth)
+
+
+def test_model_spec_accepts_numpy_integers():
+    spec = ModelSpec(ModelKind.HS_1D, (0.25,), (np.int64(10),), forest_depth=np.int32(777))
+    assert spec.n == (10,) and spec.forest_depth == 777
+    assert type(spec.n[0]) is int and type(spec.forest_depth) is int
+
+
 def test_kind_table_drives_hurst_and_alpha_domains():
     assert set(KIND_TABLE) == set(ModelKind)
     for kind, row in KIND_TABLE.items():
@@ -166,6 +179,11 @@ def test_corner_grid_validation():
         CornerGrid((0.0, 0.5))
     with pytest.raises(ValueError):
         CornerGrid((0.5, 1.2))
+    for ts in ((0.5, math.nan), (math.nan, 1.0), (0.25, math.nan, 1.0)):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            CornerGrid(ts)
+    with pytest.raises(ValueError):
+        CornerGrid((1.0,), (math.nan,))
     grid = CornerGrid((0.5, 1.0), (0.25, 1.0))
     assert grid.is_2d and grid.shape() == (2, 2)
 
@@ -389,12 +407,12 @@ def test_karlin2d_rectangle_increments_are_stationary():
 
 
 def test_stats_identity_trivial_single_spin():
-    from partition_fields import check_identity
+    from partition_fields import run_suite
 
     spec = ModelSpec(ModelKind.KARLIN_1D, (0.6,), (1,))
-    rec = check_identity("karlin_var", spec, 500, SEED)
-    assert rec.analytic == pytest.approx(1.0, abs=1e-9)
-    assert abs(rec.mc - 1.0) <= 3 * rec.se
+    (check,) = run_suite("variance", spec=spec, replicates=500, seed=SEED).checks
+    assert check.target == pytest.approx(1.0, abs=1e-9)
+    assert abs(check.value - 1.0) <= 3 * check.details["se"]
 
 
 def test_marginal_values_appear_in_field():

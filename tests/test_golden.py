@@ -65,7 +65,7 @@ SUITE_CASES = {
 def record(spec: ModelSpec) -> dict:
     """Everything pinned for one case, as it reads back from JSON."""
     grid = GRID_2D if spec.is_2d else GRID_1D
-    sample = simulate(spec, grid, replicate_generator(SEED, REPLICATE), seed=REPLICATE)
+    sample = simulate(spec, grid, replicate_generator(SEED, REPLICATE))
     report = run_replicates(spec, grid, REPORT_REPLICATES, SEED).to_dict()
     digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
     out = {

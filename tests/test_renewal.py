@@ -23,6 +23,8 @@ from partition_fields.renewal import (
     RenewalConvergenceWarning,
     cached_renewal_sequence,
     p_alpha_tail,
+    _q_direct,
+    _q_newton,
     p_alpha_weights,
 )
 from partition_fields.suites import enumerate_renewal_probability
@@ -39,7 +41,7 @@ def test_renewal_recursion_vs_enumeration_oracle():
     rng = replicate_generator("0123", 0)
     raw = rng.random(5) + 0.05
     probs = tuple(raw / raw.sum())
-    rs = renewal_sequence(FinitePmf(probs), 15, method="direct")
+    rs = renewal_sequence(FinitePmf(probs), 15)
     for k in range(16):
         assert rs.q[k] == pytest.approx(enumerate_renewal_probability(probs, k), abs=1e-12)
 
@@ -47,13 +49,14 @@ def test_renewal_recursion_vs_enumeration_oracle():
 @pytest.mark.parametrize("pmf", [make_hs_pmf(0.25), make_hs_pmf(0.45), FinitePmf((0.3, 0.2, 0.5))])
 def test_newton_matches_direct(pmf):
     kmax = 4096
-    direct = renewal_sequence(pmf, kmax, method="direct").q
-    newton = renewal_sequence(pmf, kmax, method="newton").q
+    p = pmf.pmf_block(1, kmax + 1)
+    direct = _q_direct(p, kmax)
+    newton = _q_newton(p, kmax)
     assert np.max(np.abs(direct - newton)) < 1e-10
 
 
 def test_q_is_probability_and_square_summable():
-    rs = renewal_sequence(make_hs_pmf(0.25), 1 << 16, method="newton")
+    rs = renewal_sequence(make_hs_pmf(0.25), 1 << 16)
     assert np.all((rs.q >= 0) & (rs.q <= 1))
     # increments of the squared sum die out; the density decays like k**(a-1)
     assert rs.q[-1] ** 2 < 1e-8
@@ -82,7 +85,7 @@ def test_var_xstar_against_line_meeting_oracle():
     """1/sum(q^2) equals P(two independent ancestral lines meet only at 0)."""
     alpha = 0.25
     pmf = make_hs_pmf(alpha)
-    rs = renewal_sequence(pmf, 1 << 18, method="newton")
+    rs = renewal_sequence(pmf, 1 << 18)
     analytic = var_xstar(rs)
 
     reps = 10**5
@@ -126,7 +129,7 @@ def test_weights_hand_values():
 
 
 def test_weights_nonnegative_and_saturating():
-    rs = renewal_sequence(make_hs_pmf(0.3), 1 << 14, method="newton")
+    rs = renewal_sequence(make_hs_pmf(0.3), 1 << 14)
     prof = weights(rs, 512)
     assert np.all(prof.b >= 0)
     inside = prof.b[(np.arange(prof.j_lo, prof.n + 1) >= 1)]
@@ -134,7 +137,7 @@ def test_weights_nonnegative_and_saturating():
 
 
 def test_weights_precondition():
-    rs = renewal_sequence(make_hs_pmf(0.3), 256, method="direct")
+    rs = renewal_sequence(make_hs_pmf(0.3), 256)
     with pytest.raises(ValueError):
         weights(rs, 100)
 
@@ -178,7 +181,7 @@ def test_sigma_sq_karlin2d_closed_form():
 
 def test_sigma_sq_forest_formula_shapes():
     # the forest axis takes Var(X*) from the renewal sequence at kmax 2^18
-    rs = renewal_sequence(make_hs_pmf(0.25), 1 << 18, method="newton")
+    rs = renewal_sequence(make_hs_pmf(0.25), 1 << 18)
     v = var_xstar(rs)
     forest, urn = Axis(AxisKind.FOREST, 0.25, 1), Axis(AxisKind.URN, 0.5, 1)
     assert _limit_var(forest, forest) == pytest.approx(bn_sq_growth_constant(0.25) ** 2 * v * v, rel=1e-12)

@@ -11,7 +11,6 @@ from partition_fields import (
     HurstPair,
     ModelKind,
     ModelSpec,
-    check_identity,
     empirical_cov,
     fbs_cov_matrix,
     ks_normal,
@@ -151,24 +150,10 @@ def test_run_replicates_validates_r():
         run_replicates(spec, CornerGrid((1.0,)), 1, SEED)
 
 
-def test_check_identity_validates_r():
-    spec = ModelSpec(ModelKind.KARLIN_1D, (0.6,), (10,))
-    with pytest.raises(ValueError, match="at least 2 replicates"):
-        check_identity("karlin_var", spec, 1, SEED)
-
-
-def test_check_identity_kind_mismatch():
-    spec = ModelSpec(ModelKind.KARLIN_1D, (0.6,), (10,))
-    with pytest.raises(ValueError):
-        check_identity("hs_var", spec, 10, SEED)
-    with pytest.raises(ValueError):
-        check_identity("nope", spec, 10, SEED)
-
-
 def test_identity_target_fails_before_any_simulation(monkeypatch):
     # expected_occupancy gives up (RuntimeError) for urn axes with large
     # alpha; that must surface before R replicates are simulated
-    from partition_fields import stats
+    from partition_fields import run_suite, stats
 
     def unreachable(*args, **kwargs):
         raise AssertionError("simulated before the identity target was known")
@@ -182,7 +167,7 @@ def test_identity_target_fails_before_any_simulation(monkeypatch):
     with pytest.raises(RuntimeError, match="gave up"):
         run_replicates(spec, CornerGrid((0.5, 1.0)), 10, SEED)
     with pytest.raises(RuntimeError, match="gave up"):
-        check_identity("karlin_var", spec, 10, SEED)
+        run_suite("variance", spec=spec, replicates=10, seed=SEED)
 
 
 def test_covariance_estimator_consistency_rate():
