@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -177,6 +178,13 @@ def _whole(value, what: str) -> int:
     raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
+def _real(value, what: str) -> float:
+    """A real number (Python or numpy); strings and booleans are not alphas."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"{what} must be a real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Which model to simulate, at which horizons."""
@@ -189,7 +197,7 @@ class ModelSpec:
 
     def __post_init__(self):
         row = KIND_TABLE[self.kind]
-        object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
+        object.__setattr__(self, "alphas", tuple(_real(a, "each alpha") for a in self.alphas))
         object.__setattr__(self, "n", tuple(_whole(v, "each horizon") for v in self.n))
         if self.forest_depth is not None:
             object.__setattr__(self, "forest_depth", _whole(self.forest_depth, "forest_depth"))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import gamma
 
 from .distributions import PmfKind
@@ -94,16 +94,30 @@ def _q_direct(p: np.ndarray, kmax: int) -> np.ndarray:
     return q
 
 
+def _fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full linear convolution of two real 1D arrays, as SciPy's ``fftconvolve``.
+
+    Same padding, same operand order and the same length-1 shortcut, so the
+    result is bitwise that of the SciPy routine without importing SciPy's
+    signal package, which was most of this package's import time.
+    """
+    if a.size == 1 or b.size == 1:
+        return a * b
+    size = a.size + b.size - 1
+    fsize = next_fast_len(size, True)
+    return irfft(rfft(a, fsize) * rfft(b, fsize), fsize)[:size]
+
+
 def _series_inverse(a: np.ndarray, n: int) -> np.ndarray:
     # Newton iteration b <- b(2 - ab) mod x**m doubles correct coefficients
     b = np.array([1.0 / a[0]])
     m = 1
     while m < n:
         m2 = min(2 * m, n)
-        t = fftconvolve(a[:m2], b)[:m2]
+        t = _fftconvolve(a[:m2], b)[:m2]
         t = -t
         t[0] += 2.0
-        b = fftconvolve(b, t)[:m2]
+        b = _fftconvolve(b, t)[:m2]
         m = m2
     return b[:n]
 
@@ -176,16 +190,12 @@ def weights(rs: RenewalSequence, n: int) -> WeightProfile:
         raise ValueError("n must be >= 1")
     if rs.kmax < _MIN_KMAX_RATIO * n:
         raise ValueError(f"kmax={rs.kmax} too small for n={n}; need >= {_MIN_KMAX_RATIO}*n")
-    cq = rs.cum_q
-
-    def partial(m: np.ndarray) -> np.ndarray:
-        # sum of q_0..q_m, zero for m < 0, saturating at kmax
-        return np.where(m >= 0, cq[np.clip(m, 0, rs.kmax)], 0.0)
-
-    j = np.arange(n - rs.kmax, n + 1, dtype=np.int64)
-    b = partial(n - j) - partial(-j)
+    # b_{n,j} = cum_q[n-j] - cum_q[-j] for j = n-kmax..0 (n-j <= kmax there),
+    # then cum_q[n-j] alone for j = 1..n
+    cq, k = rs.cum_q, rs.kmax
+    b = np.concatenate((cq[k:n - 1:-1] - cq[k - n::-1], cq[n - 1::-1]))
     b_sq = float(np.sum(np.square(b, dtype=np.longdouble)))
-    return WeightProfile(n=n, j_lo=int(j[0]), b=b, b_sq=b_sq)
+    return WeightProfile(n=n, j_lo=n - k, b=b, b_sq=b_sq)
 
 
 def c_alpha(alpha: float) -> float:

@@ -291,6 +291,15 @@ def test_non_integer_model_counts_exit_2(tmp_path, model):
     assert not (tmp_path / "s.csv").exists()
 
 
+def test_string_alpha_exits_2(tmp_path):
+    model = {"kind": "karlin1d", "alphas": ["0.6"], "n": [10]}
+    cfg_path = _write(tmp_path, "c.json", _sim_config(model=model, output=str(tmp_path / "s")))
+    res = CliRunner().invoke(main, ["simulate", "--config", cfg_path])
+    assert res.exit_code == 2, res.output
+    assert "must be a real number" in res.output
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_nan_grid_time_exits_2(tmp_path):
     cfg_path = _write(tmp_path, "c.json", _sim_config(grid={"t1": [0.5, float("nan")]},
                                                       output=str(tmp_path / "s")))

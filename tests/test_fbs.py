@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from partition_fields import (
@@ -45,11 +45,17 @@ def test_hurst_pair_domain():
             HurstPair(*bad)
 
 
+# c = 2^k scales s and t exactly, so |cs - ct| = c|s - t| even for nearly
+# equal times, where rounding c*s and c*t would dominate |cs - ct|^(2H)
+_EXACT_SCALE = st.integers(-3, 1).map(lambda k: 2.0**k)
+
+
+@example(h1=0.5, h2=0.25, c1=1.0, c2=2.0, s1=0.5, s2=0.010000000000000002, t1=0.5, t2=0.01)
 @given(
     h1=st.floats(0.05, 0.95),
     h2=st.floats(0.05, 0.95),
-    c1=st.floats(0.1, 2.0),
-    c2=st.floats(0.1, 2.0),
+    c1=_EXACT_SCALE,
+    c2=_EXACT_SCALE,
     s1=st.floats(0.01, 1.0),
     s2=st.floats(0.01, 1.0),
     t1=st.floats(0.01, 1.0),

@@ -126,6 +126,18 @@ def test_model_spec_accepts_numpy_integers():
     assert type(spec.n[0]) is int and type(spec.forest_depth) is int
 
 
+@pytest.mark.parametrize("alpha", ["0.25", True, np.bool_(True), None, 0.25j])
+def test_model_spec_rejects_non_real_alphas(alpha):
+    with pytest.raises(ValueError, match="must be a real number"):
+        ModelSpec(ModelKind.HS_1D, (alpha,), (10,))
+
+
+def test_model_spec_accepts_numpy_floats():
+    spec = ModelSpec(ModelKind.COMBINED_2D, (np.float64(0.25), np.float32(0.5)), (10, 10))
+    assert spec.alphas == (0.25, 0.5)
+    assert all(type(a) is float for a in spec.alphas)
+
+
 def test_kind_table_drives_hurst_and_alpha_domains():
     assert set(KIND_TABLE) == set(ModelKind)
     for kind, row in KIND_TABLE.items():

@@ -1,7 +1,11 @@
 """Renewal sequence, window weights, closed-form constants."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,9 +22,12 @@ from partition_fields import (
     var_xstar,
     weights,
 )
+import partition_fields
+from partition_fields import renewal
 from partition_fields.fields import Axis, AxisKind
 from partition_fields.renewal import (
     RenewalConvergenceWarning,
+    _fftconvolve,
     cached_renewal_sequence,
     p_alpha_tail,
     _q_direct,
@@ -116,6 +123,63 @@ def test_var_xstar_against_line_meeting_oracle():
     se = math.sqrt(mc * (1 - mc) / reps)
     depth_slack = rs.tail_sum_sq_from(depth // 2)
     assert abs(mc - analytic) < 3 * se + depth_slack, (mc, analytic, se)
+
+
+def test_fftconvolve_matches_scipy_signal_bitwise():
+    from scipy.signal import fftconvolve
+
+    gen = np.random.default_rng(8)
+    sizes = [(1, 1), (1, 7), (9, 1), (2, 2), (3, 5000)]
+    sizes += [tuple(int(v) for v in gen.integers(1, 3000, size=2)) for _ in range(40)]
+    for na, nb in sizes:
+        a, b = gen.standard_normal(na), gen.standard_normal(nb)
+        got, want = _fftconvolve(a, b), fftconvolve(a, b)
+        assert got.shape == want.shape == (na + nb - 1,)
+        assert got.tobytes() == want.tobytes(), (na, nb)
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.25, 0.45])
+@pytest.mark.parametrize("kmax", [4096, 1 << 18])
+def test_renewal_sequence_bitwise_equal_to_scipy_signal_path(monkeypatch, alpha, kmax):
+    from scipy.signal import fftconvolve
+
+    pmf = make_hs_pmf(alpha)
+    q = renewal_sequence(pmf, kmax).q
+    monkeypatch.setattr(renewal, "_fftconvolve", fftconvolve)
+    assert q.tobytes() == renewal_sequence(pmf, kmax).q.tobytes()
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    src = str(Path(partition_fields.__file__).parents[1])
+    code = "import sys, partition_fields; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
+
+
+def weights_oracle(rs, n: int) -> tuple[np.ndarray, float]:
+    """b_{n,j} and b_n^2 by clipped fancy indexing over j = n-kmax..n."""
+    cq = rs.cum_q
+
+    def partial(m):
+        # sum of q_0..q_m, zero for m < 0, saturating at kmax
+        return np.where(m >= 0, cq[np.clip(m, 0, rs.kmax)], 0.0)
+
+    j = np.arange(n - rs.kmax, n + 1, dtype=np.int64)
+    b = partial(n - j) - partial(-j)
+    return b, float(np.sum(np.square(b, dtype=np.longdouble)))
+
+
+@pytest.mark.parametrize("pmf", [make_hs_pmf(0.1), make_hs_pmf(0.45), FinitePmf((0.3, 0.2, 0.5))])
+@pytest.mark.parametrize("kmax", [4096, 1 << 18])
+def test_weights_bitwise_equal_to_indexing_oracle(pmf, kmax):
+    rs = renewal_sequence(pmf, kmax)
+    for n in (1, 2, 100, kmax // 16):
+        prof = weights(rs, n)
+        b, b_sq = weights_oracle(rs, n)
+        assert prof.j_lo == n - kmax
+        assert prof.b.tobytes() == b.tobytes(), n
+        assert prof.b_sq == b_sq
 
 
 def test_weights_hand_values():

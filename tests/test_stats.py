@@ -1,6 +1,7 @@
 """Estimators, KS machinery, replicate driver determinism."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -168,6 +169,33 @@ def test_identity_target_fails_before_any_simulation(monkeypatch):
         run_replicates(spec, CornerGrid((0.5, 1.0)), 10, SEED)
     with pytest.raises(RuntimeError, match="gave up"):
         run_suite("variance", spec=spec, replicates=10, seed=SEED)
+
+
+@pytest.mark.parametrize("kind, alphas, calls", [
+    (ModelKind.KARLIN_2D, (0.6, 0.6), {"expected_occupancy": 1, "weights": 0}),
+    (ModelKind.HS_2D, (0.25, 0.25), {"expected_occupancy": 0, "weights": 1}),
+    (ModelKind.COMBINED_2D, (0.25, 0.6), {"expected_occupancy": 1, "weights": 1}),
+])
+def test_identity_target_evaluates_each_distinct_axis_once(monkeypatch, kind, alphas, calls):
+    from partition_fields import stats
+
+    counts = dict.fromkeys(calls, 0)
+
+    def counting(name):
+        inner = getattr(stats, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return inner(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(stats, name, counting(name))
+    spec = ModelSpec(kind, alphas, (64, 64))
+    analytic, _, _ = stats._identity_target(spec)
+    assert counts == calls
+    assert analytic == math.prod(stats._axis_variance(axis) for axis in spec.axes)
 
 
 def test_covariance_estimator_consistency_rate():
