@@ -21,7 +21,6 @@ from .distributions import (
 from .fbs import HurstPair, fbm_cov, fbs_cov, fbs_cov_matrix, sample_fbs
 from .fields import (
     CornerGrid,
-    FieldSample,
     ModelKind,
     ModelSpec,
     normalization,
@@ -58,7 +57,6 @@ from .suites import SUITES, SuiteReport, run_suite
 __all__ = [
     "__version__",
     "CornerGrid",
-    "FieldSample",
     "FinitePmf",
     "ForestWindow",
     "HurstPair",

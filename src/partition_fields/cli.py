@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import click
@@ -20,7 +20,7 @@ import click
 from . import __version__
 from .distributions import MarginalKind, MarginalLaw, make_hs_pmf
 from .fbs import HurstPair, sample_fbs
-from .fields import CornerGrid, ModelKind, ModelSpec, simulate
+from .fields import CornerGrid, ModelKind, ModelSpec, _metadata, _real, normalization, simulate
 from .renewal import c_alpha, cached_renewal_sequence, var_xstar, weights
 from .seeding import SCHEME_ID, normalize_seed, replicate_generator, seed_to_hex
 from .suites import SUITES, run_suite
@@ -58,9 +58,9 @@ def _marginal_from(data: dict, path: str) -> MarginalLaw:
         if kind == "rademacher":
             return MarginalLaw.rademacher()
         if kind == "scaled_sign":
-            return MarginalLaw.scaled_sign(float(data["c"]))
+            return MarginalLaw.scaled_sign(_real(data["c"], "c"))
         if kind == "two_point":
-            return MarginalLaw.two_point(float(data["a"]), float(data["b"]), float(data["p"]))
+            return MarginalLaw.two_point(*(_real(data[key], key) for key in ("a", "b", "p")))
     except KeyError as exc:
         raise ConfigError(f"{path}: missing {exc.args[0]!r} for kind {kind!r}") from None
     except ValueError as exc:
@@ -130,14 +130,9 @@ class RunConfig:
     weights_n: int | None = None
     hurst: tuple[float, float] | None = None
 
-    _KNOWN = {
-        "command", "seed", "model", "grid", "replicates", "parallelism",
-        "output", "suite", "kmax", "weights_n", "hurst",
-    }
-
     @classmethod
     def from_dict(cls, data: dict, command: str | None = None) -> "RunConfig":
-        _take(data, "<root>", cls._KNOWN)
+        _take(data, "<root>", _CONFIG_KEYS)
         cmd = data.get("command", command)
         if cmd is None:
             raise ConfigError("command: required")
@@ -168,10 +163,15 @@ class RunConfig:
         hurst = data.get("hurst")
         if hurst is not None:
             try:
-                hurst = (float(hurst[0]), float(hurst[1]))
+                if len(hurst) != 2:
+                    raise ValueError(f"needs exactly two entries, got {len(hurst)}")
+                hurst = tuple(_real(h, "each entry") for h in hurst)
                 HurstPair(*hurst)
-            except (TypeError, IndexError, ValueError) as exc:
+            except (TypeError, ValueError) as exc:
                 raise ConfigError(f"hurst: {exc}") from None
+        output = data.get("output", "run")
+        if not isinstance(output, str):
+            raise ConfigError(f"output: must be a string, got {output!r}")
         return cls(
             command=cmd,
             seed=seed_hex,
@@ -179,7 +179,7 @@ class RunConfig:
             grid=_grid_from(data["grid"]) if "grid" in data else None,
             replicates=replicates,
             parallelism=parallelism,
-            output=data.get("output", "run"),
+            output=output,
             suite=suite,
             kmax=kmax,
             weights_n=weights_n,
@@ -213,6 +213,9 @@ class RunConfig:
         return out
 
 
+_CONFIG_KEYS = frozenset(f.name for f in fields(RunConfig))
+
+
 def _load_config(path: str, command: str, seed, parallelism, out) -> RunConfig:
     try:
         data = json.loads(Path(path).read_text())
@@ -220,7 +223,7 @@ def _load_config(path: str, command: str, seed, parallelism, out) -> RunConfig:
         raise ConfigError(f"cannot read config: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
-    _take(data, "<root>", RunConfig._KNOWN)  # before the overrides write into it
+    _take(data, "<root>", _CONFIG_KEYS)  # before the overrides write into it
     if seed is not None:
         data["seed"] = seed
     if parallelism is not None:
@@ -256,21 +259,22 @@ def cmd_simulate(cfg: RunConfig) -> list[Path]:
         raise ConfigError("simulate requires model and grid")
     if cfg.model.is_2d != cfg.grid.is_2d:
         raise ConfigError("grid dimensionality must match the model")
-    sample = simulate(cfg.model, cfg.grid, replicate_generator(cfg.seed, 0))
+    raw = simulate(cfg.model, cfg.grid, replicate_generator(cfg.seed, 0))
+    z, sigma = normalization(cfg.model)
+    normalized = raw / z
     rows = []
     if cfg.grid.is_2d:
         for i, t1 in enumerate(cfg.grid.t1):
             for j, t2 in enumerate(cfg.grid.t2):
-                rows.append((float(t1), float(t2), float(sample.raw[i, j]), float(sample.normalized[i, j])))
+                rows.append((float(t1), float(t2), float(raw[i, j]), float(normalized[i, j])))
     else:
         for i, t1 in enumerate(cfg.grid.t1):
-            rows.append((float(t1), "", float(sample.raw[i]), float(sample.normalized[i])))
+            rows.append((float(t1), "", float(raw[i]), float(normalized[i])))
     csv_path = Path(f"{cfg.output}.csv")
     _write_csv(csv_path, ["t1", "t2", "raw", "normalized"], rows)
     meta_path = Path(f"{cfg.output}.meta.json")
     _write_json(meta_path, _meta(
-        cfg, z_norm=sample.z_norm, sigma=sample.sigma, replicate=0,
-        truncation=sample.metadata,
+        cfg, z_norm=z, sigma=sigma, replicate=0, truncation=_metadata(cfg.model),
     ))
     return [csv_path, meta_path]
 

@@ -39,11 +39,20 @@ __all__ = [
 # resampling (KarlinZipf) or clamping (HsTail, where any jump this large
 # leaves every window of interest anyway); both choices are deterministic.
 _MAX_VALUE = 1 << 62
+_SELF_CHECK_TERMS = 1024
+_SELF_CHECK_TOL = 1e-12
 
 
 class PmfKind(enum.Enum):
+    """A direction's law; it fixes the partition (Zipf labels: urn, exact-tail jumps: forest)."""
+
     KARLIN_ZIPF = "karlin_zipf"
     HS_TAIL = "hs_tail"
+
+    @property
+    def alpha_max(self) -> float:
+        """Admissible alphas are (0, alpha_max)."""
+        return 1.0 if self is PmfKind.KARLIN_ZIPF else 0.5
 
 
 @dataclass(frozen=True)
@@ -52,14 +61,12 @@ class PowerLawPmf:
 
     kind: PmfKind
     alpha: float
-    sv_constant: float
 
     def __post_init__(self):
-        if self.kind is PmfKind.KARLIN_ZIPF:
-            if not 0.0 < self.alpha < 1.0:
-                raise ValueError(f"KarlinZipf requires alpha in (0,1), got {self.alpha}")
-        elif not 0.0 < self.alpha < 0.5:
-            raise ValueError(f"HsTail requires alpha in (0,1/2), got {self.alpha}")
+        # compared before float(): a string raises TypeError, a boolean is out of range
+        if not 0.0 < self.alpha < self.kind.alpha_max:
+            raise ValueError(f"{self.kind.value} requires alpha in (0,{self.kind.alpha_max}), got {self.alpha!r}")
+        object.__setattr__(self, "alpha", float(self.alpha))
         self._self_check()
 
     # -- cached constants -------------------------------------------------
@@ -71,6 +78,13 @@ class PowerLawPmf:
     @cached_property
     def _zeta_s(self) -> float:
         return float(zeta(self._s))
+
+    @cached_property
+    def sv_constant(self) -> float:
+        """Slowly varying constant: Z**(-alpha), Z = zeta(1/alpha) (KarlinZipf); 1 (HsTail)."""
+        if self.kind is PmfKind.KARLIN_ZIPF:
+            return self._zeta_s ** (-self.alpha)
+        return 1.0
 
     # -- analytic accessors ------------------------------------------------
     def pmf_at(self, k) -> np.ndarray | float:
@@ -119,29 +133,24 @@ class PowerLawPmf:
             out = _sample_zipf(self._s, rng, m)
         return int(out[0]) if size is None else out
 
-    def _self_check(self, m: int = 1024, tol: float = 1e-12) -> None:
+    def _self_check(self) -> None:
         # mass conservation: explicit head plus analytic tail
-        head = float(np.sum(self.pmf_block(1, m + 1), dtype=np.longdouble))
-        total = head + float(self.tail_at(m + 1))
-        if abs(total - 1.0) > tol:
+        head = float(np.sum(self.pmf_block(1, _SELF_CHECK_TERMS + 1), dtype=np.longdouble))
+        total = head + float(self.tail_at(_SELF_CHECK_TERMS + 1))
+        if abs(total - 1.0) > _SELF_CHECK_TOL:
             raise AssertionError(f"pmf mass check failed: {total}")
 
 
 @lru_cache(maxsize=128)
 def make_karlin_pmf(alpha: float) -> PowerLawPmf:
-    """Zipf-type law p_k = k**(-1/alpha)/Z; sv_constant = Z**(-alpha)."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0,1), got {alpha}")
-    z = float(zeta(1.0 / alpha))
-    return PowerLawPmf(PmfKind.KARLIN_ZIPF, float(alpha), z ** (-alpha))
+    """Zipf-type law p_k = k**(-1/alpha)/Z, alpha in (0, 1)."""
+    return PowerLawPmf(PmfKind.KARLIN_ZIPF, alpha)
 
 
 @lru_cache(maxsize=128)
 def make_hs_pmf(alpha: float) -> PowerLawPmf:
-    """Exact-tail law with tail(n) = n**(-alpha); sv_constant = 1."""
-    if not 0.0 < alpha < 0.5:
-        raise ValueError(f"alpha must lie in (0,1/2), got {alpha}")
-    return PowerLawPmf(PmfKind.HS_TAIL, float(alpha), 1.0)
+    """Exact-tail law with tail(n) = n**(-alpha), alpha in (0, 1/2)."""
+    return PowerLawPmf(PmfKind.HS_TAIL, alpha)
 
 
 def _sample_hs(alpha: float, rng: np.random.Generator, m: int) -> np.ndarray:
@@ -253,7 +262,8 @@ class MarginalLaw:
 
     All three kinds reduce to a two-point law taking ``value_a`` with
     probability ``prob_a`` and ``value_b`` otherwise, with
-    prob_a*value_a + (1-prob_a)*value_b == 0.
+    prob_a*value_a + (1-prob_a)*value_b == 0.  The kind names the law:
+    RADEMACHER is exactly (1, -1, 1/2) and SCALED_SIGN is (c, -c, 1/2), c > 0.
     """
 
     kind: MarginalKind = MarginalKind.RADEMACHER
@@ -268,6 +278,12 @@ class MarginalLaw:
         mean = self.prob_a * self.value_a + (1.0 - self.prob_a) * self.value_b
         if abs(mean) > 1e-12 * scale:
             raise ValueError(f"marginal law must be centered, mean={mean}")
+        if self.kind is MarginalKind.RADEMACHER and (self.value_a, self.value_b, self.prob_a) != (1.0, -1.0, 0.5):
+            raise ValueError("a Rademacher law takes the values 1 and -1 with probability 1/2")
+        if self.kind is MarginalKind.SCALED_SIGN and not (
+            self.value_a > 0.0 and self.value_b == -self.value_a and self.prob_a == 0.5
+        ):
+            raise ValueError("a scaled-sign law takes the values c > 0 and -c with probability 1/2")
 
     @classmethod
     def rademacher(cls) -> "MarginalLaw":
@@ -275,8 +291,6 @@ class MarginalLaw:
 
     @classmethod
     def scaled_sign(cls, c: float) -> "MarginalLaw":
-        if c <= 0:
-            raise ValueError("scale must be positive")
         return cls(MarginalKind.SCALED_SIGN, float(c), -float(c), 0.5)
 
     @classmethod

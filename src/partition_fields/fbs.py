@@ -53,7 +53,7 @@ def _axis_gram(h: float, ts: np.ndarray) -> np.ndarray:
 def fbs_cov_matrix(hurst: HurstPair, t1, t2) -> np.ndarray:
     """Gram matrix over the tensor grid, ordered as raveled (t1, t2) pairs.
 
-    Row/column order matches ``FieldSample.raw.ravel()``: index i1*len(t2)+i2.
+    Row/column order matches ``simulate(...).ravel()``: index i1*len(t2)+i2.
     """
     g1 = _axis_gram(hurst.h1, np.asarray(t1, dtype=np.float64))
     g2 = _axis_gram(hurst.h2, np.asarray(t2, dtype=np.float64))

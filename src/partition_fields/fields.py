@@ -33,19 +33,17 @@ import numpy as np
 from scipy.special import gamma
 
 from ._hashing import hash1, hash2, signs_from
-from .distributions import MarginalLaw, PowerLawPmf, make_hs_pmf, make_karlin_pmf
+from .distributions import MarginalLaw, PmfKind, PowerLawPmf, make_hs_pmf, make_karlin_pmf
 from .partition1d import roots_of, sample_forest, sample_urn, truncation_pair_bound
 from .renewal import bn_sq_growth_constant, cached_renewal_sequence, var_xstar
 from .seeding import spin_key
 
 __all__ = [
-    "AxisKind",
     "Axis",
     "KIND_TABLE",
     "ModelKind",
     "ModelSpec",
     "CornerGrid",
-    "FieldSample",
     "simulate",
     "normalization",
 ]
@@ -64,25 +62,14 @@ class ModelKind(enum.Enum):
     COMBINED_2D = "combined2d"
 
 
-class AxisKind(enum.Enum):
-    """The partition of one direction: urn boxes or ancestral-forest trees."""
-
-    URN = "urn"
-    FOREST = "forest"
-
-    @property
-    def alpha_max(self) -> float:
-        """Admissible alphas are (0, alpha_max)."""
-        return 1.0 if self is AxisKind.URN else 0.5
-
-
 class KindRow(NamedTuple):
-    axes: tuple[AxisKind, ...]  # in direction order
+    axes: tuple[PmfKind, ...]  # each direction's law, in direction order
     identity: str  # name of the finite-n variance identity in reports
     generalized: bool  # accepts a non-Rademacher marginal law
 
 
-_URN, _FOREST = AxisKind.URN, AxisKind.FOREST
+# a Zipf-type label law partitions by urn boxes, an exact-tail jump law by forest trees
+_URN, _FOREST = PmfKind.KARLIN_ZIPF, PmfKind.HS_TAIL
 KIND_TABLE = {
     ModelKind.KARLIN_1D: KindRow((_URN,), "karlin_var", False),
     ModelKind.GENERALIZED_KARLIN_1D: KindRow((_URN,), "karlin_var", True),
@@ -108,14 +95,14 @@ class Axis:
     ``depth`` is the forest window depth below site 1 (forest axes only).
     """
 
-    kind: AxisKind
+    kind: PmfKind
     alpha: float
     n: int
     depth: int = 0
 
     @property
     def is_urn(self) -> bool:
-        return self.kind is AxisKind.URN
+        return self.kind is _URN
 
     @property
     def pmf(self) -> PowerLawPmf:
@@ -219,7 +206,7 @@ class ModelSpec:
     def axes(self) -> tuple[Axis, ...]:
         """The model's per-direction axes, in direction order."""
         return tuple(
-            Axis(kind, a, n, self.effective_forest_depth(n) if kind is AxisKind.FOREST else 0)
+            Axis(kind, a, n, self.effective_forest_depth(n) if kind is _FOREST else 0)
             for kind, a, n in zip(KIND_TABLE[self.kind].axes, self.alphas, self.n)
         )
 
@@ -245,16 +232,14 @@ class CornerGrid:
     t2: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        for ts in (self.t1, self.t2):
-            if ts is None:
+        for name in ("t1", "t2"):
+            if getattr(self, name) is None:
                 continue
-            arr = np.asarray(ts, dtype=np.float64)
+            ts = tuple(_real(t, "each grid time") for t in getattr(self, name))
             # stated as what must hold, so NaN fails every comparison
-            if not (arr.size and arr[0] > 0.0 and arr[-1] <= 1.0 and np.all(np.diff(arr) > 0)):
+            if not (ts and ts[0] > 0.0 and ts[-1] <= 1.0 and all(a < b for a, b in zip(ts, ts[1:]))):
                 raise ValueError("grid times must be strictly increasing within (0, 1]")
-        object.__setattr__(self, "t1", tuple(float(t) for t in self.t1))
-        if self.t2 is not None:
-            object.__setattr__(self, "t2", tuple(float(t) for t in self.t2))
+            object.__setattr__(self, name, ts)
 
     @property
     def is_2d(self) -> bool:
@@ -293,19 +278,6 @@ def _corner_index(n: int, ts: tuple[float, ...]) -> np.ndarray:
     return idx
 
 
-@dataclass(frozen=True)
-class FieldSample:
-    """Partial sums of one replicate at the grid corners."""
-
-    spec: ModelSpec
-    grid: CornerGrid
-    raw: np.ndarray
-    normalized: np.ndarray
-    z_norm: float
-    sigma: float
-    metadata: dict = field(default_factory=dict)
-
-
 @lru_cache(maxsize=64)
 def normalization(spec: ModelSpec) -> tuple[float, float]:
     """(Z, sigma) such that S/Z converges to the standard limit sheet.
@@ -333,11 +305,11 @@ def _metadata(spec: ModelSpec) -> dict:
     return meta
 
 
-def simulate(spec: ModelSpec, grid: CornerGrid, rng: np.random.Generator) -> FieldSample:
-    """One replicate; a pure function of (spec, grid, rng state).
+def simulate(spec: ModelSpec, grid: CornerGrid, rng: np.random.Generator) -> np.ndarray:
+    """One replicate's raw corner sums in the grid's shape (divide by Z to normalize).
 
-    The spin key is drawn first and the axes then sample in direction order,
-    which fixes the layout of the replicate's stream.
+    A pure function of (spec, grid, rng state): the spin key is drawn first and
+    the axes then sample in direction order, which fixes the stream's layout.
     """
     if grid.is_2d != spec.is_2d:
         raise ValueError(f"{spec.kind.value} needs a {'2D' if spec.is_2d else '1D'} grid")
@@ -350,10 +322,7 @@ def simulate(spec: ModelSpec, grid: CornerGrid, rng: np.random.Generator) -> Fie
     if spec.is_2d:
         (u1, _), (u2, _) = sampled
         core = signs_from(hash2(key, u1[:, None], u2[None, :]))
-        raw = (counts[0] @ core @ counts[1].T).astype(np.float64)  # exact: int64 matmul
-    else:
-        (axis,), ((uniq, _),), (a,) = spec.axes, sampled, counts
-        # a reduction, not float @: BLAS may sum in a CPU-dependent order
-        raw = (a * axis.draw(spec.marginal, hash1(key, uniq))).sum(axis=1)
-    z, sigma = normalization(spec)
-    return FieldSample(spec, grid, raw, raw / z, z, sigma, _metadata(spec))
+        return (counts[0] @ core @ counts[1].T).astype(np.float64)  # exact: int64 matmul
+    (axis,), ((uniq, _),), (a,) = spec.axes, sampled, counts
+    # a reduction, not float @: BLAS may sum in a CPU-dependent order
+    return (a * axis.draw(spec.marginal, hash1(key, uniq))).sum(axis=1)

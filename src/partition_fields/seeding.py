@@ -20,13 +20,13 @@ _SEED_MASK = (1 << _SEED_BITS) - 1
 
 
 def normalize_seed(seed: int | str) -> int:
-    """Coerce an int or hex string to a 128-bit seed integer."""
+    """Coerce an int or hex string to a 128-bit seed integer; booleans are not seeds."""
     if isinstance(seed, str):
         text = seed.strip().lower().removeprefix("0x")
         if len(text) > 32 or not text:
             raise ValueError(f"seed must be at most 32 hex digits, got {seed!r}")
         value = int(text, 16)
-    elif isinstance(seed, (int, np.integer)):
+    elif isinstance(seed, (int, np.integer)) and not isinstance(seed, bool):
         value = int(seed)
     else:
         raise TypeError(f"seed must be int or hex str, got {type(seed).__name__}")

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
+from scipy.special import ndtr
 
 from .fields import KIND_TABLE, Axis, CornerGrid, ModelSpec, normalization, simulate
 from .partition1d import expected_occupancy
@@ -29,6 +30,7 @@ __all__ = [
 ]
 
 _IDENTITY_KMAX = 1 << 21
+_KOLMOGOROV_TOL = 1e-12  # the Kolmogorov series stops at its first term below this
 
 
 class DegenerateSampleError(ValueError):
@@ -50,14 +52,7 @@ class IdentityRecord:
         return abs(self.mc - self.analytic)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "analytic": self.analytic,
-            "mc": self.mc,
-            "se": self.se,
-            "kind": self.kind,
-            "truncation_allowance": self.truncation_allowance,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -68,7 +63,6 @@ class ReplicateReport:
     grid: CornerGrid
     replicates: int
     base_seed_hex: str
-    scheme: str
     z_norm: float
     sigma: float
     mean_vec: np.ndarray
@@ -89,7 +83,7 @@ class ReplicateReport:
             "grid": {"t1": list(self.grid.t1), "t2": list(self.grid.t2) if self.grid.t2 else None},
             "replicates": self.replicates,
             "seed": self.base_seed_hex,
-            "scheme": self.scheme,
+            "scheme": SCHEME_ID,
             "z_norm": self.z_norm,
             "sigma": self.sigma,
             "mean_vec": self.mean_vec.tolist(),
@@ -102,10 +96,7 @@ class ReplicateReport:
 
 
 def _replicate_chunk(spec: ModelSpec, grid: CornerGrid, base_seed: int, r0: int, r1: int) -> np.ndarray:
-    rows = []
-    for r in range(r0, r1):
-        sample = simulate(spec, grid, replicate_generator(base_seed, r))
-        rows.append(sample.raw.ravel())
+    rows = [simulate(spec, grid, replicate_generator(base_seed, r)).ravel() for r in range(r0, r1)]
     return np.asarray(rows)
 
 
@@ -181,7 +172,6 @@ def run_replicates(
         grid=grid,
         replicates=replicates,
         base_seed_hex=seed_to_hex(base_seed),
-        scheme=SCHEME_ID,
         z_norm=z,
         sigma=sigma,
         mean_vec=mean_vec,
@@ -246,27 +236,21 @@ def ks_normal(samples, sigma: float) -> tuple[float, float]:
         raise ValueError("sigma must be positive")
     if x[0] == x[-1]:
         raise DegenerateSampleError("sample has zero spread")
-    cdf = _normal_cdf(x / sigma)
+    cdf = ndtr(x / sigma)
     grid_hi = np.arange(1, n + 1) / n
     grid_lo = np.arange(0, n) / n
     stat = float(max(np.max(grid_hi - cdf), np.max(cdf - grid_lo)))
     return stat, _kolmogorov_sf(math.sqrt(n) * stat)
 
 
-def _normal_cdf(z: np.ndarray) -> np.ndarray:
-    from scipy.special import ndtr
-
-    return ndtr(z)
-
-
-def _kolmogorov_sf(lam: float, tol: float = 1e-12) -> float:
+def _kolmogorov_sf(lam: float) -> float:
     if lam <= 0:
         return 1.0
     total = 0.0
     for j in range(1, 100001):
         term = math.exp(-2.0 * j * j * lam * lam)
         total += (term if j % 2 else -term)
-        if term < tol:
+        if term < _KOLMOGOROV_TOL:
             break
     return float(min(1.0, max(0.0, 2.0 * total)))
 

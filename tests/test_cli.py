@@ -333,3 +333,21 @@ def test_non_object_config_section_exits_2(tmp_path, section, value):
     res = CliRunner().invoke(main, ["simulate", "--config", _write(tmp_path, "c.json", cfg)])
     assert res.exit_code == 2, res.output
     assert f"{path}: must be a JSON object" in res.output
+
+
+@pytest.mark.parametrize("override, path", [
+    ({"grid": {"t1": ["0.5", True]}}, "grid"),
+    ({"model": {"kind": "generalized-karlin1d", "alphas": [0.6], "n": [10],
+                "marginal": {"kind": "scaled_sign", "c": True}}}, "model.marginal"),
+    ({"hurst": ["0.3", "0.4"]}, "hurst"),
+    ({"hurst": [0.3, 0.4, 0.5]}, "hurst"),
+    ({"seed": True}, "seed"),
+    ({"output": None}, "output"),
+])
+def test_config_value_of_wrong_json_type_exits_2(tmp_path, monkeypatch, override, path):
+    monkeypatch.chdir(tmp_path)  # a run with output null would write None.csv here
+    cfg = dict(_sim_config(output="s"), **override)
+    res = CliRunner().invoke(main, ["simulate", "--config", _write(tmp_path, "c.json", cfg)])
+    assert res.exit_code == 2, res.output
+    assert f"{path}: " in res.output
+    assert not list(tmp_path.glob("*.csv"))

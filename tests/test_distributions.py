@@ -7,16 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
+from scipy.special import zeta
 
 from partition_fields import (
     FinitePmf,
     MarginalLaw,
     PmfKind,
+    PowerLawPmf,
     make_hs_pmf,
     make_karlin_pmf,
     replicate_generator,
 )
-from partition_fields.distributions import _sample_hs
+from partition_fields.distributions import MarginalKind, _sample_hs
 
 
 class _FixedUniform:
@@ -53,6 +55,21 @@ def test_karlin_pmf_monotone_and_normalized():
 def test_karlin_pmf_domain(alpha):
     with pytest.raises(ValueError):
         make_karlin_pmf(alpha)
+
+
+@pytest.mark.parametrize("make", [make_karlin_pmf, make_hs_pmf])
+@pytest.mark.parametrize("alpha", ["0.25", True, False])
+def test_pmf_rejects_string_and_boolean_alpha(make, alpha):
+    with pytest.raises((TypeError, ValueError)):
+        make(alpha)
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.6, 0.95])
+def test_karlin_sv_constant_is_derived_from_alpha(alpha):
+    # bitwise the Z**(-alpha) that the factory used to pass in
+    pmf = PowerLawPmf(PmfKind.KARLIN_ZIPF, alpha)
+    assert pmf.sv_constant == float(zeta(1.0 / alpha)) ** (-alpha)
+    assert pmf == make_karlin_pmf(alpha)
 
 
 @given(alpha=st.floats(0.1, 0.9), k=st.integers(1, 9_999))
@@ -160,6 +177,18 @@ def test_marginal_law_validation_and_moments():
     assert law.second_moment == pytest.approx(2.0)
     assert law.support_bound == 2.0
     assert MarginalLaw.scaled_sign(2.5).second_moment == pytest.approx(6.25)
+    with pytest.raises(ValueError):
+        MarginalLaw.scaled_sign(0.0)
+
+
+@pytest.mark.parametrize("values", [
+    (MarginalKind.RADEMACHER, 2.0, -2.0, 0.5),  # ±1 draws, second moment 4
+    (MarginalKind.SCALED_SIGN, 2.0, -1.0, 1.0 / 3.0),  # echoed as scaled_sign c = 2
+    (MarginalKind.SCALED_SIGN, -2.0, 2.0, 0.5),  # echoed as c = -2, which the config rejects
+])
+def test_marginal_kind_must_match_values(values):
+    with pytest.raises(ValueError):
+        MarginalLaw(*values)
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,8 @@ from partition_fields import (
     simulate,
 )
 from partition_fields import fields
-from partition_fields.fields import KIND_TABLE, Axis, AxisKind, _corner_index
+from partition_fields.distributions import PmfKind
+from partition_fields.fields import KIND_TABLE, Axis, _corner_index
 
 from conftest import running_parity_oracle
 
@@ -61,7 +62,7 @@ def _axis_case(draw):
     inv = np.asarray(draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)), dtype=np.int64)
     steps = draw(st.lists(st.integers(1, 4 * n), min_size=1, max_size=6, unique=True))
     ts = tuple(j / (4 * n) for j in sorted(steps))  # j < 4 puts a corner at 0
-    axis = Axis(draw(st.sampled_from(AxisKind)), 0.25, n)
+    axis = Axis(draw(st.sampled_from(PmfKind)), 0.25, n)
     return axis, inv, k, ts
 
 
@@ -146,7 +147,7 @@ def test_kind_table_drives_hurst_and_alpha_domains():
         assert tuple(axis.kind for axis in spec.axes) == row.axes
         assert spec.is_2d == (len(row.axes) == 2)
         assert spec.hurst() == tuple(
-            a / 2 if axis is AxisKind.URN else a + 0.5 for a, axis in zip(alphas, row.axes)
+            a / 2 if axis is PmfKind.KARLIN_ZIPF else a + 0.5 for a, axis in zip(alphas, row.axes)
         )
         for q, axis in enumerate(row.axes):
             edge = alphas[:q] + (axis.alpha_max,) + alphas[q + 1:]
@@ -214,12 +215,12 @@ def _force_partitions(monkeypatch, urn=None, roots=None, core=None):
 def test_karlin1d_forced_labels(monkeypatch):
     _force_partitions(monkeypatch, urn={3: [3, 3, 5]})
     monkeypatch.setattr(Axis, "draw", lambda self, marginal, h: np.array([1.0, -1.0]))  # V(3)=1, V(5)=-1
-    uniq, inv = Axis(AxisKind.URN, 0.6, 3).sample(None)
+    uniq, inv = Axis(PmfKind.KARLIN_ZIPF, 0.6, 3).sample(None)
     assert uniq.tolist() == [3, 5]
     thirds = (1 / 3, 2 / 3, 1.0)
-    assert Axis(AxisKind.URN, 0.6, 3).corner_counts(inv, 2, thirds).tolist() == [[1, 0], [0, 0], [0, 1]]
+    assert Axis(PmfKind.KARLIN_ZIPF, 0.6, 3).corner_counts(inv, 2, thirds).tolist() == [[1, 0], [0, 0], [0, 1]]
     raw = simulate(ModelSpec(ModelKind.KARLIN_1D, (0.6,), (3,)), CornerGrid(thirds),
-                   replicate_generator(SEED, 0)).raw
+                   replicate_generator(SEED, 0))
     x = np.diff(raw, prepend=0.0)
     assert x.tolist() == [1.0, -1.0, -1.0]
     assert x.sum() == -1.0
@@ -227,16 +228,16 @@ def test_karlin1d_forced_labels(monkeypatch):
 
 def test_karlin1d_single_draw_is_sign():
     spec = ModelSpec(ModelKind.KARLIN_1D, (0.6,), (1,))
-    s = simulate(spec, CornerGrid((1.0,)), replicate_generator(SEED, 0))
-    assert abs(s.raw[0]) == 1.0
+    raw = simulate(spec, CornerGrid((1.0,)), replicate_generator(SEED, 0))
+    assert abs(raw[0]) == 1.0
 
 
 def test_karlin2d_forced_alternation_cancels(monkeypatch):
     # labels dir1 = (3,3) share a box: signs +1,-1; dir2 = (7,) single draw
     _force_partitions(monkeypatch, urn={2: [3, 3], 1: [7]}, core=[[1]])  # eps(3,7) = +1
     grid = CornerGrid((0.5, 1.0), (1.0,))
-    assert Axis(AxisKind.URN, 0.6, 2).corner_counts(np.zeros(2, np.int64), 1, grid.t1).tolist() == [[1], [0]]
-    raw = simulate(ModelSpec(ModelKind.KARLIN_2D, (0.6, 0.6), (2, 1)), grid, replicate_generator(SEED, 0)).raw
+    assert Axis(PmfKind.KARLIN_ZIPF, 0.6, 2).corner_counts(np.zeros(2, np.int64), 1, grid.t1).tolist() == [[1], [0]]
+    raw = simulate(ModelSpec(ModelKind.KARLIN_2D, (0.6, 0.6), (2, 1)), grid, replicate_generator(SEED, 0))
     assert raw[0, 0] == 1.0 and raw[1, 0] == 0.0  # S(1,1)=eps, S(2,1)=0
 
 
@@ -253,8 +254,8 @@ def test_hs1d_forced_chain_and_isolates():
     roots2 = roots_of(window2, np.arange(1, 65))
     assert len(np.unique(roots2)) == 64
 
-    s = simulate(spec, grid, replicate_generator(SEED, 1))
-    assert float(s.raw[0]).is_integer() and abs(s.raw[0]) <= 64
+    raw = simulate(spec, grid, replicate_generator(SEED, 1))
+    assert float(raw[0]).is_integer() and abs(raw[0]) <= 64
 
 
 def test_hs1d_independent_limit_variance():
@@ -279,10 +280,10 @@ def test_hs2d_forced_product_structure(monkeypatch):
     # roots (5,5,9) x (9,5): classes inv1 = (0,0,1), inv2 = (1,0)
     _force_partitions(monkeypatch, roots={3: [5, 5, 9], 2: [9, 5]}, core=[[1, -1], [-1, 1]])
     grid = CornerGrid((1 / 3, 2 / 3, 1.0), (0.5, 1.0))  # every site is a corner
-    counts = Axis(AxisKind.FOREST, 0.25, 3).corner_counts(np.array([0, 0, 1]), 2, grid.t1)
+    counts = Axis(PmfKind.HS_TAIL, 0.25, 3).corner_counts(np.array([0, 0, 1]), 2, grid.t1)
     assert counts.tolist() == [[1, 0], [2, 0], [2, 1]]
     spec = ModelSpec(ModelKind.HS_2D, (0.25, 0.25), (3, 2), forest_depth=10)
-    raw = simulate(spec, grid, replicate_generator(SEED, 0)).raw
+    raw = simulate(spec, grid, replicate_generator(SEED, 0))
     x = np.diff(np.diff(np.pad(raw, ((1, 0), (1, 0))), axis=0), axis=1)
     assert x.tolist() == [[-1, 1], [-1, 1], [1, -1]]
 
@@ -291,9 +292,9 @@ def test_combined_forced_single_components(monkeypatch):
     # one forest component x one urn box: S(n1, n2) = ±n1·(n2 mod 2)
     _force_partitions(monkeypatch, roots={4: [0, 0, 0, 0]}, urn={3: [9, 9, 9]}, core=[[1]])
     grid = CornerGrid((1.0,), (1.0 / 3.0, 2.0 / 3.0, 1.0))
-    assert Axis(AxisKind.URN, 0.6, 3).corner_counts(np.zeros(3, np.int64), 1, grid.t2).tolist() == [[1], [0], [1]]
+    assert Axis(PmfKind.KARLIN_ZIPF, 0.6, 3).corner_counts(np.zeros(3, np.int64), 1, grid.t2).tolist() == [[1], [0], [1]]
     spec = ModelSpec(ModelKind.COMBINED_2D, (0.25, 0.6), (4, 3), forest_depth=10)
-    raw = simulate(spec, grid, replicate_generator(SEED, 0)).raw
+    raw = simulate(spec, grid, replicate_generator(SEED, 0))
     assert raw[0].tolist() == [4.0, 0.0, 4.0]
 
 
@@ -302,7 +303,7 @@ def test_combined_single_row_reduces_to_urn_statistics():
     spec = ModelSpec(ModelKind.COMBINED_2D, (0.25, 0.6), (1, 256), forest_depth=200)
     grid = CornerGrid((1.0,), (1.0,))
     vals = np.array([
-        float(simulate(spec, grid, replicate_generator(SEED, r)).raw[0, 0])
+        float(simulate(spec, grid, replicate_generator(SEED, r))[0, 0])
         for r in range(4000)
     ])
     _, ek_odd = expected_occupancy(make_karlin_pmf(0.6), 256)
@@ -330,10 +331,9 @@ def test_combined_single_row_reduces_to_urn_statistics():
 def test_simulate_deterministic_per_seed(spec, grid):
     a = simulate(spec, grid, replicate_generator(SEED, 5))
     b = simulate(spec, grid, replicate_generator(SEED, 5))
-    assert np.array_equal(a.raw, b.raw)
-    assert np.array_equal(a.normalized, b.normalized)
+    assert np.array_equal(a, b)
     c = simulate(spec, grid, replicate_generator(SEED, 6))
-    assert not np.array_equal(a.raw, c.raw)  # different replicate, different path
+    assert not np.array_equal(a, c)  # different replicate, different path
 
 
 def test_generalized_marginal_changes_support_and_scale():
@@ -341,8 +341,8 @@ def test_generalized_marginal_changes_support_and_scale():
         ModelKind.GENERALIZED_KARLIN_1D, (0.6,), (200,), marginal=MarginalLaw.scaled_sign(2.0)
     )
     grid = CornerGrid((1.0,))
-    s = simulate(spec, grid, replicate_generator(SEED, 7))
-    assert float(s.raw[0]) % 2 == 0  # sums of ±2 are even
+    raw = simulate(spec, grid, replicate_generator(SEED, 7))
+    assert float(raw[0]) % 2 == 0  # sums of ±2 are even
     base = ModelSpec(ModelKind.KARLIN_1D, (0.6,), (200,))
     z_base, _ = normalization(base)
     z_gen, _ = normalization(spec)
@@ -354,7 +354,7 @@ def test_generalized_karlin_variance_identity():
     spec = ModelSpec(ModelKind.GENERALIZED_KARLIN_1D, (0.6,), (200,), marginal=law)
     grid = CornerGrid((1.0,))
     vals = np.array([
-        float(simulate(spec, grid, replicate_generator(SEED, r)).raw[0]) for r in range(5000)
+        float(simulate(spec, grid, replicate_generator(SEED, r))[0]) for r in range(5000)
     ])
     _, ek_odd = expected_occupancy(make_karlin_pmf(0.6), 200)
     target = ek_odd * law.second_moment
@@ -375,8 +375,8 @@ def test_rectangle_sum_matches_direct_summation():
     ts = tuple((i + 1) / n for i in range(n))
     spec = ModelSpec(ModelKind.KARLIN_2D, (0.6, 0.6), (n, n))
     grid = CornerGrid(ts, ts)
-    s = simulate(spec, grid, replicate_generator(SEED, 10))
-    full = np.pad(s.raw, ((1, 0), (1, 0)))
+    raw = simulate(spec, grid, replicate_generator(SEED, 10))
+    full = np.pad(raw, ((1, 0), (1, 0)))
     x = np.diff(np.diff(full, axis=0), axis=1)
     rng = np.random.default_rng(3)
     for _ in range(25):
@@ -406,9 +406,9 @@ def test_karlin2d_rectangle_increments_are_stationary():
     sums = {pos: [] for pos in positions}
     means = []
     for r in range(reps):
-        s = simulate(spec, grid, replicate_generator(SEED, 200 + r))
-        means.append(s.raw[-1, -1] / (n * n))
-        full = np.pad(s.raw, ((1, 0), (1, 0)))
+        raw = simulate(spec, grid, replicate_generator(SEED, 200 + r))
+        means.append(raw[-1, -1] / (n * n))
+        full = np.pad(raw, ((1, 0), (1, 0)))
         for a1, a2 in positions:
             sums[(a1, a2)].append(_rectangle_sum(full, (a1, a2), (a1 + h, a2 + h)))
     variances = [np.var(sums[pos], ddof=1) for pos in positions]
@@ -432,6 +432,6 @@ def test_marginal_values_appear_in_field():
     law = MarginalLaw.two_point(2.0, -1.0, 1.0 / 3.0)
     spec = ModelSpec(ModelKind.GENERALIZED_HS_1D, (0.25,), (64,), forest_depth=500, marginal=law)
     ts = tuple((i + 1) / 64 for i in range(64))
-    s = simulate(spec, CornerGrid(ts), replicate_generator(SEED, 11))
-    increments = np.diff(np.concatenate(([0.0], s.raw)))
+    raw = simulate(spec, CornerGrid(ts), replicate_generator(SEED, 11))
+    increments = np.diff(np.concatenate(([0.0], raw)))
     assert set(np.round(np.unique(increments), 9)) <= {-1.0, 2.0}

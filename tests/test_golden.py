@@ -26,12 +26,14 @@ from partition_fields import (
     MarginalLaw,
     ModelKind,
     ModelSpec,
+    normalization,
     replicate_generator,
     run_replicates,
     run_suite,
     simulate,
 )
 from partition_fields.cli import RunConfig, cmd_simulate
+from partition_fields.fields import _metadata
 
 GOLDEN = Path(__file__).parent / "data" / "golden_v1.json"
 SEED = "601de000000000000000000000000001"
@@ -85,14 +87,15 @@ CLI_CASES = {
 def record(spec: ModelSpec) -> dict:
     """Everything pinned for one case, as it reads back from JSON."""
     grid = GRID_2D if spec.is_2d else GRID_1D
-    sample = simulate(spec, grid, replicate_generator(SEED, REPLICATE))
+    raw = simulate(spec, grid, replicate_generator(SEED, REPLICATE))
+    z_norm, sigma = normalization(spec)
     report = run_replicates(spec, grid, REPORT_REPLICATES, SEED).to_dict()
     digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
     out = {
-        "raw": sample.raw.ravel().tolist(),
-        "z_norm": sample.z_norm,
-        "sigma": sample.sigma,
-        "metadata": sample.metadata,
+        "raw": raw.ravel().tolist(),
+        "z_norm": z_norm,
+        "sigma": sigma,
+        "metadata": _metadata(spec),
         "identities": report["identities"],
         "truncation": report["truncation"],
         "report_sha256": digest,

@@ -20,7 +20,8 @@ from partition_fields import (
     sample_forest,
     sample_urn,
 )
-from partition_fields.fields import Axis, AxisKind
+from partition_fields.distributions import PmfKind
+from partition_fields.fields import Axis
 from partition_fields.partition1d import roots_of, truncation_pair_bound
 
 from conftest import running_parity_oracle
@@ -33,7 +34,7 @@ from conftest import running_parity_oracle
 def _parity_rows(path: UrnPath) -> np.ndarray:
     # per-box count parities after each draw: the urn axis's corner counts at every site
     n = len(path)
-    axis = Axis(AxisKind.URN, 0.5, n)
+    axis = Axis(PmfKind.KARLIN_ZIPF, 0.5, n)
     return axis.corner_counts(path.inverse, path.classes.size, tuple(m / n for m in range(1, n + 1)))
 
 

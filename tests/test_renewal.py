@@ -24,7 +24,8 @@ from partition_fields import (
 )
 import partition_fields
 from partition_fields import renewal
-from partition_fields.fields import Axis, AxisKind
+from partition_fields.distributions import PmfKind
+from partition_fields.fields import Axis
 from partition_fields.renewal import (
     RenewalConvergenceWarning,
     _fftconvolve,
@@ -239,7 +240,7 @@ def _limit_var(*axes: Axis) -> float:
 
 
 def test_sigma_sq_karlin2d_closed_form():
-    urn = Axis(AxisKind.URN, 0.5, 1)
+    urn = Axis(PmfKind.KARLIN_ZIPF, 0.5, 1)
     assert _limit_var(urn, urn) == pytest.approx(math.pi / 2, abs=1e-12)
 
 
@@ -247,7 +248,7 @@ def test_sigma_sq_forest_formula_shapes():
     # the forest axis takes Var(X*) from the renewal sequence at kmax 2^18
     rs = renewal_sequence(make_hs_pmf(0.25), 1 << 18)
     v = var_xstar(rs)
-    forest, urn = Axis(AxisKind.FOREST, 0.25, 1), Axis(AxisKind.URN, 0.5, 1)
+    forest, urn = Axis(PmfKind.HS_TAIL, 0.25, 1), Axis(PmfKind.KARLIN_ZIPF, 0.5, 1)
     assert _limit_var(forest, forest) == pytest.approx(bn_sq_growth_constant(0.25) ** 2 * v * v, rel=1e-12)
     assert _limit_var(forest, urn) == pytest.approx(
         bn_sq_growth_constant(0.25) * v * gamma(0.5) * 2**-0.5, rel=1e-12

@@ -18,6 +18,7 @@ from partition_fields import (
     replicate_generator,
     run_replicates,
     sample_fbs,
+    simulate,
 )
 from partition_fields.stats import DegenerateSampleError, _kolmogorov_sf
 
@@ -125,13 +126,7 @@ def test_run_replicates_two_sample_hand_check():
     spec = ModelSpec(ModelKind.KARLIN_1D, (0.6,), (50,))
     grid = CornerGrid((0.5, 1.0))
     rep = run_replicates(spec, grid, 2, SEED)
-    rows = np.array([
-        (lambda s: s.raw)(r)
-        for r in [
-            __import__("partition_fields").simulate(spec, grid, replicate_generator(SEED, i))
-            for i in range(2)
-        ]
-    ])
+    rows = np.array([simulate(spec, grid, replicate_generator(SEED, i)) for i in range(2)])
     z = rep.z_norm
     assert np.allclose(rep.mean_vec, rows.mean(axis=0) / z)
     assert np.allclose(rep.cov_mat, np.cov(rows.T / z, ddof=1))
