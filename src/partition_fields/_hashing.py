@@ -35,18 +35,21 @@ def _as_u64(a) -> np.ndarray:
     return np.atleast_1d(np.asarray(a)).astype(np.uint64, copy=False)
 
 
-def hash1(key: tuple[int, int], a) -> np.ndarray:
-    """Keyed hash of one identifier array."""
-    k0 = np.uint64(key[0])
-    k1 = np.uint64(key[1])
+def _key_words(key) -> tuple[np.ndarray, np.ndarray]:
+    # a key is two 64-bit words, or two arrays of them that broadcast against the identifiers
+    return np.asarray(key[0], dtype=np.uint64), np.asarray(key[1], dtype=np.uint64)
+
+
+def hash1(key, a) -> np.ndarray:
+    """Keyed hash of one identifier array (per-identifier keys broadcast)."""
+    k0, k1 = _key_words(key)
     h = _finalize((_as_u64(a) + _GOLDEN) ^ k0)
     return _finalize(h ^ k1)
 
 
-def hash2(key: tuple[int, int], a, b) -> np.ndarray:
-    """Keyed hash of an identifier pair; broadcasts `a` against `b`."""
-    k0 = np.uint64(key[0])
-    k1 = np.uint64(key[1])
+def hash2(key, a, b) -> np.ndarray:
+    """Keyed hash of an identifier pair; broadcasts `a` against `b` (and the key)."""
+    k0, k1 = _key_words(key)
     h = _finalize((_as_u64(a) + _GOLDEN) ^ k0)
     return _finalize(h ^ (_as_u64(b) * _WORD2 + k1))
 

@@ -259,7 +259,7 @@ def cmd_simulate(cfg: RunConfig) -> list[Path]:
         raise ConfigError("simulate requires model and grid")
     if cfg.model.is_2d != cfg.grid.is_2d:
         raise ConfigError("grid dimensionality must match the model")
-    raw = simulate(cfg.model, cfg.grid, replicate_generator(cfg.seed, 0))
+    raw = simulate(cfg.model, cfg.grid, [replicate_generator(cfg.seed, 0)])[0]
     z, sigma = normalization(cfg.model)
     normalized = raw / z
     rows = []

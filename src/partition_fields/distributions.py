@@ -18,6 +18,7 @@ uncontrolled bias term.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -33,6 +34,8 @@ __all__ = [
     "MarginalLaw",
     "make_karlin_pmf",
     "make_hs_pmf",
+    "invert_hs_tail",
+    "sample_zipf_rows",
 ]
 
 # Largest label/jump magnitude we materialize.  Mass above is handled by
@@ -128,9 +131,9 @@ class PowerLawPmf:
         """Exact draws; scalar when size is None, else int64 array."""
         m = 1 if size is None else int(size)
         if self.kind is PmfKind.HS_TAIL:
-            out = _sample_hs(self.alpha, rng, m)
+            out = invert_hs_tail(self.alpha, rng.random(m))
         else:
-            out = _sample_zipf(self._s, rng, m)
+            out = sample_zipf_rows(self.alpha, [rng], m)[0]
         return int(out[0]) if size is None else out
 
     def _self_check(self) -> None:
@@ -153,9 +156,8 @@ def make_hs_pmf(alpha: float) -> PowerLawPmf:
     return PowerLawPmf(PmfKind.HS_TAIL, alpha)
 
 
-def _sample_hs(alpha: float, rng: np.random.Generator, m: int) -> np.ndarray:
-    # Exact inversion of the tail: P(k >= n) = n**(-alpha).
-    u = rng.random(m)
+def invert_hs_tail(alpha: float, u: np.ndarray) -> np.ndarray:
+    """The jumps whose uniforms are u, by exact inversion of P(k >= n) = n**(-alpha)."""
     with np.errstate(over="ignore"):
         x = (1.0 - u) ** (-1.0 / alpha)
     x = np.minimum(x, float(_MAX_VALUE))
@@ -164,35 +166,50 @@ def _sample_hs(alpha: float, rng: np.random.Generator, m: int) -> np.ndarray:
     return k
 
 
-def _sample_zipf(s: float, rng: np.random.Generator, m: int) -> np.ndarray:
-    """Rejection sampler for p_k proportional to k**(-s), s > 1 (Devroye).
+def sample_zipf_rows(alpha: float, rngs, m: int) -> np.ndarray:
+    """Rejection sampler for p_k proportional to k**(-s), s = 1/alpha > 1 (Devroye).
 
-    Proposal: X continuous with density (s-1) x**(-s) on [1, inf) by
-    inversion, discretized as k = floor(X).  The acceptance ratio
-    T/(k(T-1)) with T = (1+1/k)**(s-1) is maximized at k = 1, which yields
-    the constant b/(b-1), b = 2**(s-1); expected proposals per draw are
-    bounded on compact alpha sets.  expm1/log1p keep T-1 exact for huge k.
-    Proposals above 2**62 are rejected (resampled), i.e. draws follow the
-    law conditioned on k < 2**62; the neglected mass is tail(2**62).
+    Returns one row of m draws per generator.  Proposal: X continuous with
+    density (s-1) x**(-s) on [1, inf) by inversion, discretized as
+    k = floor(X).  The acceptance ratio T/(k(T-1)) with T = (1+1/k)**(s-1) is
+    maximized at k = 1, which yields the constant b/(b-1), b = 2**(s-1);
+    expected proposals per draw are bounded on compact alpha sets.
+    expm1/log1p keep T-1 exact for huge k.  Proposals above 2**62 are
+    rejected (resampled), i.e. draws follow the law conditioned on k < 2**62;
+    the neglected mass is tail(2**62).
+
+    Each round, every row still short of draws takes its ``todo`` u's and
+    then its ``todo`` v's from its own generator, so a row depends on its
+    generator alone; the acceptance test runs once on all rows' proposals.
     """
-    x = s - 1.0
+    x = 1.0 / alpha - 1.0
     inv_b1 = 1.0 / np.expm1(x * np.log(2.0))  # 1/(b-1)
     inv_b = 2.0**-x
-    out = np.empty(m, dtype=np.int64)
-    filled = 0
-    while filled < m:
-        todo = m - filled
-        u = rng.random(todo)
-        v = rng.random(todo)
+    out = np.empty((len(rngs), m), dtype=np.int64)
+    filled = np.zeros(len(rngs), dtype=np.int64)
+    short = np.flatnonzero(filled < m)
+    while short.size:
+        todo = m - filled[short]
+        ends = np.cumsum(todo)
+        u = np.empty(int(ends[-1]))
+        v = np.empty_like(u)
+        for row, lo, hi in zip(short.tolist(), (ends - todo).tolist(), ends.tolist()):
+            rngs[row].random(out=u[lo:hi])
+            rngs[row].random(out=v[lo:hi])
         with np.errstate(over="ignore"):
             xf = u ** (-1.0 / x)
         ok = xf < float(_MAX_VALUE)
         kf = np.floor(xf, where=ok, out=np.ones_like(xf))
         tm1 = np.expm1(x * np.log1p(1.0 / kf))
-        accept = ok & (v * kf * tm1 * inv_b1 <= (tm1 + 1.0) * inv_b)
-        n_acc = int(np.count_nonzero(accept))
-        out[filled : filled + n_acc] = kf[accept].astype(np.int64)
-        filled += n_acc
+        accept = np.flatnonzero(ok & (v * kf * tm1 * inv_b1 <= (tm1 + 1.0) * inv_b))
+        # accepted draws keep their order within each row
+        seg = np.searchsorted(ends, accept, side="right")
+        n_acc = np.bincount(seg, minlength=short.size)
+        rank = np.arange(accept.size) - (np.cumsum(n_acc) - n_acc)[seg]
+        rows = short[seg]
+        out[rows, filled[rows] + rank] = kf[accept].astype(np.int64)
+        filled[short] += n_acc
+        short = short[filled[short] < m]
     return out
 
 
@@ -272,11 +289,14 @@ class MarginalLaw:
     prob_a: float = 0.5
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.value_a, self.value_b, self.prob_a)):
+            raise ValueError("marginal values and prob_a must be finite")
         scale = max(abs(self.value_a), abs(self.value_b), 1e-300)
         if not 0.0 < self.prob_a < 1.0:
             raise ValueError("prob_a must lie in (0,1)")
         mean = self.prob_a * self.value_a + (1.0 - self.prob_a) * self.value_b
-        if abs(mean) > 1e-12 * scale:
+        # stated as what must hold, so NaN fails it
+        if not abs(mean) <= 1e-12 * scale:
             raise ValueError(f"marginal law must be centered, mean={mean}")
         if self.kind is MarginalKind.RADEMACHER and (self.value_a, self.value_b, self.prob_a) != (1.0, -1.0, 0.5):
             raise ValueError("a Rademacher law takes the values 1 and -1 with probability 1/2")

@@ -9,9 +9,11 @@ corner-count matrix A[m, c] (sites of class c among 1..floor(n*t_m); for an
 urn box, the parity of that count, which is the running sum of its
 alternating signs), attaches replayable spin values to the (product)
 classes through the keyed hash, and evaluates every corner with one
-product: A v in 1D, A1 eps A2^T in 2D.  The limit variance, the Hurst
-index and the normalization factor by direction as well, so each axis owns
-its share of them.
+product: A v in 1D, A1 eps A2^T in 2D.  Replicates are simulated in
+batches: each axis samples and resolves the partitions of a whole batch in
+one pass, and only the final products run per replicate.  The limit
+variance, the Hurst index and the normalization factor by direction as
+well, so each axis owns its share of them.
 
 Normalizations divide by Z so that the normalized field converges to the
 *standard* fractional Brownian sheet; the plain power-law normalization is
@@ -34,7 +36,7 @@ from scipy.special import gamma
 
 from ._hashing import hash1, hash2, signs_from
 from .distributions import MarginalLaw, PmfKind, PowerLawPmf, make_hs_pmf, make_karlin_pmf
-from .partition1d import roots_of, sample_forest, sample_urn, truncation_pair_bound
+from .partition1d import classes_by_row, roots_of, sample_forest, sample_urn, truncation_pair_bound
 from .renewal import bn_sq_growth_constant, cached_renewal_sequence, var_xstar
 from .seeding import spin_key
 
@@ -45,11 +47,14 @@ __all__ = [
     "ModelSpec",
     "CornerGrid",
     "simulate",
+    "batch_size",
     "normalization",
 ]
 
 DEFAULT_FOREST_FLOOR = 10**5
 _RENEWAL_KMAX_NORM = 1 << 18
+# array elements one simulate batch may hold; see batch_size
+_BATCH_ELEMENTS = 1 << 21
 
 
 class ModelKind(enum.Enum):
@@ -128,23 +133,29 @@ class Axis:
             return None
         return truncation_pair_bound(self.pmf, -self.depth)
 
-    def sample(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        """(class ids, each site's index into them)."""
+    def sample(self, rngs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One row per generator: (class ids, each site's index into them, row starts).
+
+        See :func:`~partition_fields.partition1d.classes_by_row` for the layout.
+        """
         if self.is_urn:
-            path = sample_urn(self.pmf, self.n, rng)
-            return path.classes, path.inverse
-        window = sample_forest(self.pmf, -self.depth, self.n, rng)
-        return np.unique(roots_of(window, np.arange(1, self.n + 1)), return_inverse=True)
+            path = sample_urn(self.pmf, self.n, rngs)
+            return path.classes, path.inverse, path.starts
+        window = sample_forest(self.pmf, -self.depth, self.n, rngs)
+        return classes_by_row(roots_of(window, np.arange(1, self.n + 1)))
 
     def corner_counts(self, inv: np.ndarray, k: int, ts: tuple[float, ...]) -> np.ndarray:
         """int64 (corners, k): row m counts the sites of class c among 1..floor(n*t_m).
+
+        ``inv`` holds each site's class, one row of n sites per replicate (a
+        1D array is one replicate); the classes of all rows share the k columns.
 
         An urn axis keeps only each count's parity: its signs alternate +1, -1
         within a box, so their running sum is 1 after an odd count, else 0.
         """
         idx = _corner_index(self.n, ts)
         first = np.searchsorted(idx, np.arange(self.n), side="right")  # first corner holding each site
-        counts = np.bincount(first * k + inv, minlength=(idx.size + 1) * k)
+        counts = np.bincount((first * k + inv).ravel(), minlength=(idx.size + 1) * k)
         counts = np.cumsum(counts.reshape(idx.size + 1, k)[:-1], axis=0)
         return counts & 1 if self.is_urn else counts
 
@@ -305,24 +316,46 @@ def _metadata(spec: ModelSpec) -> dict:
     return meta
 
 
-def simulate(spec: ModelSpec, grid: CornerGrid, rng: np.random.Generator) -> np.ndarray:
-    """One replicate's raw corner sums in the grid's shape (divide by Z to normalize).
+def batch_size(spec: ModelSpec, grid: CornerGrid) -> int:
+    """Replicates per simulate call: an element budget over one replicate's footprint.
 
-    A pure function of (spec, grid, rng state): the spin key is drawn first and
-    the axes then sample in direction order, which fixes the stream's layout.
+    A replicate holds, per axis, its n + depth window sites (labels, or the
+    forest's jump uniforms) and a (corners + 1) x n count matrix.
+    """
+    footprint = sum(
+        axis.n + axis.depth + (len(ts) + 1) * axis.n for axis, ts in zip(spec.axes, (grid.t1, grid.t2))
+    )
+    return max(1, _BATCH_ELEMENTS // footprint)
+
+
+def simulate(spec: ModelSpec, grid: CornerGrid, rngs) -> np.ndarray:
+    """Raw corner sums of one replicate per generator, shape (len(rngs), *grid.shape()).
+
+    Row b is a pure function of (spec, grid, rngs[b] state): each generator
+    gives its spin key first and then the axes' draws in direction order,
+    which fixes the stream's layout.  Divide by Z to normalize.
     """
     if grid.is_2d != spec.is_2d:
         raise ValueError(f"{spec.kind.value} needs a {'2D' if spec.is_2d else '1D'} grid")
-    key = spin_key(rng)
-    sampled = [axis.sample(rng) for axis in spec.axes]
+    keys = np.array([spin_key(rng) for rng in rngs], dtype=np.uint64)
+    sampled = [axis.sample(rngs) for axis in spec.axes]
     counts = [
         axis.corner_counts(inv, uniq.size, ts)
-        for axis, (uniq, inv), ts in zip(spec.axes, sampled, (grid.t1, grid.t2))
+        for axis, (uniq, inv, _), ts in zip(spec.axes, sampled, (grid.t1, grid.t2))
     ]
+    out = np.empty((len(rngs), *grid.shape()))
     if spec.is_2d:
-        (u1, _), (u2, _) = sampled
-        core = signs_from(hash2(key, u1[:, None], u2[None, :]))
-        return (counts[0] @ core @ counts[1].T).astype(np.float64)  # exact: int64 matmul
-    (axis,), ((uniq, _),), (a,) = spec.axes, sampled, counts
-    # a reduction, not float @: BLAS may sum in a CPU-dependent order
-    return (a * axis.draw(spec.marginal, hash1(key, uniq))).sum(axis=1)
+        (u1, _, s1), (u2, _, s2) = sampled
+        for b, key in enumerate(keys):
+            c1, c2 = slice(s1[b], s1[b + 1]), slice(s2[b], s2[b + 1])
+            core = signs_from(hash2(key, u1[c1, None], u2[None, c2]))
+            out[b] = counts[0][:, c1] @ core @ counts[1][:, c2].T  # exact: int64 matmul
+        return out
+    (axis,), ((uniq, _, starts),), (a,) = spec.axes, sampled, counts
+    class_keys = keys[np.repeat(np.arange(len(rngs)), np.diff(starts))]
+    v = axis.draw(spec.marginal, hash1(class_keys.T, uniq))
+    for b in range(len(rngs)):
+        c = slice(starts[b], starts[b + 1])
+        # per replicate, and a reduction, not float @: BLAS may sum in a CPU-dependent order
+        out[b] = (a[:, c] * v[c]).sum(axis=1)
+    return out

@@ -10,11 +10,12 @@ Two partitions of the index line are provided:
   so the jumps are sampled on a window (lo, hi] with a quantified truncation
   bound; a line is cut where it would leave the window, which errs toward
   independence.  Roots are found only for the query sites, by walking
-  their lines down the window.
+  their lines down the window; only the jumps the walks read are drawn.
 
-Each engine resolves its partition once, in the form the fields read: the
-urn's box of each draw, the forest's root of each query site.  The fields
-count each class's sites below every corner from these; an urn box's
+Both engines sample a batch of replicates at once, one row per replicate
+generator, and resolve each row's partition once, in the form the fields
+read: the urn's box of each draw, the forest's root of each query site.  The
+fields count each class's sites below every corner from these; an urn box's
 alternating signs sum to the parity of its count.
 """
 
@@ -25,11 +26,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .distributions import PmfKind, PowerLawPmf
+from .distributions import PmfKind, PowerLawPmf, invert_hs_tail, sample_zipf_rows
 from .renewal import cached_renewal_sequence
 
 __all__ = [
     "UrnPath",
+    "classes_by_row",
     "OccupancySummary",
     "ForestWindow",
     "sample_urn",
@@ -44,24 +46,44 @@ _OCCUPANCY_TOL = 1e-10  # certificate on the discarded second-order tail
 _OCCUPANCY_MAX_BOXES = 1 << 28
 
 
+def classes_by_row(ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(classes, inverse, starts) of the rows of ``ids`` (a 1D array is one row).
+
+    Row b's distinct ids, in increasing order, are
+    ``classes[starts[b]:starts[b + 1]]``, and ``classes[inverse[b, i]] == ids[b, i]``:
+    one row-wise sort in place of one ``np.unique`` per row.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    rows = ids.reshape(-1, ids.shape[-1])
+    order = np.argsort(rows, axis=1)
+    ordered = np.take_along_axis(rows, order, axis=1)
+    new = np.ones(rows.shape, dtype=bool)
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=new[:, 1:])
+    inverse = np.empty_like(rows)
+    np.put_along_axis(inverse, order, np.cumsum(new).reshape(rows.shape) - 1, axis=1)
+    starts = np.concatenate(([0], np.cumsum(np.count_nonzero(new, axis=1))))
+    return ordered[new], inverse.reshape(ids.shape), starts
+
+
 @dataclass(frozen=True)
 class UrnPath:
-    """Label draws Y_1..Y_n and their boxes.
+    """Label draws Y_1..Y_n and their boxes, one row per replicate (1D: one path).
 
-    ``classes`` are the distinct labels in increasing order and
-    ``classes[inverse[i]] == labels[i]``.
+    ``classes`` are each row's distinct labels in increasing order, row after
+    row (row b's from ``starts[b]``), and ``classes[inverse[b, i]] == labels[b, i]``.
     """
 
     labels: np.ndarray
     classes: np.ndarray
     inverse: np.ndarray
+    starts: np.ndarray
 
     @classmethod
     def from_labels(cls, labels) -> "UrnPath":
         labels = np.asarray(labels, dtype=np.int64)
         if labels.size == 0:
             raise ValueError("label sequence must be nonempty")
-        return cls(labels, *np.unique(labels, return_inverse=True))
+        return cls(labels, *classes_by_row(labels))
 
     def __len__(self) -> int:
         return self.labels.size
@@ -83,16 +105,18 @@ class OccupancySummary:
             raise ValueError("multiplicity histogram inconsistent with draw count")
 
 
-def sample_urn(pmf, n: int, rng: np.random.Generator) -> UrnPath:
-    """Draw n labels i.i.d. from the pmf and sort them into boxes."""
+def sample_urn(pmf: PowerLawPmf, n: int, rngs) -> UrnPath:
+    """Draw n Zipf labels per generator, one row each, and sort each row into boxes."""
+    if getattr(pmf, "kind", None) is not PmfKind.KARLIN_ZIPF:
+        raise ValueError("urn labels must follow a KarlinZipf pmf")
     if n < 1:
         raise ValueError("n must be >= 1")
-    return UrnPath.from_labels(pmf.sample(rng, size=n))
+    return UrnPath.from_labels(sample_zipf_rows(pmf.alpha, rngs, n))
 
 
 def occupancy(path: UrnPath) -> OccupancySummary:
-    """Exact occupancy counts of the whole path."""
-    counts = np.bincount(path.inverse)  # every box of the path holds a draw
+    """Exact occupancy counts of the whole path (every row's boxes together)."""
+    counts = np.bincount(path.inverse.ravel())  # every box of the path holds a draw
     mult, mult_counts = np.unique(counts, return_counts=True)
     return OccupancySummary(
         n=int(counts.sum()),
@@ -146,32 +170,48 @@ def expected_occupancy(pmf, n: int) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class ForestWindow:
-    """Ancestral-forest jumps on the index window (lo, hi].
+    """Ancestral-forest jumps on the index window (lo, hi], one row per replicate.
 
-    ``jumps[i - lo - 1]`` is J_i: site i is joined to its parent i - J_i.
-    Components are resolved on demand by :func:`roots_of`.
+    ``jumps[..., i - lo - 1]`` is J_i: site i is joined to its parent i - J_i
+    (a 1D array is one replicate).  A sampled window holds, in place of the
+    jumps, the uniforms that ``law`` inverts to them, and a walk inverts only
+    the sites it reads.  Components are resolved on demand by :func:`roots_of`.
     """
 
     lo: int
     hi: int
     jumps: np.ndarray
+    law: PowerLawPmf | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "jumps", np.asarray(self.jumps, dtype=np.int64))
         w = self.hi - self.lo
-        if self.jumps.shape != (w,):
-            raise ValueError(f"need {w} jumps for window ({self.lo}, {self.hi}]")
-        if np.any(self.jumps < 1):
-            raise ValueError("jumps must be >= 1")  # a zero jump never leaves its site
+        if self.law is None:
+            object.__setattr__(self, "jumps", np.asarray(self.jumps, dtype=np.int64))
+            if np.any(self.jumps < 1):
+                raise ValueError("jumps must be >= 1")  # a zero jump never leaves its site
+        if self.jumps.ndim not in (1, 2) or self.jumps.shape[-1] != w:
+            raise ValueError(f"need {w} jumps per row for window ({self.lo}, {self.hi}]")
+
+    def jumps_at(self, pos: np.ndarray) -> np.ndarray:
+        """J at flat positions ``row * (hi - lo) + (i - lo - 1)``."""
+        values = self.jumps.reshape(-1)[pos]
+        return values if self.law is None else invert_hs_tail(self.law.alpha, values)
 
 
-def sample_forest(pmf: PowerLawPmf, lo: int, hi: int, rng: np.random.Generator) -> ForestWindow:
-    """Sample the jumps of the window (lo, hi]."""
+def sample_forest(pmf: PowerLawPmf, lo: int, hi: int, rngs) -> ForestWindow:
+    """Sample the jumps of the window (lo, hi], one row per generator.
+
+    Each generator gives the hi - lo uniforms of its row; a jump is inverted
+    from its uniform when a walk reads it.
+    """
     if getattr(pmf, "kind", None) is not PmfKind.HS_TAIL:
         raise ValueError("forest jumps must follow an HsTail pmf")
     if not lo < 0 <= hi:
         raise ValueError(f"window must satisfy lo < 0 <= hi, got ({lo}, {hi})")
-    return ForestWindow(lo, hi, pmf.sample(rng, size=hi - lo))
+    u = np.empty((len(rngs), hi - lo))
+    for rng, row in zip(rngs, u):
+        rng.random(out=row)
+    return ForestWindow(lo, hi, u, pmf)
 
 
 @lru_cache(maxsize=64)
@@ -196,22 +236,25 @@ def truncation_pair_bound(pmf: PowerLawPmf, lo: int) -> float:
 
 
 def roots_of(window: ForestWindow, indices) -> np.ndarray:
-    """Canonical component representative for each requested index.
+    """Canonical component representative for each requested index, per row.
 
     The representative of site i is the smallest index on its ancestral line
-    inside the window: the line is walked down, all requested lines at once,
-    until its next parent i - J_i falls at or below lo.  The walk takes as
-    many vectorized steps as the longest requested line has in-window sites.
+    inside the window: the line is walked down, every requested line of every
+    row at once, until its next parent i - J_i falls at or below lo.  The walk
+    takes as many vectorized steps as the longest line has in-window sites.
+    The result has shape ``window.jumps.shape[:-1] + indices.shape``.
     """
     idx = np.asarray(indices, dtype=np.int64)
     if np.any(idx <= window.lo) or np.any(idx > window.hi):
         raise IndexError(f"indices must lie in ({window.lo}, {window.hi}]")
-    first = window.lo + 1
-    roots = idx.reshape(-1) - first  # window offsets; a line leaves at offset < 0
-    live, offsets = np.arange(roots.size), roots
+    first, w = window.lo + 1, window.hi - window.lo
+    # a line walks flat positions row * w + offset and leaves below its row's floor
+    floor = np.repeat(np.arange(0, window.jumps.size, w), idx.size)
+    roots = floor + np.tile(idx.reshape(-1) - first, window.jumps.size // w)
+    live, pos, live_floor = np.arange(roots.size), roots, floor
     while live.size:
-        parents = offsets - window.jumps[offsets]
-        inside = parents >= 0
-        live, offsets = live[inside], parents[inside]
-        roots[live] = offsets
-    return roots.reshape(idx.shape) + first
+        parents = pos - window.jumps_at(pos)
+        inside = parents >= live_floor
+        live, pos, live_floor = live[inside], parents[inside], live_floor[inside]
+        roots[live] = pos
+    return (roots - floor + first).reshape(window.jumps.shape[:-1] + idx.shape)

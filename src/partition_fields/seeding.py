@@ -1,14 +1,17 @@
 """Deterministic, platform-independent replicate seeding.
 
 Replicate ``r`` of a run with 128-bit base seed ``s`` draws from
-``Generator(Philox(key=s).jumped(r))``.  Philox is a counter-based generator,
-so ``jumped(r)`` addresses disjoint counter blocks: every replicate is
-computable independently of all others, which is what makes work-stealing
-parallelism bit-reproducible.  The scheme is identified in reports by
-:data:`SCHEME_ID`.
+``Generator(Philox(key=s).jumped(r))``, built directly as the Philox state
+that jump reaches: key s and a 256-bit counter holding r mod 2**128 in its
+upper 128 bits.  Philox is a counter-based generator, so these are disjoint
+counter blocks: every replicate is computable independently of all others,
+which is what makes work-stealing parallelism bit-reproducible.  The scheme
+is identified in reports by :data:`SCHEME_ID`.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -17,6 +20,7 @@ SCHEME_ID = "philox128-jumped-v1"
 
 _SEED_BITS = 128
 _SEED_MASK = (1 << _SEED_BITS) - 1
+_WORD_MASK = (1 << 64) - 1
 
 
 def normalize_seed(seed: int | str) -> int:
@@ -41,12 +45,12 @@ def seed_to_hex(seed: int) -> str:
 
 def replicate_generator(base_seed: int | str, replicate: int) -> Generator:
     """Independent generator for one replicate (see module docstring)."""
+    replicate = operator.index(replicate)
     if replicate < 0:
         raise ValueError("replicate index must be nonnegative")
-    bitgen = Philox(key=normalize_seed(base_seed))
-    if replicate:
-        bitgen = bitgen.jumped(replicate)
-    return Generator(bitgen)
+    # the counter of Philox(key=s).jumped(r), which wraps modulo 2**128
+    counter = np.array([0, 0, replicate & _WORD_MASK, (replicate >> 64) & _WORD_MASK], dtype=np.uint64)
+    return Generator(Philox(key=normalize_seed(base_seed), counter=counter))
 
 
 def spin_key(gen: Generator) -> tuple[int, int]:
@@ -55,5 +59,5 @@ def spin_key(gen: Generator) -> tuple[int, int]:
     Must be drawn before any model sampling so that the stream layout is
     fixed; `fields.simulate` relies on this ordering.
     """
-    k = gen.integers(0, 1 << 64, size=2, dtype=np.uint64)
+    k = gen.bit_generator.random_raw(2)  # the words integers(0, 2**64, size=2) returns
     return int(k[0]), int(k[1])

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .fields import KIND_TABLE, Axis, CornerGrid, ModelSpec, normalization, simulate
+from .fields import KIND_TABLE, Axis, CornerGrid, ModelSpec, batch_size, normalization, simulate
 from .partition1d import expected_occupancy
 from .renewal import cached_renewal_sequence, var_xstar, weights
 from .seeding import SCHEME_ID, normalize_seed, replicate_generator, seed_to_hex
@@ -96,8 +96,12 @@ class ReplicateReport:
 
 
 def _replicate_chunk(spec: ModelSpec, grid: CornerGrid, base_seed: int, r0: int, r1: int) -> np.ndarray:
-    rows = [simulate(spec, grid, replicate_generator(base_seed, r)).ravel() for r in range(r0, r1)]
-    return np.asarray(rows)
+    out = np.empty((r1 - r0, math.prod(grid.shape())))
+    step = batch_size(spec, grid)
+    for b0 in range(r0, r1, step):
+        rngs = [replicate_generator(base_seed, r) for r in range(b0, min(b0 + step, r1))]
+        out[b0 - r0 : b0 - r0 + len(rngs)] = simulate(spec, grid, rngs).reshape(len(rngs), -1)
+    return out
 
 
 def simulate_raw_matrix(

@@ -119,7 +119,7 @@ def suite_occupancy(alpha: float = 0.6, n: int = 10**6, seed=0xC0FFEE) -> SuiteR
     """Single-path occupancy ratios against the urn limits."""
     rng = replicate_generator(normalize_seed(seed), 0)
     pmf = make_karlin_pmf(alpha)
-    occ = occupancy(sample_urn(pmf, n, rng))
+    occ = occupancy(sample_urn(pmf, n, [rng]))
     scale = n**alpha * pmf.sv_constant
     checks = (
         _band_check(

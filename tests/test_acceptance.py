@@ -53,7 +53,7 @@ def test_criterion_01_occupancy_law():
     t0 = time.monotonic()
     alpha, n = 0.6, 10**6
     pmf = make_karlin_pmf(alpha)
-    occ = occupancy(sample_urn(pmf, n, replicate_generator(SEED, 1)))
+    occ = occupancy(sample_urn(pmf, n, [replicate_generator(SEED, 1)]))
     ratio_kn = occ.k_n / (n**alpha * pmf.sv_constant)
     ratio_odd = occ.k_odd / occ.k_n
     ok_kn = 0.9 * gamma(0.4) <= ratio_kn <= 1.1 * gamma(0.4)

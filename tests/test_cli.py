@@ -343,6 +343,11 @@ def test_non_object_config_section_exits_2(tmp_path, section, value):
     ({"hurst": [0.3, 0.4, 0.5]}, "hurst"),
     ({"seed": True}, "seed"),
     ({"output": None}, "output"),
+    # json reads bare NaN and Infinity as floats
+    ({"model": {"kind": "generalized-karlin1d", "alphas": [0.6], "n": [10],
+                "marginal": {"kind": "two_point", "a": float("nan"), "b": -1.0, "p": 0.5}}}, "model.marginal"),
+    ({"model": {"kind": "generalized-karlin1d", "alphas": [0.6], "n": [10],
+                "marginal": {"kind": "scaled_sign", "c": float("inf")}}}, "model.marginal"),
 ])
 def test_config_value_of_wrong_json_type_exits_2(tmp_path, monkeypatch, override, path):
     monkeypatch.chdir(tmp_path)  # a run with output null would write None.csv here

@@ -18,17 +18,9 @@ from partition_fields import (
     make_karlin_pmf,
     replicate_generator,
 )
-from partition_fields.distributions import MarginalKind, _sample_hs
+from partition_fields.distributions import MarginalKind, invert_hs_tail, sample_zipf_rows
 
-
-class _FixedUniform:
-    """rng stub returning a constant uniform; for inversion hand-checks."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self, m):
-        return np.full(m, self.u)
+from conftest import sample_zipf_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +114,18 @@ def test_hs_tail_differences_are_pmf():
     assert np.max(np.abs(lhs - np.asarray(pmf.pmf_at(n)))) < 1e-14
 
 
+@given(st.floats(0.05, 0.95), st.integers(0, 60), st.integers(1, 6), st.integers(0, 2**32))
+@settings(max_examples=100, deadline=None)
+def test_zipf_rows_match_one_generator_sampler(alpha, m, rows, seed):
+    rngs = [replicate_generator(seed, r) for r in range(rows)]
+    refs = [replicate_generator(seed, r) for r in range(rows)]
+    got = sample_zipf_rows(alpha, rngs, m)
+    assert got.shape == (rows, m)
+    for row, rng, ref in zip(got, rngs, refs):
+        assert np.array_equal(row, sample_zipf_oracle(1.0 / alpha, ref, m))
+        assert rng.random() == ref.random()  # each row read exactly its own generator's draws
+
+
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.7])
 def test_hs_pmf_domain(alpha):
     with pytest.raises(ValueError):
@@ -130,9 +134,9 @@ def test_hs_pmf_domain(alpha):
 
 def test_hs_inversion_hand_values():
     # (1-0.5)^(-4) = 16 -> ceil - 1 = 15
-    assert _sample_hs(0.25, _FixedUniform(0.5), 3).tolist() == [15, 15, 15]
+    assert invert_hs_tail(0.25, np.full(3, 0.5)).tolist() == [15, 15, 15]
     # u -> 0 gives the smallest jump
-    assert _sample_hs(0.25, _FixedUniform(0.0), 1).tolist() == [1]
+    assert invert_hs_tail(0.25, np.zeros(1)).tolist() == [1]
 
 
 def test_hs_sampler_matches_tail_law():
@@ -189,6 +193,17 @@ def test_marginal_law_validation_and_moments():
 def test_marginal_kind_must_match_values(values):
     with pytest.raises(ValueError):
         MarginalLaw(*values)
+
+
+@pytest.mark.parametrize("make, args", [
+    (MarginalLaw.two_point, (math.nan, -1.0, 0.5)),  # the centring check is false on a NaN mean
+    (MarginalLaw.two_point, (2.0, math.nan, 0.5)),
+    (MarginalLaw.two_point, (math.inf, -1.0, 0.5)),  # |mean| = inf is not above 1e-12 * inf
+    (MarginalLaw.scaled_sign, (math.inf,)),
+])
+def test_marginal_law_rejects_non_finite_values(make, args):
+    with pytest.raises(ValueError, match="finite"):
+        make(*args)
 
 
 @pytest.mark.parametrize(

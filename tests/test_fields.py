@@ -22,7 +22,7 @@ from partition_fields import (
 )
 from partition_fields import fields
 from partition_fields.distributions import PmfKind
-from partition_fields.fields import KIND_TABLE, Axis, _corner_index
+from partition_fields.fields import KIND_TABLE, Axis, _corner_index, batch_size
 
 from conftest import running_parity_oracle
 
@@ -93,6 +93,33 @@ def test_corner_count_sum_matches_site_prefix_sum(case, data):
     tol = axis.n * np.finfo(np.float64).eps * np.abs(v[inv]).sum()
     np.testing.assert_allclose((a * v).sum(axis=1), _prefix_oracle_1d(v[inv] * signs, axis.n, ts),
                                rtol=0, atol=tol)
+
+
+@given(st.sampled_from(ModelKind), st.integers(1, 12), st.integers(1, 12), st.integers(1, 40),
+       st.lists(st.integers(1, 4), min_size=1, max_size=5))
+@settings(max_examples=100, deadline=None)
+def test_batches_match_one_whole_batch(kind, n1, n2, depth, sizes):
+    row = KIND_TABLE[kind]
+    # a non-dyadic marginal, so that a different summation order would show
+    marginal = MarginalLaw.two_point(0.7, -0.3, 0.3) if row.generalized else MarginalLaw.rademacher()
+    spec = ModelSpec(kind, tuple(0.6 if axis is PmfKind.KARLIN_ZIPF else 0.25 for axis in row.axes),
+                     (n1, n2)[: len(row.axes)], marginal=marginal, forest_depth=depth)
+    ts = (0.25, 0.5, 1.0)
+    grid = CornerGrid(ts, ts if spec.is_2d else None)
+    whole = simulate(spec, grid, [replicate_generator(SEED, r) for r in range(sum(sizes))])
+    bounds = np.cumsum([0] + sizes)
+    for r0, r1 in zip(bounds[:-1], bounds[1:]):
+        part = simulate(spec, grid, [replicate_generator(SEED, r) for r in range(r0, r1)])
+        assert part.shape == (r1 - r0, *grid.shape())
+        assert part.tobytes() == whole[r0:r1].tobytes()
+
+
+def test_batch_size_divides_the_element_budget():
+    ts = tuple(m / 4096 for m in range(1, 4097))  # a corner at every site
+    assert batch_size(ModelSpec(ModelKind.KARLIN_1D, (0.6,), (4096,)), CornerGrid(ts)) == 1
+    spec = ModelSpec(ModelKind.HS_2D, (0.25, 0.25), (512, 512), forest_depth=10**5)
+    grid = CornerGrid((0.5, 1.0), (0.5, 1.0))
+    assert batch_size(spec, grid) == fields._BATCH_ELEMENTS // (2 * (512 + 10**5 + 3 * 512))
 
 
 def test_model_spec_validation():
@@ -179,10 +206,10 @@ def test_corner_index_is_cached_and_read_only():
 def test_grid_dimension_must_match_model():
     with pytest.raises(ValueError):
         simulate(ModelSpec(ModelKind.KARLIN_1D, (0.6,), (8,)), CornerGrid((1.0,), (1.0,)),
-                 replicate_generator(SEED, 0))
+                 [replicate_generator(SEED, 0)])[0]
     with pytest.raises(ValueError):
         simulate(ModelSpec(ModelKind.HS_2D, (0.25, 0.25), (8, 8)), CornerGrid((1.0,)),
-                 replicate_generator(SEED, 0))
+                 [replicate_generator(SEED, 0)])[0]
 
 
 def test_corner_grid_validation():
@@ -204,10 +231,10 @@ def test_corner_grid_validation():
 def _force_partitions(monkeypatch, urn=None, roots=None, core=None):
     """Pin the sampled partitions (labels / roots by horizon n) and the 2D spin core."""
     if urn is not None:
-        monkeypatch.setattr(fields, "sample_urn", lambda pmf, n, rng: UrnPath.from_labels(urn[n]))
+        monkeypatch.setattr(fields, "sample_urn", lambda pmf, n, rngs: UrnPath.from_labels([urn[n]]))
     if roots is not None:
-        monkeypatch.setattr(fields, "sample_forest", lambda pmf, lo, hi, rng: hi)
-        monkeypatch.setattr(fields, "roots_of", lambda hi, idx: np.asarray(roots[hi], dtype=np.int64))
+        monkeypatch.setattr(fields, "sample_forest", lambda pmf, lo, hi, rngs: hi)
+        monkeypatch.setattr(fields, "roots_of", lambda hi, idx: np.asarray([roots[hi]], dtype=np.int64))
     if core is not None:
         monkeypatch.setattr(fields, "signs_from", lambda h: np.asarray(core, dtype=np.int8))
 
@@ -215,12 +242,12 @@ def _force_partitions(monkeypatch, urn=None, roots=None, core=None):
 def test_karlin1d_forced_labels(monkeypatch):
     _force_partitions(monkeypatch, urn={3: [3, 3, 5]})
     monkeypatch.setattr(Axis, "draw", lambda self, marginal, h: np.array([1.0, -1.0]))  # V(3)=1, V(5)=-1
-    uniq, inv = Axis(PmfKind.KARLIN_ZIPF, 0.6, 3).sample(None)
+    uniq, inv, _ = Axis(PmfKind.KARLIN_ZIPF, 0.6, 3).sample([None])
     assert uniq.tolist() == [3, 5]
     thirds = (1 / 3, 2 / 3, 1.0)
     assert Axis(PmfKind.KARLIN_ZIPF, 0.6, 3).corner_counts(inv, 2, thirds).tolist() == [[1, 0], [0, 0], [0, 1]]
     raw = simulate(ModelSpec(ModelKind.KARLIN_1D, (0.6,), (3,)), CornerGrid(thirds),
-                   replicate_generator(SEED, 0))
+                   [replicate_generator(SEED, 0)])[0]
     x = np.diff(raw, prepend=0.0)
     assert x.tolist() == [1.0, -1.0, -1.0]
     assert x.sum() == -1.0
@@ -228,7 +255,7 @@ def test_karlin1d_forced_labels(monkeypatch):
 
 def test_karlin1d_single_draw_is_sign():
     spec = ModelSpec(ModelKind.KARLIN_1D, (0.6,), (1,))
-    raw = simulate(spec, CornerGrid((1.0,)), replicate_generator(SEED, 0))
+    raw = simulate(spec, CornerGrid((1.0,)), [replicate_generator(SEED, 0)])[0]
     assert abs(raw[0]) == 1.0
 
 
@@ -237,7 +264,7 @@ def test_karlin2d_forced_alternation_cancels(monkeypatch):
     _force_partitions(monkeypatch, urn={2: [3, 3], 1: [7]}, core=[[1]])  # eps(3,7) = +1
     grid = CornerGrid((0.5, 1.0), (1.0,))
     assert Axis(PmfKind.KARLIN_ZIPF, 0.6, 2).corner_counts(np.zeros(2, np.int64), 1, grid.t1).tolist() == [[1], [0]]
-    raw = simulate(ModelSpec(ModelKind.KARLIN_2D, (0.6, 0.6), (2, 1)), grid, replicate_generator(SEED, 0))
+    raw = simulate(ModelSpec(ModelKind.KARLIN_2D, (0.6, 0.6), (2, 1)), grid, [replicate_generator(SEED, 0)])[0]
     assert raw[0, 0] == 1.0 and raw[1, 0] == 0.0  # S(1,1)=eps, S(2,1)=0
 
 
@@ -254,7 +281,7 @@ def test_hs1d_forced_chain_and_isolates():
     roots2 = roots_of(window2, np.arange(1, 65))
     assert len(np.unique(roots2)) == 64
 
-    raw = simulate(spec, grid, replicate_generator(SEED, 1))
+    raw = simulate(spec, grid, [replicate_generator(SEED, 1)])[0]
     assert float(raw[0]).is_integer() and abs(raw[0]) <= 64
 
 
@@ -283,7 +310,7 @@ def test_hs2d_forced_product_structure(monkeypatch):
     counts = Axis(PmfKind.HS_TAIL, 0.25, 3).corner_counts(np.array([0, 0, 1]), 2, grid.t1)
     assert counts.tolist() == [[1, 0], [2, 0], [2, 1]]
     spec = ModelSpec(ModelKind.HS_2D, (0.25, 0.25), (3, 2), forest_depth=10)
-    raw = simulate(spec, grid, replicate_generator(SEED, 0))
+    raw = simulate(spec, grid, [replicate_generator(SEED, 0)])[0]
     x = np.diff(np.diff(np.pad(raw, ((1, 0), (1, 0))), axis=0), axis=1)
     assert x.tolist() == [[-1, 1], [-1, 1], [1, -1]]
 
@@ -294,7 +321,7 @@ def test_combined_forced_single_components(monkeypatch):
     grid = CornerGrid((1.0,), (1.0 / 3.0, 2.0 / 3.0, 1.0))
     assert Axis(PmfKind.KARLIN_ZIPF, 0.6, 3).corner_counts(np.zeros(3, np.int64), 1, grid.t2).tolist() == [[1], [0], [1]]
     spec = ModelSpec(ModelKind.COMBINED_2D, (0.25, 0.6), (4, 3), forest_depth=10)
-    raw = simulate(spec, grid, replicate_generator(SEED, 0))
+    raw = simulate(spec, grid, [replicate_generator(SEED, 0)])[0]
     assert raw[0].tolist() == [4.0, 0.0, 4.0]
 
 
@@ -303,8 +330,7 @@ def test_combined_single_row_reduces_to_urn_statistics():
     spec = ModelSpec(ModelKind.COMBINED_2D, (0.25, 0.6), (1, 256), forest_depth=200)
     grid = CornerGrid((1.0,), (1.0,))
     vals = np.array([
-        float(simulate(spec, grid, replicate_generator(SEED, r))[0, 0])
-        for r in range(4000)
+        simulate(spec, grid, [replicate_generator(SEED, r) for r in range(4000)])[:, 0, 0]
     ])
     _, ek_odd = expected_occupancy(make_karlin_pmf(0.6), 256)
     mc = np.var(vals, ddof=1)
@@ -329,10 +355,10 @@ def test_combined_single_row_reduces_to_urn_statistics():
     ],
 )
 def test_simulate_deterministic_per_seed(spec, grid):
-    a = simulate(spec, grid, replicate_generator(SEED, 5))
-    b = simulate(spec, grid, replicate_generator(SEED, 5))
+    a = simulate(spec, grid, [replicate_generator(SEED, 5)])[0]
+    b = simulate(spec, grid, [replicate_generator(SEED, 5)])[0]
     assert np.array_equal(a, b)
-    c = simulate(spec, grid, replicate_generator(SEED, 6))
+    c = simulate(spec, grid, [replicate_generator(SEED, 6)])[0]
     assert not np.array_equal(a, c)  # different replicate, different path
 
 
@@ -341,7 +367,7 @@ def test_generalized_marginal_changes_support_and_scale():
         ModelKind.GENERALIZED_KARLIN_1D, (0.6,), (200,), marginal=MarginalLaw.scaled_sign(2.0)
     )
     grid = CornerGrid((1.0,))
-    raw = simulate(spec, grid, replicate_generator(SEED, 7))
+    raw = simulate(spec, grid, [replicate_generator(SEED, 7)])[0]
     assert float(raw[0]) % 2 == 0  # sums of ±2 are even
     base = ModelSpec(ModelKind.KARLIN_1D, (0.6,), (200,))
     z_base, _ = normalization(base)
@@ -354,7 +380,7 @@ def test_generalized_karlin_variance_identity():
     spec = ModelSpec(ModelKind.GENERALIZED_KARLIN_1D, (0.6,), (200,), marginal=law)
     grid = CornerGrid((1.0,))
     vals = np.array([
-        float(simulate(spec, grid, replicate_generator(SEED, r))[0]) for r in range(5000)
+        simulate(spec, grid, [replicate_generator(SEED, r) for r in range(5000)])[:, 0]
     ])
     _, ek_odd = expected_occupancy(make_karlin_pmf(0.6), 200)
     target = ek_odd * law.second_moment
@@ -375,7 +401,7 @@ def test_rectangle_sum_matches_direct_summation():
     ts = tuple((i + 1) / n for i in range(n))
     spec = ModelSpec(ModelKind.KARLIN_2D, (0.6, 0.6), (n, n))
     grid = CornerGrid(ts, ts)
-    raw = simulate(spec, grid, replicate_generator(SEED, 10))
+    raw = simulate(spec, grid, [replicate_generator(SEED, 10)])[0]
     full = np.pad(raw, ((1, 0), (1, 0)))
     x = np.diff(np.diff(full, axis=0), axis=1)
     rng = np.random.default_rng(3)
@@ -406,7 +432,7 @@ def test_karlin2d_rectangle_increments_are_stationary():
     sums = {pos: [] for pos in positions}
     means = []
     for r in range(reps):
-        raw = simulate(spec, grid, replicate_generator(SEED, 200 + r))
+        raw = simulate(spec, grid, [replicate_generator(SEED, 200 + r)])[0]
         means.append(raw[-1, -1] / (n * n))
         full = np.pad(raw, ((1, 0), (1, 0)))
         for a1, a2 in positions:
@@ -432,6 +458,6 @@ def test_marginal_values_appear_in_field():
     law = MarginalLaw.two_point(2.0, -1.0, 1.0 / 3.0)
     spec = ModelSpec(ModelKind.GENERALIZED_HS_1D, (0.25,), (64,), forest_depth=500, marginal=law)
     ts = tuple((i + 1) / 64 for i in range(64))
-    raw = simulate(spec, CornerGrid(ts), replicate_generator(SEED, 11))
+    raw = simulate(spec, CornerGrid(ts), [replicate_generator(SEED, 11)])[0]
     increments = np.diff(np.concatenate(([0.0], raw)))
     assert set(np.round(np.unique(increments), 9)) <= {-1.0, 2.0}

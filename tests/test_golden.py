@@ -87,7 +87,7 @@ CLI_CASES = {
 def record(spec: ModelSpec) -> dict:
     """Everything pinned for one case, as it reads back from JSON."""
     grid = GRID_2D if spec.is_2d else GRID_1D
-    raw = simulate(spec, grid, replicate_generator(SEED, REPLICATE))
+    raw = simulate(spec, grid, [replicate_generator(SEED, REPLICATE)])[0]
     z_norm, sigma = normalization(spec)
     report = run_replicates(spec, grid, REPORT_REPLICATES, SEED).to_dict()
     digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()

@@ -24,7 +24,7 @@ from partition_fields.distributions import PmfKind
 from partition_fields.fields import Axis
 from partition_fields.partition1d import roots_of, truncation_pair_bound
 
-from conftest import running_parity_oracle
+from conftest import running_parity_oracle, sample_hs_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +77,7 @@ def test_occupancy_mass_conservation_and_parity_oracle(labels):
 def test_sample_urn_statistics():
     pmf = make_karlin_pmf(0.6)
     rng = replicate_generator("ab01", 0)
-    occ = occupancy(sample_urn(pmf, 10**5, rng))
+    occ = occupancy(sample_urn(pmf, 10**5, [rng]))
     scale = (10**5) ** 0.6 * pmf.sv_constant
     assert occ.k_n / scale == pytest.approx(gamma(0.4), rel=0.10)
     assert occ.k_odd / occ.k_n == pytest.approx(2 ** (0.6 - 1), rel=0.05)
@@ -87,9 +87,9 @@ def test_occupancy_increment_scaling():
     # windows of the sample behave like fresh samples of the window length
     pmf = make_karlin_pmf(0.6)
     rng = replicate_generator("ab01", 1)
-    path = sample_urn(pmf, 10**5, rng)
+    path = sample_urn(pmf, 10**5, [rng])
     n = len(path)
-    inc = occupancy(UrnPath.from_labels(path.labels[n // 4:3 * n // 4]))
+    inc = occupancy(UrnPath.from_labels(path.labels[0, n // 4:3 * n // 4]))
     scale = n**0.6 * pmf.sv_constant
     assert inc.k_n / scale == pytest.approx(0.5**0.6 * gamma(0.4), rel=0.10)
 
@@ -188,6 +188,20 @@ def test_roots_walk_matches_pointer_doubling(data):
     assert np.array_equal(roots_of(ForestWindow(-depth, hi, jumps), query), expected)
 
 
+@given(st.floats(0.05, 0.45), st.integers(1, 300), st.integers(0, 40), st.integers(1, 5), st.integers(0, 2**32))
+@settings(max_examples=100, deadline=None)
+def test_lazy_walk_matches_dense_jumps(alpha, depth, hi, rows, seed):
+    rngs = [replicate_generator(seed, r) for r in range(rows)]
+    refs = [replicate_generator(seed, r) for r in range(rows)]
+    idx = np.arange(1 - depth, hi + 1)  # every window site
+    got = roots_of(sample_forest(make_hs_pmf(alpha), -depth, hi, rngs), idx)
+    assert got.shape == (rows, idx.size)
+    for row, rng, ref in zip(got, rngs, refs):
+        dense = ForestWindow(-depth, hi, sample_hs_oracle(alpha, ref, depth + hi))
+        assert np.array_equal(row, roots_of(dense, idx))
+        assert rng.random() == ref.random()
+
+
 @given(st.lists(st.integers(1, 12), min_size=5, max_size=80))
 @settings(max_examples=100, deadline=None)
 def test_forest_component_invariants(jump_list):
@@ -208,11 +222,11 @@ def test_forest_component_invariants(jump_list):
 def test_sample_forest_validation_and_determinism():
     pmf = make_hs_pmf(0.25)
     with pytest.raises(ValueError):
-        sample_forest(make_karlin_pmf(0.5), -10, 5, replicate_generator("aa", 0))
+        sample_forest(make_karlin_pmf(0.5), -10, 5, [replicate_generator("aa", 0)])
     with pytest.raises(ValueError):
-        sample_forest(pmf, 0, 5, replicate_generator("aa", 0))
-    w1 = sample_forest(pmf, -500, 100, replicate_generator("aa", 1))
-    w2 = sample_forest(pmf, -500, 100, replicate_generator("aa", 1))
+        sample_forest(pmf, 0, 5, [replicate_generator("aa", 0)])
+    w1 = sample_forest(pmf, -500, 100, [replicate_generator("aa", 1)])
+    w2 = sample_forest(pmf, -500, 100, [replicate_generator("aa", 1)])
     sites = np.arange(-499, 101)
     assert np.array_equal(w1.jumps, w2.jumps)
     assert np.array_equal(roots_of(w1, sites), roots_of(w2, sites))
@@ -232,8 +246,8 @@ def test_adjacent_coalescence_against_line_walk_oracle():
     reps = 4000
     hits = 0
     for r in range(reps):
-        w = sample_forest(pmf, -depth, 2, replicate_generator("0b", r))
-        roots = roots_of(w, np.array([1, 2]))
+        w = sample_forest(pmf, -depth, 2, [replicate_generator("0b", r)])
+        (roots,) = roots_of(w, np.array([1, 2]))
         hits += int(roots[0] == roots[1])
     p_forest = hits / reps
 

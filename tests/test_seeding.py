@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy.random import Philox
 
 from partition_fields.seeding import (
     SCHEME_ID,
@@ -41,6 +42,25 @@ def test_spin_key_is_stream_prefix():
     gen2 = replicate_generator("abc123", 2)
     assert key == spin_key(gen2)
     assert all(0 <= k < (1 << 64) for k in key)
+
+
+@pytest.mark.parametrize("r", [0, 1, 199, 2**64 - 1, 2**64, 2**100, 2**128])
+def test_replicate_generator_is_jumped_philox(r):
+    expected = Philox(key=normalize_seed("abc123")).jumped(r).state
+    state = replicate_generator("abc123", r).bit_generator.state
+    assert state.keys() == expected.keys()
+    for name, value in expected.items():
+        if isinstance(value, dict):
+            assert all(np.array_equal(state[name][k], v) for k, v in value.items()), name
+        else:
+            assert np.array_equal(state[name], value), name
+
+
+def test_spin_key_is_the_first_two_words():
+    gen, gen2 = replicate_generator("abc123", 3), replicate_generator("abc123", 3)
+    words = gen2.integers(0, 1 << 64, size=2, dtype=np.uint64)
+    assert spin_key(gen) == (int(words[0]), int(words[1]))
+    assert gen.random() == gen2.random()  # both generators read the same stream prefix
 
 
 def test_scheme_id_stable():
