@@ -28,7 +28,6 @@ from .fields import (
 )
 from .partition1d import (
     ForestWindow,
-    OccupancySummary,
     UrnPath,
     expected_occupancy,
     occupancy,
@@ -64,7 +63,6 @@ __all__ = [
     "MarginalLaw",
     "ModelKind",
     "ModelSpec",
-    "OccupancySummary",
     "PmfKind",
     "PowerLawPmf",
     "RenewalSequence",

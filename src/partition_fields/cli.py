@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
 
 import click
@@ -251,7 +252,7 @@ def _meta(cfg: RunConfig, **extra) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# command bodies (shared by the click wrappers and the tests)
+# command bodies (shared by the command table and the tests)
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(cfg: RunConfig) -> list[Path]:
@@ -358,17 +359,11 @@ def cmd_sample_fbs(cfg: RunConfig) -> list[Path]:
 # ---------------------------------------------------------------------------
 
 _CONFIG_OPTS = [
-    click.option("--config", "config_path", required=True, type=click.Path(), help="JSON run config."),
-    click.option("--seed", default=None, help="128-bit hex seed override."),
-    click.option("--parallelism", default=None, type=int, help="Worker count override."),
-    click.option("--out", default=None, help="Output path prefix override."),
+    click.Option(["--config", "config_path"], required=True, type=click.Path(), help="JSON run config."),
+    click.Option(["--seed"], default=None, help="128-bit hex seed override."),
+    click.Option(["--parallelism"], default=None, type=int, help="Worker count override."),
+    click.Option(["--out"], default=None, help="Output path prefix override."),
 ]
-
-
-def _with_config_opts(fn):
-    for opt in reversed(_CONFIG_OPTS):
-        fn = opt(fn)
-    return fn
 
 
 def _run(command: str, body, config_path, seed, parallelism, out) -> None:
@@ -400,32 +395,15 @@ def main() -> None:
     """Random-partition random fields: simulate and verify."""
 
 
-@main.command(name="simulate")
-@_with_config_opts
-def simulate_cmd(config_path, seed, parallelism, out):
-    """Write one replicate's corner sums as CSV plus a metadata sidecar."""
-    _run("simulate", cmd_simulate, config_path, seed, parallelism, out)
-
-
-@main.command()
-@_with_config_opts
-def verify(config_path, seed, parallelism, out):
-    """Run a verification suite; exit 1 if any check fails."""
-    _run("verify", cmd_verify, config_path, seed, parallelism, out)
-
-
-@main.command()
-@_with_config_opts
-def renewal(config_path, seed, parallelism, out):
-    """Dump the renewal sequence (and optionally window weights) as CSV."""
-    _run("renewal", cmd_renewal, config_path, seed, parallelism, out)
-
-
-@main.command(name="sample-fbs")
-@_with_config_opts
-def sample_fbs_cmd(config_path, seed, parallelism, out):
-    """Sample the limiting Gaussian sheet on a grid and write CSV."""
-    _run("sample-fbs", cmd_sample_fbs, config_path, seed, parallelism, out)
+# name, body, one-line help
+_COMMANDS = (
+    ("simulate", cmd_simulate, "Write one replicate's corner sums as CSV plus a metadata sidecar."),
+    ("verify", cmd_verify, "Run a verification suite; exit 1 if any check fails."),
+    ("renewal", cmd_renewal, "Dump the renewal sequence (and optionally window weights) as CSV."),
+    ("sample-fbs", cmd_sample_fbs, "Sample the limiting Gaussian sheet on a grid and write CSV."),
+)
+for _name, _body, _help in _COMMANDS:
+    main.add_command(click.Command(_name, callback=partial(_run, _name, _body), params=_CONFIG_OPTS, help=_help))
 
 
 if __name__ == "__main__":

@@ -126,16 +126,6 @@ class PowerLawPmf:
             return float(zeta(2.0 * self._s, n)) / self._zeta_s**2
         return self.alpha**2 * float(zeta(2.0 + 2.0 * self.alpha, n))
 
-    # -- sampling ------------------------------------------------------------
-    def sample(self, rng: np.random.Generator, size: int | None = None):
-        """Exact draws; scalar when size is None, else int64 array."""
-        m = 1 if size is None else int(size)
-        if self.kind is PmfKind.HS_TAIL:
-            out = invert_hs_tail(self.alpha, rng.random(m))
-        else:
-            out = sample_zipf_rows(self.alpha, [rng], m)[0]
-        return int(out[0]) if size is None else out
-
     def _self_check(self) -> None:
         # mass conservation: explicit head plus analytic tail
         head = float(np.sum(self.pmf_block(1, _SELF_CHECK_TERMS + 1), dtype=np.longdouble))
@@ -260,12 +250,6 @@ class FinitePmf:
             return 0.0
         return float(np.sum(self._p[n - 1 :] ** 2))
 
-    def sample(self, rng: np.random.Generator, size: int | None = None):
-        cdf = np.cumsum(self._p)
-        m = 1 if size is None else int(size)
-        out = (np.searchsorted(cdf, rng.random(m), side="right") + 1).astype(np.int64)
-        return int(out[0]) if size is None else out
-
 
 class MarginalKind(enum.Enum):
     RADEMACHER = "rademacher"
@@ -320,10 +304,6 @@ class MarginalLaw:
     @property
     def second_moment(self) -> float:
         return self.prob_a * self.value_a**2 + (1.0 - self.prob_a) * self.value_b**2
-
-    @property
-    def support_bound(self) -> float:
-        return max(abs(self.value_a), abs(self.value_b))
 
     @property
     def is_rademacher(self) -> bool:

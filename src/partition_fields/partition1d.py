@@ -3,8 +3,7 @@
 Two partitions of the index line are provided:
 
 * the infinite urn scheme: i ~ j iff the i-th and j-th draws landed in the
-  same box, with exact occupancy statistics (distinct boxes, per-multiplicity
-  counts, odd-occupancy count);
+  same box, with exact occupancy counts (distinct boxes, odd-occupied boxes);
 * the ancestral forest: each site i is joined to i - J_i for heavy-tailed
   jumps J_i, and i ~ j iff their ancestral lines meet.  Lines are infinite,
   so the jumps are sampled on a window (lo, hi] with a quantified truncation
@@ -32,7 +31,6 @@ from .renewal import cached_renewal_sequence
 __all__ = [
     "UrnPath",
     "classes_by_row",
-    "OccupancySummary",
     "ForestWindow",
     "sample_urn",
     "occupancy",
@@ -85,25 +83,6 @@ class UrnPath:
             raise ValueError("label sequence must be nonempty")
         return cls(labels, *classes_by_row(labels))
 
-    def __len__(self) -> int:
-        return self.labels.size
-
-
-@dataclass(frozen=True)
-class OccupancySummary:
-    """Counts of occupied boxes after n draws."""
-
-    n: int
-    k_n: int
-    k_n_r: dict[int, int]
-    k_odd: int
-
-    def __post_init__(self):
-        if sum(self.k_n_r.values()) != self.k_n:
-            raise ValueError("multiplicity histogram inconsistent with box count")
-        if sum(r * c for r, c in self.k_n_r.items()) != self.n:
-            raise ValueError("multiplicity histogram inconsistent with draw count")
-
 
 def sample_urn(pmf: PowerLawPmf, n: int, rngs) -> UrnPath:
     """Draw n Zipf labels per generator, one row each, and sort each row into boxes."""
@@ -114,16 +93,10 @@ def sample_urn(pmf: PowerLawPmf, n: int, rngs) -> UrnPath:
     return UrnPath.from_labels(sample_zipf_rows(pmf.alpha, rngs, n))
 
 
-def occupancy(path: UrnPath) -> OccupancySummary:
-    """Exact occupancy counts of the whole path (every row's boxes together)."""
+def occupancy(path: UrnPath) -> tuple[int, int]:
+    """(#occupied boxes, #odd-occupied boxes) of the whole path, every row's boxes together."""
     counts = np.bincount(path.inverse.ravel())  # every box of the path holds a draw
-    mult, mult_counts = np.unique(counts, return_counts=True)
-    return OccupancySummary(
-        n=int(counts.sum()),
-        k_n=int(counts.size),
-        k_n_r={int(r): int(c) for r, c in zip(mult, mult_counts)},
-        k_odd=int(np.count_nonzero(counts & 1)),
-    )
+    return int(counts.size), int(np.count_nonzero(counts & 1))
 
 
 def expected_occupancy(pmf, n: int) -> tuple[float, float]:

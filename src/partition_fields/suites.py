@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gamma
 
-from .distributions import FinitePmf, make_hs_pmf, make_karlin_pmf
+from .distributions import FinitePmf, PmfKind, make_hs_pmf, make_karlin_pmf
 from .fbs import HurstPair, fbs_cov_matrix
-from .fields import KIND_TABLE, CornerGrid, ModelSpec
+from .fields import KIND_TABLE, Axis, CornerGrid, ModelSpec
 from .partition1d import occupancy, sample_urn
 from .renewal import (
     bn_sq_growth_constant,
@@ -119,16 +119,16 @@ def suite_occupancy(alpha: float = 0.6, n: int = 10**6, seed=0xC0FFEE) -> SuiteR
     """Single-path occupancy ratios against the urn limits."""
     rng = replicate_generator(normalize_seed(seed), 0)
     pmf = make_karlin_pmf(alpha)
-    occ = occupancy(sample_urn(pmf, n, [rng]))
+    k_n, k_odd = occupancy(sample_urn(pmf, n, [rng]))
     scale = n**alpha * pmf.sv_constant
     checks = (
         _band_check(
-            "distinct-boxes-ratio", occ.k_n / scale, gamma(1 - alpha), 0.9, 1.1,
-            alpha=alpha, n=n, k_n=occ.k_n,
+            "distinct-boxes-ratio", k_n / scale, gamma(1 - alpha), 0.9, 1.1,
+            alpha=alpha, n=n, k_n=k_n,
         ),
         _band_check(
-            "odd-fraction", occ.k_odd / occ.k_n, 2 ** (alpha - 1), 0.95, 1.05,
-            alpha=alpha, n=n, k_odd=occ.k_odd,
+            "odd-fraction", k_odd / k_n, 2 ** (alpha - 1), 0.95, 1.05,
+            alpha=alpha, n=n, k_odd=k_odd,
         ),
     )
     return SuiteReport("occupancy", checks)
@@ -183,6 +183,8 @@ def suite_covariance(spec: ModelSpec, grid: CornerGrid, replicates: int, seed, p
 
 def suite_normality(spec: ModelSpec, replicates: int, seed, parallelism: int = 1) -> SuiteReport:
     """KS test of the standardized corner value S(1,..,1)/Z against N(0,1), p > 1e-3."""
+    if replicates < 100:
+        raise ValueError("normality suite needs at least 100 replicates")
     report = run_replicates(spec, _unit_grid(spec), replicates, seed, parallelism)
     entry = report.ks[-1]
     passed = entry.get("p_value") is not None and entry["p_value"] > _KS_P_FLOOR
@@ -293,7 +295,8 @@ def run_suite(
     if name == "occupancy":
         if spec is None:
             return suite_occupancy(seed=seed)
-        return suite_occupancy(alpha=spec.alphas[-1], n=spec.n[-1], seed=seed)
+        axis = _axis_of(spec, PmfKind.KARLIN_ZIPF, -1, name)
+        return suite_occupancy(alpha=axis.alpha, n=axis.n, seed=seed)
     if name == "variance":
         _need(spec, "model"), _need(replicates, "replicates")
         return suite_variance(spec, replicates, seed, parallelism)
@@ -306,8 +309,18 @@ def run_suite(
     if name == "renewal-asymptotics":
         if spec is None:
             return suite_renewal_asymptotics(seed=seed)
-        return suite_renewal_asymptotics(alpha=spec.alphas[0], n=spec.n[0], seed=seed)
+        axis = _axis_of(spec, PmfKind.HS_TAIL, 0, name)
+        return suite_renewal_asymptotics(alpha=axis.alpha, n=axis.n, seed=seed)
     raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
+
+
+def _axis_of(spec: ModelSpec, kind: PmfKind, which: int, suite: str) -> Axis:
+    """The model's axes of the given kind, indexed by ``which``: the partition the suite checks."""
+    axes = [axis for axis in spec.axes if axis.kind is kind]
+    if not axes:
+        what = "an urn" if kind is PmfKind.KARLIN_ZIPF else "a forest"
+        raise ValueError(f"{suite} suite needs a model with {what} axis, got {spec.kind.value}")
+    return axes[which]
 
 
 def _need(value, what: str):

@@ -252,6 +252,43 @@ def test_verify_variance_one_replicate_exits_2(tmp_path):
     assert "at least 2 replicates" in res.output
 
 
+@pytest.mark.parametrize("suite, model, message", [
+    ("occupancy", {"kind": "hs1d", "alphas": [0.25], "n": [1000]},
+     "occupancy suite needs a model with an urn axis, got hs1d"),
+    ("renewal-asymptotics", {"kind": "karlin1d", "alphas": [0.6], "n": [1000]},
+     "renewal-asymptotics suite needs a model with a forest axis, got karlin1d"),
+])
+def test_verify_suite_without_its_axis_exits_2(tmp_path, suite, model, message):
+    cfg = {"command": "verify", "suite": suite, "model": model, "seed": SEED, "output": str(tmp_path / "v")}
+    res = CliRunner().invoke(main, ["verify", "--config", _write(tmp_path, "c.json", cfg)])
+    assert res.exit_code == 2, res.output
+    assert message in res.output
+
+
+def test_verify_normality_too_few_replicates_exits_2(tmp_path):
+    cfg = {
+        "command": "verify", "suite": "normality",
+        "model": {"kind": "karlin1d", "alphas": [0.6], "n": [16]},
+        "replicates": 50, "seed": SEED, "output": str(tmp_path / "v"),
+    }
+    res = CliRunner().invoke(main, ["verify", "--config", _write(tmp_path, "c.json", cfg)])
+    assert res.exit_code == 2, res.output
+    assert "normality suite needs at least 100 replicates" in res.output
+
+
+def test_main_help_lists_the_commands():
+    # wide enough that no one-line help is cut short
+    res = CliRunner().invoke(main, ["--help"], terminal_width=120, max_content_width=120)
+    assert res.exit_code == 0, res.output
+    listed = [line.split(None, 1) for line in res.output.split("Commands:\n", 1)[1].splitlines()]
+    assert listed == [
+        ["renewal", "Dump the renewal sequence (and optionally window weights) as CSV."],
+        ["sample-fbs", "Sample the limiting Gaussian sheet on a grid and write CSV."],
+        ["simulate", "Write one replicate's corner sums as CSV plus a metadata sidecar."],
+        ["verify", "Run a verification suite; exit 1 if any check fails."],
+    ]
+
+
 def test_non_integer_threads_env_exits_2(tmp_path):
     cfg_path = _write(tmp_path, "c.json", _sim_config(output=str(tmp_path / "s")))
     res = CliRunner().invoke(main, ["simulate", "--config", cfg_path], env={"PARTITION_FIELDS_THREADS": "abc"})

@@ -1,11 +1,13 @@
 """Urn occupancy and forest component engines."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.special import gamma
 
 from partition_fields import (
@@ -20,7 +22,7 @@ from partition_fields import (
     sample_forest,
     sample_urn,
 )
-from partition_fields.distributions import PmfKind
+from partition_fields.distributions import PmfKind, invert_hs_tail
 from partition_fields.fields import Axis
 from partition_fields.partition1d import roots_of, truncation_pair_bound
 
@@ -33,7 +35,7 @@ from conftest import running_parity_oracle, sample_hs_oracle
 
 def _parity_rows(path: UrnPath) -> np.ndarray:
     # per-box count parities after each draw: the urn axis's corner counts at every site
-    n = len(path)
+    n = path.labels.size
     axis = Axis(PmfKind.KARLIN_ZIPF, 0.5, n)
     return axis.corner_counts(path.inverse, path.classes.size, tuple(m / n for m in range(1, n + 1)))
 
@@ -45,15 +47,12 @@ def test_running_parity_hand_example():
 
 def test_single_draw():
     path = UrnPath.from_labels([42])
-    occ = occupancy(path)
-    assert occ.k_n == 1 and occ.k_odd == 1 and _parity_rows(path).tolist() == [[1]]
+    assert occupancy(path) == (1, 1) and _parity_rows(path).tolist() == [[1]]
 
 
 def test_occupancy_hand_counts():
-    occ = occupancy(UrnPath.from_labels([3, 3, 5]))
-    assert (occ.k_n, occ.k_n_r, occ.k_odd) == (2, {1: 1, 2: 1}, 1)
-    occ4 = occupancy(UrnPath.from_labels([1, 1, 1, 1]))
-    assert (occ4.k_n, occ4.k_odd) == (1, 0)
+    assert occupancy(UrnPath.from_labels([3, 3, 5])) == (2, 1)
+    assert occupancy(UrnPath.from_labels([1, 1, 1, 1])) == (1, 0)
 
 
 @given(st.lists(st.integers(1, 8), min_size=1, max_size=60))
@@ -62,10 +61,6 @@ def test_occupancy_mass_conservation_and_parity_oracle(labels):
     path = UrnPath.from_labels(labels)
     assert path.classes.tolist() == sorted(set(labels))
     assert np.array_equal(path.classes[path.inverse], path.labels)
-    occ = occupancy(path)
-    assert sum(r * c for r, c in occ.k_n_r.items()) == len(labels)
-    assert sum(occ.k_n_r.values()) == occ.k_n
-    assert occ.k_odd <= occ.k_n
     # draw m flips its own box's parity row entry and leaves the others
     rows = np.vstack([np.zeros(path.classes.size, np.int64), _parity_rows(path)])
     flipped = np.diff(rows, axis=0)
@@ -74,13 +69,23 @@ def test_occupancy_mass_conservation_and_parity_oracle(labels):
     assert np.array_equal((signs + 1) // 2, running_parity_oracle(labels))
 
 
+@given(hnp.arrays(np.int64, st.tuples(st.integers(1, 4), st.integers(1, 40)), elements=st.integers(1, 8)))
+@settings(max_examples=100, deadline=None)
+def test_occupancy_matches_counter(ids):
+    # a multi-row path keeps each row's boxes apart, so its counts add up over rows
+    for labels in (ids[0], ids):
+        counts = [Counter(row.tolist()) for row in np.atleast_2d(labels)]
+        expected = (sum(map(len, counts)), sum(c % 2 for row in counts for c in row.values()))
+        assert occupancy(UrnPath.from_labels(labels)) == expected
+
+
 def test_sample_urn_statistics():
     pmf = make_karlin_pmf(0.6)
     rng = replicate_generator("ab01", 0)
-    occ = occupancy(sample_urn(pmf, 10**5, [rng]))
+    k_n, k_odd = occupancy(sample_urn(pmf, 10**5, [rng]))
     scale = (10**5) ** 0.6 * pmf.sv_constant
-    assert occ.k_n / scale == pytest.approx(gamma(0.4), rel=0.10)
-    assert occ.k_odd / occ.k_n == pytest.approx(2 ** (0.6 - 1), rel=0.05)
+    assert k_n / scale == pytest.approx(gamma(0.4), rel=0.10)
+    assert k_odd / k_n == pytest.approx(2 ** (0.6 - 1), rel=0.05)
 
 
 def test_occupancy_increment_scaling():
@@ -88,10 +93,10 @@ def test_occupancy_increment_scaling():
     pmf = make_karlin_pmf(0.6)
     rng = replicate_generator("ab01", 1)
     path = sample_urn(pmf, 10**5, [rng])
-    n = len(path)
-    inc = occupancy(UrnPath.from_labels(path.labels[0, n // 4:3 * n // 4]))
+    n = path.labels.size
+    k_n, _ = occupancy(UrnPath.from_labels(path.labels[0, n // 4:3 * n // 4]))
     scale = n**0.6 * pmf.sv_constant
-    assert inc.k_n / scale == pytest.approx(0.5**0.6 * gamma(0.4), rel=0.10)
+    assert k_n / scale == pytest.approx(0.5**0.6 * gamma(0.4), rel=0.10)
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +263,9 @@ def test_adjacent_coalescence_against_line_walk_oracle():
         a, b = 1, 2
         while a > -depth and b > -depth and a != b:
             if a > b:
-                a -= int(pmf.sample(rng))
+                a -= int(invert_hs_tail(alpha, rng.random(1))[0])
             else:
-                b -= int(pmf.sample(rng))
+                b -= int(invert_hs_tail(alpha, rng.random(1))[0])
         meets += int(a == b)
     p_oracle = meets / reps
 

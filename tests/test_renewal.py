@@ -24,7 +24,7 @@ from partition_fields import (
 )
 import partition_fields
 from partition_fields import renewal
-from partition_fields.distributions import PmfKind
+from partition_fields.distributions import PmfKind, invert_hs_tail
 from partition_fields.fields import Axis
 from partition_fields.renewal import (
     RenewalConvergenceWarning,
@@ -99,13 +99,13 @@ def test_var_xstar_against_line_meeting_oracle():
     reps = 10**5
     depth = 10**6
     rng = replicate_generator("0456", 0)
-    pool = pmf.sample(rng, 4 * 10**6)
+    pool = invert_hs_tail(alpha, rng.random(4 * 10**6))
     pos = 0
 
     def next_jump():
         nonlocal pos, pool
         if pos == len(pool):
-            pool = pmf.sample(rng, 10**6)
+            pool = invert_hs_tail(alpha, rng.random(10**6))
             pos = 0
         pos += 1
         return int(pool[pos - 1])

@@ -16,6 +16,30 @@ def test_occupancy_suite_small():
     assert {c.name for c in rep.checks} == {"distinct-boxes-ratio", "odd-fraction"}
 
 
+def test_occupancy_suite_reads_the_urn_axis():
+    spec = ModelSpec(ModelKind.COMBINED_2D, (0.25, 0.6), (24, 20_000), forest_depth=100)
+    details = [c.details for c in run_suite("occupancy", spec=spec, seed=SEED).checks]
+    assert [(d["alpha"], d["n"]) for d in details] == [(0.6, 20_000)] * 2
+
+
+def test_renewal_suite_reads_the_forest_axis():
+    spec = ModelSpec(ModelKind.COMBINED_2D, (0.25, 0.6), (64, 16), forest_depth=100)
+    rep = run_suite("renewal-asymptotics", spec=spec, seed=SEED)
+    growth = next(c for c in rep.checks if c.name == "weight-growth-realized")
+    assert (growth.details["alpha"], growth.details["n"]) == (0.25, 64)
+
+
+@pytest.mark.parametrize("name, spec", [
+    ("occupancy", ModelSpec(ModelKind.HS_1D, (0.25,), (1000,))),
+    ("occupancy", ModelSpec(ModelKind.HS_2D, (0.25, 0.25), (16, 16))),
+    ("renewal-asymptotics", ModelSpec(ModelKind.KARLIN_1D, (0.6,), (1000,))),
+    ("renewal-asymptotics", ModelSpec(ModelKind.KARLIN_2D, (0.6, 0.6), (16, 16))),
+])
+def test_suite_without_an_axis_of_its_kind_rejected(name, spec):
+    with pytest.raises(ValueError, match=f"{name} suite needs a model with an? (urn|forest) axis"):
+        run_suite(name, spec=spec, seed=SEED)
+
+
 def test_variance_suite_small():
     spec = ModelSpec(ModelKind.KARLIN_1D, (0.6,), (64,))
     rep = run_suite("variance", spec=spec, replicates=400, seed=SEED)
