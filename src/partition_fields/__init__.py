@@ -27,11 +27,9 @@ from .fields import (
     simulate,
 )
 from .partition1d import (
-    ForestWindow,
     UrnPath,
     expected_occupancy,
     occupancy,
-    sample_forest,
     sample_urn,
 )
 from .renewal import (
@@ -57,7 +55,6 @@ __all__ = [
     "__version__",
     "CornerGrid",
     "FinitePmf",
-    "ForestWindow",
     "HurstPair",
     "IdentityRecord",
     "MarginalLaw",
@@ -90,7 +87,6 @@ __all__ = [
     "run_replicates",
     "run_suite",
     "sample_fbs",
-    "sample_forest",
     "sample_urn",
     "seed_to_hex",
     "simulate",

@@ -147,9 +147,13 @@ def make_hs_pmf(alpha: float) -> PowerLawPmf:
 
 
 def invert_hs_tail(alpha: float, u: np.ndarray) -> np.ndarray:
-    """The jumps whose uniforms are u, by exact inversion of P(k >= n) = n**(-alpha)."""
-    with np.errstate(over="ignore"):
-        x = (1.0 - u) ** (-1.0 / alpha)
+    """The jumps whose uniforms are u, by exact inversion of P(k >= n) = n**(-alpha).
+
+    The base is floored where x would pass 2**64, so x stays finite without
+    an ``np.errstate`` (a per-call cost in the forest walk's step loop) and
+    the cap at 2**62 gives the same jumps.
+    """
+    x = np.maximum(1.0 - u, 2.0 ** (-64.0 * alpha)) ** (-1.0 / alpha)
     x = np.minimum(x, float(_MAX_VALUE))
     k = np.ceil(x).astype(np.int64) - 1
     np.maximum(k, 1, out=k)

@@ -36,7 +36,7 @@ from scipy.special import gamma
 
 from ._hashing import hash1, hash2, signs_from
 from .distributions import MarginalLaw, PmfKind, PowerLawPmf, make_hs_pmf, make_karlin_pmf
-from .partition1d import classes_by_row, roots_of, sample_forest, sample_urn, truncation_pair_bound
+from .partition1d import classes_by_row, roots_of, sample_urn, truncation_pair_bound
 from .renewal import bn_sq_growth_constant, cached_renewal_sequence, var_xstar
 from .seeding import spin_key
 
@@ -97,7 +97,8 @@ def _forest_var_xstar(alpha: float) -> float:
 class Axis:
     """One direction of a model: a random partition of the sites 1..n.
 
-    ``depth`` is the forest window depth below site 1 (forest axes only).
+    ``depth`` puts a forest axis's floor at -depth: a line is cut where its
+    next parent falls at or below it (forest axes only).
     """
 
     kind: PmfKind
@@ -141,8 +142,8 @@ class Axis:
         if self.is_urn:
             path = sample_urn(self.pmf, self.n, rngs)
             return path.classes, path.inverse, path.starts
-        window = sample_forest(self.pmf, -self.depth, self.n, rngs)
-        return classes_by_row(roots_of(window, np.arange(1, self.n + 1)))
+        keys = [spin_key(rng) for rng in rngs]  # each row's jump key
+        return classes_by_row(roots_of(self.alpha, keys, self.depth, np.arange(1, self.n + 1)))
 
     def corner_counts(self, inv: np.ndarray, k: int, ts: tuple[float, ...]) -> np.ndarray:
         """int64 (corners, k): row m counts the sites of class c among 1..floor(n*t_m).
@@ -319,12 +320,10 @@ def _metadata(spec: ModelSpec) -> dict:
 def batch_size(spec: ModelSpec, grid: CornerGrid) -> int:
     """Replicates per simulate call: an element budget over one replicate's footprint.
 
-    A replicate holds, per axis, its n + depth window sites (labels, or the
-    forest's jump uniforms) and a (corners + 1) x n count matrix.
+    A replicate holds, per axis, its n labels or roots and a (corners + 1) x n
+    count matrix; a forest axis draws no sites, so its depth costs nothing here.
     """
-    footprint = sum(
-        axis.n + axis.depth + (len(ts) + 1) * axis.n for axis, ts in zip(spec.axes, (grid.t1, grid.t2))
-    )
+    footprint = sum((len(ts) + 2) * axis.n for axis, ts in zip(spec.axes, (grid.t1, grid.t2)))
     return max(1, _BATCH_ELEMENTS // footprint)
 
 
@@ -332,8 +331,9 @@ def simulate(spec: ModelSpec, grid: CornerGrid, rngs) -> np.ndarray:
     """Raw corner sums of one replicate per generator, shape (len(rngs), *grid.shape()).
 
     Row b is a pure function of (spec, grid, rngs[b] state): each generator
-    gives its spin key first and then the axes' draws in direction order,
-    which fixes the stream's layout.  Divide by Z to normalize.
+    gives its spin key first and then the axes' draws in direction order (a
+    forest axis's two-word jump key, an urn axis's Zipf labels), which fixes
+    the stream's layout.  Divide by Z to normalize.
     """
     if grid.is_2d != spec.is_2d:
         raise ValueError(f"{spec.kind.value} needs a {'2D' if spec.is_2d else '1D'} grid")

@@ -5,11 +5,13 @@ Two partitions of the index line are provided:
 * the infinite urn scheme: i ~ j iff the i-th and j-th draws landed in the
   same box, with exact occupancy counts (distinct boxes, odd-occupied boxes);
 * the ancestral forest: each site i is joined to i - J_i for heavy-tailed
-  jumps J_i, and i ~ j iff their ancestral lines meet.  Lines are infinite,
-  so the jumps are sampled on a window (lo, hi] with a quantified truncation
-  bound; a line is cut where it would leave the window, which errs toward
+  jumps J_i, and i ~ j iff their ancestral lines meet.  J_i is a keyed hash
+  of i inverted to the jump law, so any site's jump is computed on demand
+  from the replicate's jump key and nothing is drawn per site.  Lines are
+  infinite, so each is cut where its next parent falls at or below the
+  floor -depth, with a quantified truncation bound; the cut errs toward
   independence.  Roots are found only for the query sites, by walking
-  their lines down the window; only the jumps the walks read are drawn.
+  their lines down to the floor.
 
 Both engines sample a batch of replicates at once, one row per replicate
 generator, and resolve each row's partition once, in the form the fields
@@ -25,17 +27,17 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._hashing import hash1, uniforms_from
 from .distributions import PmfKind, PowerLawPmf, invert_hs_tail, sample_zipf_rows
 from .renewal import cached_renewal_sequence
 
 __all__ = [
     "UrnPath",
     "classes_by_row",
-    "ForestWindow",
     "sample_urn",
     "occupancy",
     "expected_occupancy",
-    "sample_forest",
+    "hashed_jumps",
     "roots_of",
     "truncation_pair_bound",
 ]
@@ -141,55 +143,9 @@ def expected_occupancy(pmf, n: int) -> tuple[float, float]:
         block = min(2 * block, 1 << 22)
 
 
-@dataclass(frozen=True)
-class ForestWindow:
-    """Ancestral-forest jumps on the index window (lo, hi], one row per replicate.
-
-    ``jumps[..., i - lo - 1]`` is J_i: site i is joined to its parent i - J_i
-    (a 1D array is one replicate).  A sampled window holds, in place of the
-    jumps, the uniforms that ``law`` inverts to them, and a walk inverts only
-    the sites it reads.  Components are resolved on demand by :func:`roots_of`.
-    """
-
-    lo: int
-    hi: int
-    jumps: np.ndarray
-    law: PowerLawPmf | None = None
-
-    def __post_init__(self):
-        w = self.hi - self.lo
-        if self.law is None:
-            object.__setattr__(self, "jumps", np.asarray(self.jumps, dtype=np.int64))
-            if np.any(self.jumps < 1):
-                raise ValueError("jumps must be >= 1")  # a zero jump never leaves its site
-        if self.jumps.ndim not in (1, 2) or self.jumps.shape[-1] != w:
-            raise ValueError(f"need {w} jumps per row for window ({self.lo}, {self.hi}]")
-
-    def jumps_at(self, pos: np.ndarray) -> np.ndarray:
-        """J at flat positions ``row * (hi - lo) + (i - lo - 1)``."""
-        values = self.jumps.reshape(-1)[pos]
-        return values if self.law is None else invert_hs_tail(self.law.alpha, values)
-
-
-def sample_forest(pmf: PowerLawPmf, lo: int, hi: int, rngs) -> ForestWindow:
-    """Sample the jumps of the window (lo, hi], one row per generator.
-
-    Each generator gives the hi - lo uniforms of its row; a jump is inverted
-    from its uniform when a walk reads it.
-    """
-    if getattr(pmf, "kind", None) is not PmfKind.HS_TAIL:
-        raise ValueError("forest jumps must follow an HsTail pmf")
-    if not lo < 0 <= hi:
-        raise ValueError(f"window must satisfy lo < 0 <= hi, got ({lo}, {hi})")
-    u = np.empty((len(rngs), hi - lo))
-    for rng, row in zip(rngs, u):
-        rng.random(out=row)
-    return ForestWindow(lo, hi, u, pmf)
-
-
 @lru_cache(maxsize=64)
 def truncation_pair_bound(pmf: PowerLawPmf, lo: int) -> float:
-    """Per-pair bound on losing a coalescence below the window floor.
+    """Per-pair bound on losing a coalescence at or below the floor lo = -depth.
 
     For sites 1 <= i < j <= hi, the chance that their lines meet only at or
     below lo is at most sum_{m <= lo} q_{i-m} q_{j-m}.  Summing over all
@@ -198,7 +154,7 @@ def truncation_pair_bound(pmf: PowerLawPmf, lo: int) -> float:
         sum_{i<j<=hi} P(pair lost) <= hi^2 * (1/2) * sum_{k > -lo} q_k^2,
 
     so ``(1/2) sum_{k > -lo} q_k^2`` bounds the average per ordered pair and
-    ``2 * bound * hi^2`` bounds the variance deficit of the window model.
+    ``2 * bound * hi^2`` bounds the variance deficit of the truncated model.
     The q-tail beyond the computed horizon uses the power-decay estimate of
     :meth:`RenewalSequence.tail_sum_sq_from`.
     """
@@ -208,26 +164,36 @@ def truncation_pair_bound(pmf: PowerLawPmf, lo: int) -> float:
     return 0.5 * rs.tail_sum_sq_from(depth)
 
 
-def roots_of(window: ForestWindow, indices) -> np.ndarray:
-    """Canonical component representative for each requested index, per row.
+def hashed_jumps(alpha: float, key, sites) -> np.ndarray:
+    """J_i of each site i under a jump key: the exact-tail jump inverted from hash1(key, i).
 
-    The representative of site i is the smallest index on its ancestral line
-    inside the window: the line is walked down, every requested line of every
-    row at once, until its next parent i - J_i falls at or below lo.  The walk
-    takes as many vectorized steps as the longest line has in-window sites.
-    The result has shape ``window.jumps.shape[:-1] + indices.shape``.
+    Every integer site has a jump, negative ones too, so no window is drawn;
+    per-site keys (two word arrays) broadcast against the sites.
     """
-    idx = np.asarray(indices, dtype=np.int64)
-    if np.any(idx <= window.lo) or np.any(idx > window.hi):
-        raise IndexError(f"indices must lie in ({window.lo}, {window.hi}]")
-    first, w = window.lo + 1, window.hi - window.lo
-    # a line walks flat positions row * w + offset and leaves below its row's floor
-    floor = np.repeat(np.arange(0, window.jumps.size, w), idx.size)
-    roots = floor + np.tile(idx.reshape(-1) - first, window.jumps.size // w)
-    live, pos, live_floor = np.arange(roots.size), roots, floor
+    return invert_hs_tail(alpha, uniforms_from(hash1(key, sites)))
+
+
+def roots_of(alpha: float, keys, depth: int, sites) -> np.ndarray:
+    """Canonical component representative of each site, one row per jump key.
+
+    ``keys`` holds one jump key (two 64-bit words) per row.  The
+    representative of site i is the lowest site on its ancestral line above
+    the floor -depth: the line is walked down, every line of every row at
+    once, until its next parent i - J_i falls at or below -depth.  The walk
+    takes as many vectorized steps as the longest line has sites above the
+    floor, and hashes only the jumps it reads.  The result has shape
+    ``(len(keys), *sites.shape)``.
+    """
+    sites = np.asarray(sites, dtype=np.int64)
+    if np.any(sites <= -depth):
+        raise IndexError(f"sites must lie above the floor {-depth}")
+    keys = np.asarray(keys, dtype=np.uint64).reshape(-1, 2)
+    roots = np.tile(sites.reshape(-1), len(keys))
+    k0, k1 = np.repeat(keys, sites.size, axis=0).T
+    live, pos = np.arange(roots.size), roots
     while live.size:
-        parents = pos - window.jumps_at(pos)
-        inside = parents >= live_floor
-        live, pos, live_floor = live[inside], parents[inside], live_floor[inside]
+        parents = pos - hashed_jumps(alpha, (k0, k1), pos)
+        inside = parents > -depth
+        live, pos, k0, k1 = live[inside], parents[inside], k0[inside], k1[inside]
         roots[live] = pos
-    return (roots - floor + first).reshape(window.jumps.shape[:-1] + idx.shape)
+    return roots.reshape(len(keys), *sites.shape)

@@ -5,8 +5,14 @@ Replicate ``r`` of a run with 128-bit base seed ``s`` draws from
 that jump reaches: key s and a 256-bit counter holding r mod 2**128 in its
 upper 128 bits.  Philox is a counter-based generator, so these are disjoint
 counter blocks: every replicate is computable independently of all others,
-which is what makes work-stealing parallelism bit-reproducible.  The scheme
-is identified in reports by :data:`SCHEME_ID`.
+which is what makes work-stealing parallelism bit-reproducible.
+
+A replicate's generator gives its 128-bit spin key first (:func:`spin_key`),
+then each axis's draws in direction order: a forest axis takes two more raw
+words as its jump key (J_i is a keyed hash of site i, so no per-site draws),
+an urn axis its Zipf labels.  That layout is identified in reports by
+:data:`SCHEME_ID`; v2 replaced v1's per-site forest window uniforms with the
+jump key.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import operator
 import numpy as np
 from numpy.random import Generator, Philox
 
-SCHEME_ID = "philox128-jumped-v1"
+SCHEME_ID = "philox128-jumped-v2"
 
 _SEED_BITS = 128
 _SEED_MASK = (1 << _SEED_BITS) - 1
@@ -54,10 +60,10 @@ def replicate_generator(base_seed: int | str, replicate: int) -> Generator:
 
 
 def spin_key(gen: Generator) -> tuple[int, int]:
-    """Draw the 128-bit keyed-hash key for a replicate's spin assignment.
+    """Draw a 128-bit keyed-hash key: a replicate's spin key, or a forest axis's jump key.
 
-    Must be drawn before any model sampling so that the stream layout is
-    fixed; `fields.simulate` relies on this ordering.
+    The spin key must be drawn before any model sampling so that the stream
+    layout is fixed; `fields.simulate` relies on this ordering.
     """
     k = gen.bit_generator.random_raw(2)  # the words integers(0, 2**64, size=2) returns
     return int(k[0]), int(k[1])

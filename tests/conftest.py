@@ -3,6 +3,8 @@ import os
 import numpy as np
 import pytest
 
+from partition_fields import partition1d
+
 # Keep BLAS thread pools fixed so timings and reductions are stable in CI.
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 
@@ -35,9 +37,8 @@ def running_parity_oracle(labels) -> list[int]:
 _MAX_VALUE = 1 << 62
 
 
-def sample_hs_oracle(alpha: float, rng, m: int) -> np.ndarray:
-    """m exact-tail jumps, P(k >= n) = n**(-alpha), all inverted from rng.random(m)."""
-    u = rng.random(m)
+def invert_hs_tail_oracle(alpha: float, u: np.ndarray) -> np.ndarray:
+    """Exact-tail jumps, P(k >= n) = n**(-alpha), inverted from the uniforms u (overflow to inf, then capped)."""
     with np.errstate(over="ignore"):
         x = (1.0 - u) ** (-1.0 / alpha)
     x = np.minimum(x, float(_MAX_VALUE))
@@ -67,3 +68,30 @@ def sample_zipf_oracle(s: float, rng, m: int) -> np.ndarray:
         out[filled : filled + n_acc] = kf[accept].astype(np.int64)
         filled += n_acc
     return out
+
+
+# ---------------------------------------------------------------------------
+# the forest walk on explicit jumps
+# ---------------------------------------------------------------------------
+
+def roots_on_jumps(jumps, lo: int, sites) -> np.ndarray:
+    """``partition1d.roots_of`` run on explicit jumps instead of hashed ones.
+
+    ``jumps[..., i - lo - 1]`` is J_i on the window (lo, hi] (a 1D array is
+    one row); the walk's floor is lo.  The jump function is stubbed for the
+    call, with row b's key set to (b, 0), so the walk itself is the real one.
+    The result has shape ``jumps.shape[:-1] + sites.shape``.
+    """
+    jumps = np.asarray(jumps, dtype=np.int64)
+    rows = jumps.reshape(-1, jumps.shape[-1])
+
+    def explicit(alpha, key, sites):
+        offsets = sites - lo - 1
+        assert np.all((offsets >= 0) & (offsets < rows.shape[1])), "walk read a site outside the window"
+        return rows[key[0].astype(np.intp), offsets]
+
+    keys = [(b, 0) for b in range(rows.shape[0])]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(partition1d, "hashed_jumps", explicit)
+        roots = partition1d.roots_of(0.25, keys, -lo, sites)  # the stub ignores alpha
+    return roots.reshape(jumps.shape[:-1] + roots.shape[1:])

@@ -20,7 +20,7 @@ from partition_fields import (
 )
 from partition_fields.distributions import MarginalKind, invert_hs_tail, sample_zipf_rows
 
-from conftest import sample_zipf_oracle
+from conftest import invert_hs_tail_oracle, sample_zipf_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +136,15 @@ def test_hs_inversion_hand_values():
     assert invert_hs_tail(0.25, np.full(3, 0.5)).tolist() == [15, 15, 15]
     # u -> 0 gives the smallest jump
     assert invert_hs_tail(0.25, np.zeros(1)).tolist() == [1]
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.1, 0.25, 0.45, 0.4999])
+def test_hs_inversion_matches_overflowing_oracle(alpha):
+    # the floored base gives the same jumps as letting the power overflow and capping
+    rng = replicate_generator("d157", 4)
+    edge = 1.0 - np.ldexp(1.0, -np.arange(1, 54))  # 1 - 2^-k, down to the largest uniform below 1
+    u = np.concatenate((rng.random(10**5), edge, [0.0]))
+    assert np.array_equal(invert_hs_tail(alpha, u), invert_hs_tail_oracle(alpha, u))
 
 
 def test_hs_sampler_matches_tail_law():

@@ -21,10 +21,10 @@ from partition_fields import (
     simulate,
 )
 from partition_fields import fields
-from partition_fields.distributions import PmfKind
+from partition_fields.distributions import PmfKind, sample_zipf_rows
 from partition_fields.fields import KIND_TABLE, Axis, _corner_index, batch_size
 
-from conftest import running_parity_oracle
+from conftest import roots_on_jumps, running_parity_oracle
 
 SEED = "f1e1d0000000000000000000000000aa"
 
@@ -119,7 +119,42 @@ def test_batch_size_divides_the_element_budget():
     assert batch_size(ModelSpec(ModelKind.KARLIN_1D, (0.6,), (4096,)), CornerGrid(ts)) == 1
     spec = ModelSpec(ModelKind.HS_2D, (0.25, 0.25), (512, 512), forest_depth=10**5)
     grid = CornerGrid((0.5, 1.0), (0.5, 1.0))
-    assert batch_size(spec, grid) == fields._BATCH_ELEMENTS // (2 * (512 + 10**5 + 3 * 512))
+    # per axis: n roots and a (corners + 1) x n count matrix
+    assert batch_size(spec, grid) == fields._BATCH_ELEMENTS // (2 * (512 + 3 * 512))
+
+
+@pytest.mark.parametrize("kind", [ModelKind.HS_1D, ModelKind.HS_2D, ModelKind.COMBINED_2D])
+def test_batch_size_does_not_depend_on_forest_depth(kind):
+    # a forest axis holds no window sites, so its depth costs no batch memory
+    row = KIND_TABLE[kind]
+    alphas = tuple(0.25 if axis is PmfKind.HS_TAIL else 0.6 for axis in row.axes)
+    grid = CornerGrid((0.5, 1.0), (0.5, 1.0) if len(row.axes) == 2 else None)
+    sizes = {batch_size(ModelSpec(kind, alphas, (512,) * len(row.axes), forest_depth=d), grid)
+             for d in (10, 10**5, 10**9)}
+    assert len(sizes) == 1
+
+
+def test_stream_layout_spin_key_then_jump_key_then_labels(monkeypatch):
+    # combined2d: spin key (2 raw words), the forest axis's jump key (2 more), then the urn labels
+    spec = ModelSpec(ModelKind.COMBINED_2D, (0.25, 0.6), (16, 40), forest_depth=300)
+    seen = {}
+    real_urn, real_roots = fields.sample_urn, fields.roots_of
+
+    def urn(pmf, n, rngs):
+        seen["path"] = real_urn(pmf, n, rngs)
+        return seen["path"]
+
+    def roots(alpha, keys, depth, sites):
+        seen["keys"] = keys
+        return real_roots(alpha, keys, depth, sites)
+
+    monkeypatch.setattr(fields, "sample_urn", urn)
+    monkeypatch.setattr(fields, "roots_of", roots)
+    simulate(spec, CornerGrid((1.0,), (1.0,)), [replicate_generator(SEED, 4)])
+    ref = replicate_generator(SEED, 4)
+    words = ref.bit_generator.random_raw(4)
+    assert [tuple(k) for k in np.asarray(seen["keys"], dtype=np.uint64)] == [(words[2], words[3])]
+    assert np.array_equal(seen["path"].labels, sample_zipf_rows(0.6, [ref], 40))
 
 
 def test_model_spec_validation():
@@ -233,8 +268,8 @@ def _force_partitions(monkeypatch, urn=None, roots=None, core=None):
     if urn is not None:
         monkeypatch.setattr(fields, "sample_urn", lambda pmf, n, rngs: UrnPath.from_labels([urn[n]]))
     if roots is not None:
-        monkeypatch.setattr(fields, "sample_forest", lambda pmf, lo, hi, rngs: hi)
-        monkeypatch.setattr(fields, "roots_of", lambda hi, idx: np.asarray([roots[hi]], dtype=np.int64))
+        monkeypatch.setattr(fields, "roots_of",
+                            lambda alpha, keys, depth, sites: np.asarray([roots[sites.size]], dtype=np.int64))
     if core is not None:
         monkeypatch.setattr(fields, "signs_from", lambda h: np.asarray(core, dtype=np.int8))
 
@@ -272,13 +307,9 @@ def test_hs1d_forced_chain_and_isolates():
     spec = ModelSpec(ModelKind.HS_1D, (0.25,), (64,), forest_depth=2000)
     grid = CornerGrid((1.0,))
     # chain: every site joined downward => one root => |S_n| = n
-    from partition_fields.partition1d import ForestWindow, roots_of
-
-    window = ForestWindow(-2000, 64, np.ones(2064, dtype=np.int64))
-    roots = roots_of(window, np.arange(1, 65))
+    roots = roots_on_jumps(np.ones(2064, dtype=np.int64), -2000, np.arange(1, 65))
     assert len(np.unique(roots)) == 1
-    window2 = ForestWindow(-2000, 64, np.full(2064, 10**7, dtype=np.int64))
-    roots2 = roots_of(window2, np.arange(1, 65))
+    roots2 = roots_on_jumps(np.full(2064, 10**7, dtype=np.int64), -2000, np.arange(1, 65))
     assert len(np.unique(roots2)) == 64
 
     raw = simulate(spec, grid, [replicate_generator(SEED, 1)])[0]
@@ -286,14 +317,12 @@ def test_hs1d_forced_chain_and_isolates():
 
 
 def test_hs1d_independent_limit_variance():
-    # all parents forced below the window floor => spins are iid => Var = n
+    # all parents forced below the floor => spins are iid => Var = n
     from partition_fields._hashing import hash1, signs_from
-    from partition_fields.partition1d import ForestWindow, roots_of
     from partition_fields.seeding import spin_key
 
     n = 64
-    window = ForestWindow(-4, n, np.full(n + 4, 10**9, dtype=np.int64))
-    roots = roots_of(window, np.arange(1, n + 1))
+    roots = roots_on_jumps(np.full(n + 4, 10**9, dtype=np.int64), -4, np.arange(1, n + 1))
     assert len(np.unique(roots)) == n
     vals = []
     for r in range(4000):

@@ -8,25 +8,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy import stats as sps
 from scipy.special import gamma
 
 from partition_fields import (
     FinitePmf,
-    ForestWindow,
     UrnPath,
     expected_occupancy,
     make_hs_pmf,
     make_karlin_pmf,
     occupancy,
     replicate_generator,
-    sample_forest,
     sample_urn,
 )
 from partition_fields.distributions import PmfKind, invert_hs_tail
 from partition_fields.fields import Axis
-from partition_fields.partition1d import roots_of, truncation_pair_bound
+from partition_fields.partition1d import hashed_jumps, roots_of, truncation_pair_bound
+from partition_fields.seeding import spin_key
 
-from conftest import running_parity_oracle, sample_hs_oracle
+from conftest import roots_on_jumps, running_parity_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +150,7 @@ def test_expected_occupancy_rejects_bad_n():
 # ---------------------------------------------------------------------------
 
 def _doubling_roots(jumps: np.ndarray, lo: int) -> np.ndarray:
-    """Reference: the root of every window site, by pointer doubling."""
+    """Reference: the root of every site of the window (lo, hi], by pointer doubling."""
     offsets = np.arange(jumps.size)
     parent = np.where(offsets >= jumps, offsets - jumps, offsets)
     while not np.array_equal(parent[parent], parent):
@@ -159,26 +159,13 @@ def _doubling_roots(jumps: np.ndarray, lo: int) -> np.ndarray:
 
 
 def test_forced_chain_forest():
-    w = ForestWindow(-10, 30, np.ones(40, dtype=np.int64))
-    roots = roots_of(w, np.arange(1, 31))
-    assert np.all(roots == -9)  # everything chains down to the window floor
+    roots = roots_on_jumps(np.ones(40, dtype=np.int64), -10, np.arange(1, 31))
+    assert np.all(roots == -9)  # everything chains down to the floor
 
 
 def test_forced_isolated_forest():
-    w = ForestWindow(-10, 30, np.full(40, 1000, dtype=np.int64))
-    roots = roots_of(w, np.arange(1, 31))
+    roots = roots_on_jumps(np.full(40, 1000, dtype=np.int64), -10, np.arange(1, 31))
     assert np.array_equal(roots, np.arange(1, 31))
-
-
-def test_forest_window_rejects_bad_jumps():
-    with pytest.raises(ValueError):
-        ForestWindow(-10, 30, np.ones(39, dtype=np.int64))
-    jumps = np.ones(40, dtype=np.int64)
-    jumps[7] = 0  # a zero jump never leaves its site
-    with pytest.raises(ValueError):
-        ForestWindow(-10, 30, jumps)
-    with pytest.raises(IndexError):
-        roots_of(ForestWindow(-10, 30, np.ones(40, dtype=np.int64)), [-10])
 
 
 @given(st.data())
@@ -186,55 +173,89 @@ def test_forest_window_rejects_bad_jumps():
 def test_roots_walk_matches_pointer_doubling(data):
     depth = data.draw(st.integers(1, 50))
     hi = data.draw(st.integers(0, 50))
-    # jumps up to 100 send some lines out of the window from any site
+    # jumps up to 100 send some lines below the floor from any site
     jumps = np.asarray(data.draw(st.lists(st.integers(1, 100), min_size=depth + hi, max_size=depth + hi)))
     query = np.asarray(data.draw(st.lists(st.integers(1 - depth, hi), max_size=40)), dtype=np.int64)
     expected = _doubling_roots(jumps, -depth)[query + depth - 1]
-    assert np.array_equal(roots_of(ForestWindow(-depth, hi, jumps), query), expected)
+    assert np.array_equal(roots_on_jumps(jumps, -depth, query), expected)
 
 
-@given(st.floats(0.05, 0.45), st.integers(1, 300), st.integers(0, 40), st.integers(1, 5), st.integers(0, 2**32))
+@given(st.floats(0.05, 0.45), st.integers(1, 40), st.integers(1, 300), st.integers(1, 4), st.integers(0, 2**32))
 @settings(max_examples=100, deadline=None)
-def test_lazy_walk_matches_dense_jumps(alpha, depth, hi, rows, seed):
-    rngs = [replicate_generator(seed, r) for r in range(rows)]
-    refs = [replicate_generator(seed, r) for r in range(rows)]
-    idx = np.arange(1 - depth, hi + 1)  # every window site
-    got = roots_of(sample_forest(make_hs_pmf(alpha), -depth, hi, rngs), idx)
-    assert got.shape == (rows, idx.size)
-    for row, rng, ref in zip(got, rngs, refs):
-        dense = ForestWindow(-depth, hi, sample_hs_oracle(alpha, ref, depth + hi))
-        assert np.array_equal(row, roots_of(dense, idx))
-        assert rng.random() == ref.random()
+def test_lazy_walk_matches_dense_jumps(alpha, n, depth, rows, seed):
+    # the walk against pointer doubling on the same hashed jumps, laid out densely
+    keys = [spin_key(replicate_generator(seed, r)) for r in range(rows)]
+    got = roots_of(alpha, keys, depth, np.arange(1, n + 1))
+    assert got.shape == (rows, n)
+    window = np.arange(1 - depth, n + 1)
+    for row, key in zip(got, keys):
+        dense = hashed_jumps(alpha, np.array(key, dtype=np.uint64), window)
+        assert np.array_equal(row, _doubling_roots(dense, -depth)[depth:])
 
 
 @given(st.lists(st.integers(1, 12), min_size=5, max_size=80))
 @settings(max_examples=100, deadline=None)
 def test_forest_component_invariants(jump_list):
-    w = hi = len(jump_list) // 2
+    hi = len(jump_list) // 2
     lo = hi - len(jump_list)
-    window = ForestWindow(lo, hi, jump_list)
+    jumps = np.asarray(jump_list)
     idx = np.arange(lo + 1, hi + 1)
-    roots = roots_of(window, idx)
+    roots = roots_on_jumps(jumps, lo, idx)
     # canonical root is the smallest member of its class and is idempotent
     assert np.all(roots <= idx)
-    assert np.array_equal(roots_of(window, roots), roots)
-    # every in-window parent edge is honored
-    parents = idx - window.jumps
+    assert np.array_equal(roots_on_jumps(jumps, lo, roots), roots)
+    # every parent edge above the floor is honored
+    parents = idx - jumps
     inside = parents > lo
-    assert np.array_equal(roots_of(window, parents[inside]), roots[inside])
+    assert np.array_equal(roots_on_jumps(jumps, lo, parents[inside]), roots[inside])
 
 
-def test_sample_forest_validation_and_determinism():
-    pmf = make_hs_pmf(0.25)
-    with pytest.raises(ValueError):
-        sample_forest(make_karlin_pmf(0.5), -10, 5, [replicate_generator("aa", 0)])
-    with pytest.raises(ValueError):
-        sample_forest(pmf, 0, 5, [replicate_generator("aa", 0)])
-    w1 = sample_forest(pmf, -500, 100, [replicate_generator("aa", 1)])
-    w2 = sample_forest(pmf, -500, 100, [replicate_generator("aa", 1)])
+def test_forest_walk_validation_and_determinism():
+    keys = [spin_key(replicate_generator("aa", r)) for r in (1, 2)]
+    with pytest.raises(IndexError):
+        roots_of(0.25, keys, 10, [-10])  # at the floor
     sites = np.arange(-499, 101)
-    assert np.array_equal(w1.jumps, w2.jumps)
-    assert np.array_equal(roots_of(w1, sites), roots_of(w2, sites))
+    first = roots_of(0.25, keys, 500, sites)
+    assert first.shape == (2, sites.size)
+    assert np.array_equal(first, roots_of(0.25, keys, 500, sites))
+    assert np.array_equal(first[1], roots_of(0.25, keys[1:], 500, sites)[0])  # a row reads its own key
+    assert not np.array_equal(first[0], first[1])
+
+
+# ---------------------------------------------------------------------------
+# the hashed jump law
+# ---------------------------------------------------------------------------
+
+_LAW_KEY = np.array([0x0123456789ABCDEF, 0xFEDCBA9876543210], dtype=np.uint64)
+_LAW_SITES = np.arange(-(10**6) // 2, 10**6 // 2)  # negative and positive sites
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.25, 0.45])
+def test_hashed_jumps_chi_square_goodness_of_fit(alpha):
+    pmf = make_hs_pmf(alpha)
+    draws = hashed_jumps(alpha, _LAW_KEY, _LAW_SITES)
+    observed = np.concatenate((np.bincount(np.clip(draws, 0, 51), minlength=52)[1:51],
+                               [np.sum(draws >= 51)]))
+    expected = np.concatenate((pmf.pmf_block(1, 51), [pmf.tail_at(51)])) * draws.size
+    stat = float(np.sum((observed - expected) ** 2 / expected))
+    assert sps.chi2.sf(stat, df=50) > 1e-3
+
+
+def test_hashed_jumps_replay_and_independence():
+    alpha = 0.25
+    sites = _LAW_SITES[::4]
+    jumps = hashed_jumps(alpha, _LAW_KEY, sites)
+    # the same (key, site) gives the same jump, in any order or batch
+    assert np.array_equal(hashed_jumps(alpha, _LAW_KEY, sites[::-1]), jumps[::-1])
+    assert np.array_equal(hashed_jumps(alpha, _LAW_KEY, sites[7:8]), jumps[7:8])
+    keys = np.repeat(_LAW_KEY[None, :], sites.size, axis=0)
+    assert np.array_equal(hashed_jumps(alpha, (keys[:, 0], keys[:, 1]), sites), jumps)
+    # J >= 2 is uncorrelated between adjacent sites (i, i + 1) and between two
+    # keys (one bit apart): |corr| within 4 standard errors of zero, 1/sqrt(m) each
+    big = jumps >= 2
+    band = 4 / math.sqrt(big.size)
+    for pair in (hashed_jumps(alpha, _LAW_KEY, sites + 1), hashed_jumps(alpha, _LAW_KEY ^ np.uint64(1), sites)):
+        assert abs(np.corrcoef(big, pair >= 2)[0, 1]) < band
 
 
 def test_truncation_bound_spec_point():
@@ -243,18 +264,14 @@ def test_truncation_bound_spec_point():
 
 
 def test_adjacent_coalescence_against_line_walk_oracle():
-    """P(sites 1,2 share a root) two ways: forest windows vs direct line walks."""
+    """P(sites 1,2 share a root) two ways: the hashed forest walk vs direct line walks."""
     alpha = 0.3
-    pmf = make_hs_pmf(alpha)
     depth = 4000
 
     reps = 4000
-    hits = 0
-    for r in range(reps):
-        w = sample_forest(pmf, -depth, 2, [replicate_generator("0b", r)])
-        (roots,) = roots_of(w, np.array([1, 2]))
-        hits += int(roots[0] == roots[1])
-    p_forest = hits / reps
+    keys = [spin_key(replicate_generator("0b", r)) for r in range(reps)]
+    roots = roots_of(alpha, keys, depth, np.array([1, 2]))
+    p_forest = float(np.mean(roots[:, 0] == roots[:, 1]))
 
     # oracle: walk the two ancestral lines directly, meeting within depth
     rng = replicate_generator("0c", 0)
