@@ -210,16 +210,31 @@ def test_forest_component_invariants(jump_list):
     assert np.array_equal(roots_on_jumps(jumps, lo, parents[inside]), roots[inside])
 
 
-def test_forest_walk_validation_and_determinism():
+def test_forest_window_rejects_bad_jumps():
+    # the walk reads no site at or below its floor
     keys = [spin_key(replicate_generator("aa", r)) for r in (1, 2)]
     with pytest.raises(IndexError):
         roots_of(0.25, keys, 10, [-10])  # at the floor
+    with pytest.raises(IndexError):
+        roots_of(0.25, keys, 10, np.arange(-12, 5))  # some sites below it
+    # a zero jump would never leave its site: the hashed law yields none, even
+    # at the extreme uniforms, and no jump passes the 2**62 cap
+    for alpha in (0.05, 0.25, 0.45):
+        edge = invert_hs_tail(alpha, np.array([0.0, 0.5, 1.0 - 2.0**-53]))
+        assert np.all((edge >= 1) & (edge <= 2**62))
+        jumps = hashed_jumps(alpha, np.array(keys[0], dtype=np.uint64), np.arange(-5000, 5000))
+        assert np.all(jumps >= 1)
+
+
+def test_sample_forest_validation_and_determinism():
+    keys = [spin_key(replicate_generator("aa", r)) for r in (1, 2)]
     sites = np.arange(-499, 101)
     first = roots_of(0.25, keys, 500, sites)
     assert first.shape == (2, sites.size)
     assert np.array_equal(first, roots_of(0.25, keys, 500, sites))
     assert np.array_equal(first[1], roots_of(0.25, keys[1:], 500, sites)[0])  # a row reads its own key
     assert not np.array_equal(first[0], first[1])
+    assert np.all(first <= sites)  # a root is the lowest site of its line
 
 
 # ---------------------------------------------------------------------------
