@@ -26,12 +26,7 @@ from .fields import (
     normalization,
     simulate,
 )
-from .partition1d import (
-    UrnPath,
-    expected_occupancy,
-    occupancy,
-    sample_urn,
-)
+from .partition1d import expected_occupancy
 from .renewal import (
     RenewalSequence,
     WeightProfile,
@@ -67,7 +62,6 @@ __all__ = [
     "SCHEME_ID",
     "SUITES",
     "SuiteReport",
-    "UrnPath",
     "WeightProfile",
     "bn_sq_growth_constant",
     "c_alpha",
@@ -81,13 +75,11 @@ __all__ = [
     "make_karlin_pmf",
     "normalization",
     "normalize_seed",
-    "occupancy",
     "renewal_sequence",
     "replicate_generator",
     "run_replicates",
     "run_suite",
     "sample_fbs",
-    "sample_urn",
     "seed_to_hex",
     "simulate",
     "var_xstar",

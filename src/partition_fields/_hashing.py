@@ -25,9 +25,13 @@ _LOW53 = np.uint64((1 << 53) - 1)
 
 
 def _finalize(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> _S30)) * _M1
-    z = (z ^ (z >> _S27)) * _M2
-    return z ^ (z >> _S31)
+    # in place: every caller hands over a temporary of its own
+    z ^= z >> _S30
+    z *= _M1
+    z ^= z >> _S27
+    z *= _M2
+    z ^= z >> _S31
+    return z
 
 
 def _as_u64(a) -> np.ndarray:

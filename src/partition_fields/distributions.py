@@ -160,38 +160,43 @@ def invert_hs_tail(alpha: float, u: np.ndarray) -> np.ndarray:
     return k
 
 
-def sample_zipf_rows(alpha: float, rngs, m: int) -> np.ndarray:
-    """Rejection sampler for p_k proportional to k**(-s), s = 1/alpha > 1 (Devroye).
+def sample_zipf_rows(alpha: float, rngs, m, lo: int = 1) -> np.ndarray:
+    """Rejection sampler for p_k proportional to k**(-s) on k >= lo, s = 1/alpha > 1 (Devroye).
 
-    Returns one row of m draws per generator.  Proposal: X continuous with
-    density (s-1) x**(-s) on [1, inf) by inversion, discretized as
-    k = floor(X).  The acceptance ratio T/(k(T-1)) with T = (1+1/k)**(s-1) is
-    maximized at k = 1, which yields the constant b/(b-1), b = 2**(s-1);
-    expected proposals per draw are bounded on compact alpha sets.
-    expm1/log1p keep T-1 exact for huge k.  Proposals above 2**62 are
-    rejected (resampled), i.e. draws follow the law conditioned on k < 2**62;
-    the neglected mass is tail(2**62).
+    ``m`` is one draw count for every generator, giving one row of m draws
+    per generator, or one count per generator, giving every row's draws one
+    after another in a flat array.  Proposal: X continuous with density
+    proportional to x**(-s) on [lo, inf) by inversion, discretized as
+    k = floor(X).  The acceptance ratio T/(k(T-1)) with T = (1+1/k)**(s-1)
+    decreases in k, so its maximum is at k = lo, and accepting with the
+    ratio divided by that maximum draws the law conditioned on k >= lo
+    exactly; expected proposals per draw are bounded on compact alpha sets
+    and tend to 1 as lo grows.  expm1/log1p keep T-1 exact for huge k.
+    Proposals above 2**62 are rejected (resampled), i.e. draws follow the
+    law conditioned on k < 2**62; the neglected mass is tail(2**62).
 
     Each round, every row still short of draws takes its ``todo`` u's and
     then its ``todo`` v's from its own generator, so a row depends on its
     generator alone; the acceptance test runs once on all rows' proposals.
     """
     x = 1.0 / alpha - 1.0
-    inv_b1 = 1.0 / np.expm1(x * np.log(2.0))  # 1/(b-1)
-    inv_b = 2.0**-x
-    out = np.empty((len(rngs), m), dtype=np.int64)
+    inv_b1 = 1.0 / (lo * np.expm1(x * np.log1p(1.0 / lo)))  # 1/(lo(T_lo - 1))
+    inv_b = (1.0 + 1.0 / lo) ** -x  # 1/T_lo
+    counts = np.broadcast_to(np.asarray(m, dtype=np.int64), (len(rngs),))
+    offsets = np.cumsum(counts) - counts
+    out = np.empty(int(counts.sum()), dtype=np.int64)
     filled = np.zeros(len(rngs), dtype=np.int64)
-    short = np.flatnonzero(filled < m)
+    short = np.flatnonzero(filled < counts)
     while short.size:
-        todo = m - filled[short]
+        todo = counts[short] - filled[short]
         ends = np.cumsum(todo)
         u = np.empty(int(ends[-1]))
         v = np.empty_like(u)
-        for row, lo, hi in zip(short.tolist(), (ends - todo).tolist(), ends.tolist()):
-            rngs[row].random(out=u[lo:hi])
-            rngs[row].random(out=v[lo:hi])
+        for row, a, b in zip(short.tolist(), (ends - todo).tolist(), ends.tolist()):
+            rngs[row].random(out=u[a:b])
+            rngs[row].random(out=v[a:b])
         with np.errstate(over="ignore"):
-            xf = u ** (-1.0 / x)
+            xf = lo * u ** (-1.0 / x)  # exact at lo = 1
         ok = xf < float(_MAX_VALUE)
         kf = np.floor(xf, where=ok, out=np.ones_like(xf))
         tm1 = np.expm1(x * np.log1p(1.0 / kf))
@@ -201,10 +206,10 @@ def sample_zipf_rows(alpha: float, rngs, m: int) -> np.ndarray:
         n_acc = np.bincount(seg, minlength=short.size)
         rank = np.arange(accept.size) - (np.cumsum(n_acc) - n_acc)[seg]
         rows = short[seg]
-        out[rows, filled[rows] + rank] = kf[accept].astype(np.int64)
+        out[offsets[rows] + filled[rows] + rank] = kf[accept].astype(np.int64)
         filled[short] += n_acc
-        short = short[filled[short] < m]
-    return out
+        short = short[filled[short] < counts[short]]
+    return out.reshape(len(rngs), int(m)) if np.ndim(m) == 0 else out
 
 
 @dataclass(frozen=True)

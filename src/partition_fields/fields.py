@@ -4,10 +4,12 @@ Every model is a product of independent per-direction axes.  An axis is a
 random partition of the sites 1..n of one direction: urn boxes with
 alternating signs, or forest trees with identical signs.  A partial sum
 depends on the partition only through how many sites of each class lie
-below the corner, so a replicate samples each axis, turns it into a
-corner-count matrix A[m, c] (sites of class c among 1..floor(n*t_m); for an
-urn box, the parity of that count, which is the running sum of its
-alternating signs), attaches replayable spin values to the (product)
+below the corner, so a replicate samples each axis as a corner-count
+matrix A[m, c] (sites of class c among 1..floor(n*t_m); for an urn box,
+the parity of that count, which is the running sum of its alternating
+signs).  A forest axis resolves its sites' roots and counts them; an urn
+axis draws its boxes' counts per corner segment and never labels single
+draws.  A replicate then attaches replayable spin values to the (product)
 classes through the keyed hash, and evaluates every corner with one
 product: A v in 1D, A1 eps A2^T in 2D.  Replicates are simulated in
 batches: each axis samples and resolves the partitions of a whole batch in
@@ -36,7 +38,7 @@ from scipy.special import gamma
 
 from ._hashing import hash1, hash2, signs_from
 from .distributions import MarginalLaw, PmfKind, PowerLawPmf, make_hs_pmf, make_karlin_pmf
-from .partition1d import classes_by_row, roots_of, sample_urn, truncation_pair_bound
+from .partition1d import classes_by_row, roots_of, truncation_pair_bound, urn_counts
 from .renewal import bn_sq_growth_constant, cached_renewal_sequence, var_xstar
 from .seeding import spin_key
 
@@ -134,16 +136,22 @@ class Axis:
             return None
         return truncation_pair_bound(self.pmf, -self.depth)
 
-    def sample(self, rngs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One row per generator: (class ids, each site's index into them, row starts).
+    def sample(self, rngs, ts: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One row per generator: (class ids, int64 corner counts, row starts).
 
-        See :func:`~partition_fields.partition1d.classes_by_row` for the layout.
+        Row b's classes are ``classes[starts[b]:starts[b + 1]]``, and the
+        count matrix has one row per grid time and one column per class of
+        every row (see :meth:`corner_counts`).  An urn axis draws its boxes'
+        count parities per corner segment
+        (:func:`~partition_fields.partition1d.urn_counts`); a forest axis
+        takes a jump key per generator, resolves the roots of its n sites
+        and counts them.
         """
         if self.is_urn:
-            path = sample_urn(self.pmf, self.n, rngs)
-            return path.classes, path.inverse, path.starts
+            return urn_counts(self.alpha, self.n, _corner_index(self.n, ts), rngs)
         keys = [spin_key(rng) for rng in rngs]  # each row's jump key
-        return classes_by_row(roots_of(self.alpha, keys, self.depth, np.arange(1, self.n + 1)))
+        classes, inv, starts = classes_by_row(roots_of(self.alpha, keys, self.depth, np.arange(1, self.n + 1)))
+        return classes, self.corner_counts(inv, classes.size, ts), starts
 
     def corner_counts(self, inv: np.ndarray, k: int, ts: tuple[float, ...]) -> np.ndarray:
         """int64 (corners, k): row m counts the sites of class c among 1..floor(n*t_m).
@@ -320,8 +328,9 @@ def _metadata(spec: ModelSpec) -> dict:
 def batch_size(spec: ModelSpec, grid: CornerGrid) -> int:
     """Replicates per simulate call: an element budget over one replicate's footprint.
 
-    A replicate holds, per axis, its n labels or roots and a (corners + 1) x n
-    count matrix; a forest axis draws no sites, so its depth costs nothing here.
+    A forest axis holds its n roots and a (corners + 1) x n count matrix per
+    replicate; it draws no sites, so its depth costs nothing here.  An urn
+    axis is budgeted the same, though its box counts hold far less.
     """
     footprint = sum((len(ts) + 2) * axis.n for axis, ts in zip(spec.axes, (grid.t1, grid.t2)))
     return max(1, _BATCH_ELEMENTS // footprint)
@@ -332,26 +341,25 @@ def simulate(spec: ModelSpec, grid: CornerGrid, rngs) -> np.ndarray:
 
     Row b is a pure function of (spec, grid, rngs[b] state): each generator
     gives its spin key first and then the axes' draws in direction order (a
-    forest axis's two-word jump key, an urn axis's Zipf labels), which fixes
-    the stream's layout.  Divide by Z to normalize.
+    forest axis's two-word jump key; an urn axis's one multinomial call over
+    its corner segments, then its tail draws), which fixes the stream's
+    layout.  An urn axis draws only up to its last corner and per corner
+    segment, so a replicate's realization depends on the grid's segments as
+    well.  Divide by Z to normalize.
     """
     if grid.is_2d != spec.is_2d:
         raise ValueError(f"{spec.kind.value} needs a {'2D' if spec.is_2d else '1D'} grid")
     keys = np.array([spin_key(rng) for rng in rngs], dtype=np.uint64)
-    sampled = [axis.sample(rngs) for axis in spec.axes]
-    counts = [
-        axis.corner_counts(inv, uniq.size, ts)
-        for axis, (uniq, inv, _), ts in zip(spec.axes, sampled, (grid.t1, grid.t2))
-    ]
+    sampled = [axis.sample(rngs, ts) for axis, ts in zip(spec.axes, (grid.t1, grid.t2))]
     out = np.empty((len(rngs), *grid.shape()))
     if spec.is_2d:
-        (u1, _, s1), (u2, _, s2) = sampled
+        (u1, a1, s1), (u2, a2, s2) = sampled
         for b, key in enumerate(keys):
             c1, c2 = slice(s1[b], s1[b + 1]), slice(s2[b], s2[b + 1])
             core = signs_from(hash2(key, u1[c1, None], u2[None, c2]))
-            out[b] = counts[0][:, c1] @ core @ counts[1][:, c2].T  # exact: int64 matmul
+            out[b] = a1[:, c1] @ core @ a2[:, c2].T  # exact: int64 matmul
         return out
-    (axis,), ((uniq, _, starts),), (a,) = spec.axes, sampled, counts
+    (axis,), ((uniq, a, starts),) = spec.axes, sampled
     class_keys = keys[np.repeat(np.arange(len(rngs)), np.diff(starts))]
     v = axis.draw(spec.marginal, hash1(class_keys.T, uniq))
     for b in range(len(rngs)):

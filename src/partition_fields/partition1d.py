@@ -3,7 +3,14 @@
 Two partitions of the index line are provided:
 
 * the infinite urn scheme: i ~ j iff the i-th and j-th draws landed in the
-  same box, with exact occupancy counts (distinct boxes, odd-occupied boxes);
+  same box.  A partial sum reads the urn only through the parity of each
+  box's count below each corner, and the box counts of disjoint segments
+  of draws are independent multinomials, so the urn draws its boxes'
+  counts per corner segment instead of n labels: a multinomial over the
+  head boxes 1..L that n draws are expected to reach, and the few draws
+  above L exactly from the conditioned law.  The cost grows like
+  corners * n**alpha, not n log n.  Exact occupancy expectations (distinct
+  boxes, odd-occupied boxes) are provided too;
 * the ancestral forest: each site i is joined to i - J_i for heavy-tailed
   jumps J_i, and i ~ j iff their ancestral lines meet.  J_i is a keyed hash
   of i inverted to the jump law, so any site's jump is computed on demand
@@ -15,27 +22,26 @@ Two partitions of the index line are provided:
 
 Both engines sample a batch of replicates at once, one row per replicate
 generator, and resolve each row's partition once, in the form the fields
-read: the urn's box of each draw, the forest's root of each query site.  The
-fields count each class's sites below every corner from these; an urn box's
-alternating signs sum to the parity of its count.
+read: the urn's boxes with their count parities below every corner, the
+forest's root of each query site.  An urn box's alternating signs sum to
+the parity of its count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from functools import lru_cache
 
 import numpy as np
 
 from ._hashing import hash1, uniforms_from
-from .distributions import PmfKind, PowerLawPmf, invert_hs_tail, sample_zipf_rows
+from .distributions import PowerLawPmf, invert_hs_tail, make_karlin_pmf, sample_zipf_rows
 from .renewal import cached_renewal_sequence
 
 __all__ = [
-    "UrnPath",
     "classes_by_row",
-    "sample_urn",
-    "occupancy",
+    "urn_head_size",
+    "urn_counts",
     "expected_occupancy",
     "hashed_jumps",
     "roots_of",
@@ -65,40 +71,76 @@ def classes_by_row(ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ordered[new], inverse.reshape(ids.shape), starts
 
 
-@dataclass(frozen=True)
-class UrnPath:
-    """Label draws Y_1..Y_n and their boxes, one row per replicate (1D: one path).
+def urn_head_size(alpha: float, n: int) -> int:
+    """L: the largest box l with n*p_l >= 1 under the Zipf law at alpha (0 if even n*p_1 < 1).
 
-    ``classes`` are each row's distinct labels in increasing order, row after
-    row (row b's from ``starts[b]``), and ``classes[inverse[b, i]] == labels[b, i]``.
+    n*p_l >= 1 exactly when l <= (n/zeta(1/alpha))**alpha; the floor of that
+    power is settled on the inequality itself, so a rounding of the power at
+    a boundary cannot move L.
     """
-
-    labels: np.ndarray
-    classes: np.ndarray
-    inverse: np.ndarray
-    starts: np.ndarray
-
-    @classmethod
-    def from_labels(cls, labels) -> "UrnPath":
-        labels = np.asarray(labels, dtype=np.int64)
-        if labels.size == 0:
-            raise ValueError("label sequence must be nonempty")
-        return cls(labels, *classes_by_row(labels))
+    pmf = make_karlin_pmf(alpha)
+    head = math.floor((n * pmf.pmf_at(1)) ** alpha)  # n*p_1 = n/zeta(1/alpha)
+    while head >= 1 and n * pmf.pmf_at(head) < 1.0:
+        head -= 1
+    while n * pmf.pmf_at(head + 1) >= 1.0:
+        head += 1
+    return head
 
 
-def sample_urn(pmf: PowerLawPmf, n: int, rngs) -> UrnPath:
-    """Draw n Zipf labels per generator, one row each, and sort each row into boxes."""
-    if getattr(pmf, "kind", None) is not PmfKind.KARLIN_ZIPF:
-        raise ValueError("urn labels must follow a KarlinZipf pmf")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return UrnPath.from_labels(sample_zipf_rows(pmf.alpha, rngs, n))
+@lru_cache(maxsize=64)
+def _head_pvals(alpha: float, n: int) -> np.ndarray:
+    """[p_1 .. p_L, mass of the boxes above L] (read-only): one segment's multinomial cells."""
+    head = make_karlin_pmf(alpha).pmf_block(1, urn_head_size(alpha, n) + 1)
+    pvals = np.append(head, 1.0 - head.sum())
+    pvals.flags.writeable = False
+    return pvals
 
 
-def occupancy(path: UrnPath) -> tuple[int, int]:
-    """(#occupied boxes, #odd-occupied boxes) of the whole path, every row's boxes together."""
-    counts = np.bincount(path.inverse.ravel())  # every box of the path holds a draw
-    return int(counts.size), int(np.count_nonzero(counts & 1))
+def urn_counts(alpha: float, n: int, corners, rngs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(classes, parities, starts): the urn boxes below each corner, one row per generator.
+
+    ``corners`` are the nondecreasing draw counts floor(n*t_m), so the draws
+    split into segments (corners[m-1], corners[m]]; draws past the last
+    corner are never made.  Per generator, one multinomial call gives every
+    head box's count per segment (boxes 1..L, ``urn_head_size``) and the
+    number of the segment's draws that land above L; those tail draws are
+    then drawn exactly from the law conditioned on k >= L + 1 and fill the
+    segments in draw order.  Row b's boxes are ``classes[starts[b]:starts[b + 1]]``,
+    its head boxes first and then its tail boxes, each in increasing order;
+    ``parities[m, c]`` is 1 when box c holds an odd number of draws among the
+    first corners[m] (int64, one column per class).
+    """
+    corners = np.asarray(corners, dtype=np.int64)
+    pvals = _head_pvals(alpha, n)
+    head = pvals.size - 1
+    lengths = np.diff(corners, prepend=0)
+    drawn = np.stack([rng.multinomial(lengths, pvals) for rng in rngs])  # (B, corners, L + 1)
+    per_segment = drawn[:, :, head]
+    tail = sample_zipf_rows(alpha, rngs, per_segment.sum(axis=1), lo=head + 1)
+
+    # a head box is a class of its row when it holds a draw below the last corner
+    below = np.cumsum(drawn[:, :, :head], axis=1)
+    head_rows, head_boxes = np.nonzero(below[:, -1])
+    head_parity = below[head_rows, :, head_boxes].T & 1
+
+    # tail draws: one class per distinct (row, label), counted per segment
+    rows = np.repeat(np.arange(len(rngs)), per_segment.sum(axis=1))
+    segment = np.repeat(np.tile(np.arange(corners.size), len(rngs)), per_segment.ravel())
+    order = np.lexsort((tail, rows))
+    tail, rows, segment = tail[order], rows[order], segment[order]
+    new = np.ones(tail.size, dtype=bool)
+    new[1:] = (tail[1:] != tail[:-1]) | (rows[1:] != rows[:-1])
+    box = np.cumsum(new) - 1
+    k = int(np.count_nonzero(new))
+    tail_counts = np.bincount(segment * k + box, minlength=corners.size * k).reshape(corners.size, k)
+    tail_parity = np.cumsum(tail_counts, axis=0) & 1
+
+    owner = np.concatenate((head_rows, rows[new]))
+    merged = np.argsort(owner, kind="stable")  # per row: head boxes, then tail boxes
+    classes = np.concatenate((head_boxes + 1, tail[new]))[merged]
+    parity = np.concatenate((head_parity, tail_parity), axis=1)[:, merged]
+    starts = np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=len(rngs)))))
+    return classes, parity, starts
 
 
 def expected_occupancy(pmf, n: int) -> tuple[float, float]:

@@ -9,10 +9,14 @@ which is what makes work-stealing parallelism bit-reproducible.
 
 A replicate's generator gives its 128-bit spin key first (:func:`spin_key`),
 then each axis's draws in direction order: a forest axis takes two more raw
-words as its jump key (J_i is a keyed hash of site i, so no per-site draws),
-an urn axis its Zipf labels.  That layout is identified in reports by
-:data:`SCHEME_ID`; v2 replaced v1's per-site forest window uniforms with the
-jump key.
+words as its jump key (J_i is a keyed hash of site i, so no per-site draws);
+an urn axis makes one ``multinomial`` call over its corner segments (the
+head boxes' counts and each segment's number of tail draws) and then the
+rejection rounds of its tail labels.  That layout is identified in reports
+by :data:`SCHEME_ID`; v2 replaced v1's per-site forest window uniforms with
+the jump key, and v3 replaced the urn's n Zipf labels with the box counts
+per corner segment.  The multinomial draws come from NumPy's binomial
+sampler, so the bytes also depend on it.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import operator
 import numpy as np
 from numpy.random import Generator, Philox
 
-SCHEME_ID = "philox128-jumped-v2"
+SCHEME_ID = "philox128-jumped-v3"
 
 _SEED_BITS = 128
 _SEED_MASK = (1 << _SEED_BITS) - 1

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import ndtr
@@ -273,8 +274,9 @@ def _identity_record(spec: ModelSpec, s_final: np.ndarray, target: tuple[float, 
     return IdentityRecord(KIND_TABLE[spec.kind].identity, analytic, mc, se, kind, allowance)
 
 
+@lru_cache(maxsize=64)
 def _axis_variance(axis: Axis) -> float:
-    """Exact Var of one axis's ±1 partial sum S_n (untruncated forest)."""
+    """Exact Var of one axis's ±1 partial sum S_n (untruncated forest), kept across calls."""
     if axis.is_urn:
         return expected_occupancy(axis.pmf, axis.n)[1]  # E[#odd boxes]
     kmax = max(_IDENTITY_KMAX, 16 * axis.n)

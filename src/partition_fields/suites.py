@@ -23,7 +23,7 @@ from scipy.special import gamma
 from .distributions import FinitePmf, PmfKind, make_hs_pmf, make_karlin_pmf
 from .fbs import HurstPair, fbs_cov_matrix
 from .fields import KIND_TABLE, Axis, CornerGrid, ModelSpec
-from .partition1d import occupancy, sample_urn
+from .partition1d import urn_counts
 from .renewal import (
     bn_sq_growth_constant,
     c_alpha,
@@ -116,10 +116,11 @@ def _band_check(name: str, value: float, target: float, rel_lo: float, rel_hi: f
 
 
 def suite_occupancy(alpha: float = 0.6, n: int = 10**6, seed=0xC0FFEE) -> SuiteReport:
-    """Single-path occupancy ratios against the urn limits."""
+    """Single-path occupancy ratios against the urn limits: n draws as one segment."""
     rng = replicate_generator(normalize_seed(seed), 0)
     pmf = make_karlin_pmf(alpha)
-    k_n, k_odd = occupancy(sample_urn(pmf, n, [rng]))
+    boxes, parity, _ = urn_counts(alpha, n, [n], [rng])
+    k_n, k_odd = boxes.size, int(parity.sum())
     scale = n**alpha * pmf.sv_constant
     checks = (
         _band_check(

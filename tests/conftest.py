@@ -1,9 +1,11 @@
 import os
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from partition_fields import partition1d
+from partition_fields.distributions import PmfKind, PowerLawPmf, sample_zipf_rows
 
 # Keep BLAS thread pools fixed so timings and reductions are stable in CI.
 os.environ.setdefault("OMP_NUM_THREADS", "1")
@@ -68,6 +70,78 @@ def sample_zipf_oracle(s: float, rng, m: int) -> np.ndarray:
         out[filled : filled + n_acc] = kf[accept].astype(np.int64)
         filled += n_acc
     return out
+
+
+# ---------------------------------------------------------------------------
+# the urn as n labels: the reference for the box-count path in src/
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class UrnPath:
+    """Label draws Y_1..Y_n and their boxes, one row per replicate (1D: one path).
+
+    ``classes`` are each row's distinct labels in increasing order, row after
+    row (row b's from ``starts[b]``), and ``classes[inverse[b, i]] == labels[b, i]``.
+    """
+
+    labels: np.ndarray
+    classes: np.ndarray
+    inverse: np.ndarray
+    starts: np.ndarray
+
+    @classmethod
+    def from_labels(cls, labels) -> "UrnPath":
+        labels = np.asarray(labels, dtype=np.int64)
+        if labels.size == 0:
+            raise ValueError("label sequence must be nonempty")
+        return cls(labels, *partition1d.classes_by_row(labels))
+
+
+def sample_urn(pmf: PowerLawPmf, n: int, rngs) -> UrnPath:
+    """Draw n Zipf labels per generator, one row each, and sort each row into boxes."""
+    if getattr(pmf, "kind", None) is not PmfKind.KARLIN_ZIPF:
+        raise ValueError("urn labels must follow a KarlinZipf pmf")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return UrnPath.from_labels(sample_zipf_rows(pmf.alpha, rngs, n))
+
+
+def occupancy(path: UrnPath) -> tuple[int, int]:
+    """(#occupied boxes, #odd-occupied boxes) of the whole path, every row's boxes together."""
+    counts = np.bincount(path.inverse.ravel())  # every box of the path holds a draw
+    return int(counts.size), int(np.count_nonzero(counts & 1))
+
+
+def urn_layout(labels, corners) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Labels (one row per replicate) in the layout of ``partition1d.urn_counts``.
+
+    As there, only the labels up to the last corner are read.  Returns
+    (classes, parities, starts): each row's distinct labels in increasing
+    order, the parity of each box's count among the first corners[m] labels
+    of its row (int64, corners x classes) and the row starts.
+    """
+    corners = np.asarray(corners, dtype=np.int64)
+    labels = np.atleast_2d(np.asarray(labels, dtype=np.int64))[:, : corners[-1]]
+    if labels.size == 0:
+        return np.empty(0, np.int64), np.zeros((corners.size, 0), np.int64), np.zeros(len(labels) + 1, np.int64)
+    classes, inverse, starts = partition1d.classes_by_row(labels)
+    counts = [np.bincount(inverse[:, :c].ravel(), minlength=classes.size) for c in corners.tolist()]
+    return classes, np.asarray(counts, dtype=np.int64).reshape(-1, classes.size) & 1, starts
+
+
+# ---------------------------------------------------------------------------
+# the keyed hash before its finalizer worked in place
+# ---------------------------------------------------------------------------
+
+_M1 = np.uint64(0xBF58476D1CE4E5B9)
+_M2 = np.uint64(0x94D049BB133111EB)
+
+
+def finalize_oracle(z: np.ndarray) -> np.ndarray:
+    """The SplitMix64 finalizer, allocating a new array for every step."""
+    z = (z ^ (z >> np.uint64(30))) * _M1
+    z = (z ^ (z >> np.uint64(27))) * _M2
+    return z ^ (z >> np.uint64(31))
 
 
 # ---------------------------------------------------------------------------

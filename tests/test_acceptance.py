@@ -25,13 +25,12 @@ from partition_fields import (
     fbs_cov_matrix,
     make_hs_pmf,
     make_karlin_pmf,
-    occupancy,
     renewal_sequence,
     replicate_generator,
     run_replicates,
     sample_fbs,
-    sample_urn,
 )
+from partition_fields.partition1d import urn_counts
 from partition_fields.renewal import cached_renewal_sequence, p_alpha_weights, weights
 from partition_fields.stats import empirical_cov
 from partition_fields.suites import enumerate_renewal_probability, run_suite
@@ -53,7 +52,9 @@ def test_criterion_01_occupancy_law():
     t0 = time.monotonic()
     alpha, n = 0.6, 10**6
     pmf = make_karlin_pmf(alpha)
-    k_n, k_odd = occupancy(sample_urn(pmf, n, [replicate_generator(SEED, 1)]))
+    # one path of n draws: one corner segment, its boxes and their parities
+    boxes, parity, _ = urn_counts(alpha, n, [n], [replicate_generator(SEED, 1)])
+    k_n, k_odd = boxes.size, int(parity.sum())
     ratio_kn = k_n / (n**alpha * pmf.sv_constant)
     ratio_odd = k_odd / k_n
     ok_kn = 0.9 * gamma(0.4) <= ratio_kn <= 1.1 * gamma(0.4)

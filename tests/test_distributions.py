@@ -116,6 +116,7 @@ def test_hs_tail_differences_are_pmf():
 @given(st.floats(0.05, 0.95), st.integers(0, 60), st.integers(1, 6), st.integers(0, 2**32))
 @settings(max_examples=100, deadline=None)
 def test_zipf_rows_match_one_generator_sampler(alpha, m, rows, seed):
+    # the default floor lo = 1 with one count per row: each row is the one-generator sampler, byte for byte
     rngs = [replicate_generator(seed, r) for r in range(rows)]
     refs = [replicate_generator(seed, r) for r in range(rows)]
     got = sample_zipf_rows(alpha, rngs, m)
@@ -123,6 +124,20 @@ def test_zipf_rows_match_one_generator_sampler(alpha, m, rows, seed):
     for row, rng, ref in zip(got, rngs, refs):
         assert np.array_equal(row, sample_zipf_oracle(1.0 / alpha, ref, m))
         assert rng.random() == ref.random()  # each row read exactly its own generator's draws
+
+
+@given(st.floats(0.05, 0.95), st.lists(st.integers(0, 30), min_size=1, max_size=5), st.integers(1, 50),
+       st.integers(0, 2**32))
+@settings(max_examples=100, deadline=None)
+def test_zipf_rows_with_per_row_counts_and_a_floor(alpha, counts, lo, seed):
+    # row b's draws are those of a call on its generator alone, all at or above the floor
+    rngs = [replicate_generator(seed, r) for r in range(len(counts))]
+    got = sample_zipf_rows(alpha, rngs, counts, lo=lo)
+    assert got.shape == (sum(counts),) and np.all(got >= lo)
+    for b, row in enumerate(np.split(got, np.cumsum(counts)[:-1])):
+        ref = replicate_generator(seed, b)
+        assert np.array_equal(row, sample_zipf_rows(alpha, [ref], [counts[b]], lo=lo))
+        assert rngs[b].random() == ref.random()
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.7])

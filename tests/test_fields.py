@@ -13,7 +13,6 @@ from partition_fields import (
     MarginalLaw,
     ModelKind,
     ModelSpec,
-    UrnPath,
     expected_occupancy,
     make_karlin_pmf,
     normalization,
@@ -23,8 +22,9 @@ from partition_fields import (
 from partition_fields import fields
 from partition_fields.distributions import PmfKind, sample_zipf_rows
 from partition_fields.fields import KIND_TABLE, Axis, _corner_index, batch_size
+from partition_fields.partition1d import urn_head_size
 
-from conftest import roots_on_jumps, running_parity_oracle
+from conftest import roots_on_jumps, running_parity_oracle, urn_layout
 
 SEED = "f1e1d0000000000000000000000000aa"
 
@@ -135,26 +135,66 @@ def test_batch_size_does_not_depend_on_forest_depth(kind):
 
 
 def test_stream_layout_spin_key_then_jump_key_then_labels(monkeypatch):
-    # combined2d: spin key (2 raw words), the forest axis's jump key (2 more), then the urn labels
+    # combined2d: spin key (2 raw words), the forest axis's jump key (2 more), then the urn's draws
     spec = ModelSpec(ModelKind.COMBINED_2D, (0.25, 0.6), (16, 40), forest_depth=300)
+    grid = CornerGrid((1.0,), (0.5, 1.0))
     seen = {}
-    real_urn, real_roots = fields.sample_urn, fields.roots_of
+    real_urn, real_roots = fields.urn_counts, fields.roots_of
 
-    def urn(pmf, n, rngs):
-        seen["path"] = real_urn(pmf, n, rngs)
-        return seen["path"]
+    def urn(alpha, n, corners, rngs):
+        seen["boxes"] = real_urn(alpha, n, corners, rngs)
+        return seen["boxes"]
 
     def roots(alpha, keys, depth, sites):
         seen["keys"] = keys
         return real_roots(alpha, keys, depth, sites)
 
-    monkeypatch.setattr(fields, "sample_urn", urn)
+    monkeypatch.setattr(fields, "urn_counts", urn)
     monkeypatch.setattr(fields, "roots_of", roots)
-    simulate(spec, CornerGrid((1.0,), (1.0,)), [replicate_generator(SEED, 4)])
+    rng = replicate_generator(SEED, 4)
+    simulate(spec, grid, [rng])
     ref = replicate_generator(SEED, 4)
     words = ref.bit_generator.random_raw(4)
     assert [tuple(k) for k in np.asarray(seen["keys"], dtype=np.uint64)] == [(words[2], words[3])]
-    assert np.array_equal(seen["path"].labels, sample_zipf_rows(0.6, [ref], 40))
+    want = real_urn(0.6, 40, _corner_index(40, grid.t2), [ref])
+    assert all(np.array_equal(g, w) for g, w in zip(seen["boxes"], want))
+    assert rng.random() == ref.random()
+
+
+def test_stream_layout_spin_key_then_multinomial_then_tail_rounds(monkeypatch):
+    # karlin1d, replayed on a fresh generator: the spin key, one multinomial call over
+    # the corner segments, then the tail labels' rejection rounds, and nothing else
+    alpha, n, ts = 0.6, 40, (0.25, 0.5, 1.0)
+    seen = {}
+    real = fields.urn_counts
+
+    def urn(*args):
+        seen["boxes"] = real(*args)
+        return seen["boxes"]
+
+    monkeypatch.setattr(fields, "urn_counts", urn)
+    rng = replicate_generator(SEED, 9)
+    simulate(ModelSpec(ModelKind.KARLIN_1D, (alpha,), (n,)), CornerGrid(ts), [rng])
+
+    ref = replicate_generator(SEED, 9)
+    ref.bit_generator.random_raw(2)
+    head = urn_head_size(alpha, n)
+    p = make_karlin_pmf(alpha).pmf_block(1, head + 1)
+    corners = _corner_index(n, ts)
+    drawn = ref.multinomial(np.diff(corners, prepend=0), np.append(p, 1.0 - p.sum()))
+    tail = sample_zipf_rows(alpha, [ref], [drawn[:, -1].sum()], lo=head + 1)
+    assert rng.random() == ref.random()
+    assert tail.size > 0
+
+    # each box's draws per segment, the tail draws filling the segments in draw order
+    per_segment = {box: drawn[:, box - 1] for box in range(1, head + 1) if drawn[:, box - 1].any()}
+    boxes = list(per_segment) + sorted(set(tail.tolist()))
+    for label, m in zip(tail.tolist(), np.repeat(np.arange(corners.size), drawn[:, -1]).tolist()):
+        per_segment.setdefault(label, np.zeros(corners.size, dtype=np.int64))[m] += 1
+    parity = np.array([np.cumsum(per_segment[box]) % 2 for box in boxes]).T
+    classes, got, starts = seen["boxes"]
+    assert classes.tolist() == boxes and starts.tolist() == [0, len(boxes)]
+    assert got.dtype == np.int64 and got.tolist() == parity.tolist()
 
 
 def test_model_spec_validation():
@@ -266,7 +306,7 @@ def test_corner_grid_validation():
 def _force_partitions(monkeypatch, urn=None, roots=None, core=None):
     """Pin the sampled partitions (labels / roots by horizon n) and the 2D spin core."""
     if urn is not None:
-        monkeypatch.setattr(fields, "sample_urn", lambda pmf, n, rngs: UrnPath.from_labels([urn[n]]))
+        monkeypatch.setattr(fields, "urn_counts", lambda alpha, n, corners, rngs: urn_layout([urn[n]], corners))
     if roots is not None:
         monkeypatch.setattr(fields, "roots_of",
                             lambda alpha, keys, depth, sites: np.asarray([roots[sites.size]], dtype=np.int64))
@@ -277,10 +317,12 @@ def _force_partitions(monkeypatch, urn=None, roots=None, core=None):
 def test_karlin1d_forced_labels(monkeypatch):
     _force_partitions(monkeypatch, urn={3: [3, 3, 5]})
     monkeypatch.setattr(Axis, "draw", lambda self, marginal, h: np.array([1.0, -1.0]))  # V(3)=1, V(5)=-1
-    uniq, inv, _ = Axis(PmfKind.KARLIN_ZIPF, 0.6, 3).sample([None])
-    assert uniq.tolist() == [3, 5]
     thirds = (1 / 3, 2 / 3, 1.0)
-    assert Axis(PmfKind.KARLIN_ZIPF, 0.6, 3).corner_counts(inv, 2, thirds).tolist() == [[1, 0], [0, 0], [0, 1]]
+    uniq, counts, _ = Axis(PmfKind.KARLIN_ZIPF, 0.6, 3).sample([None], thirds)
+    assert uniq.tolist() == [3, 5]
+    assert counts.tolist() == [[1, 0], [0, 0], [0, 1]]
+    inv = np.array([0, 0, 1])  # the labels' boxes
+    assert Axis(PmfKind.KARLIN_ZIPF, 0.6, 3).corner_counts(inv, 2, thirds).tolist() == counts.tolist()
     raw = simulate(ModelSpec(ModelKind.KARLIN_1D, (0.6,), (3,)), CornerGrid(thirds),
                    [replicate_generator(SEED, 0)])[0]
     x = np.diff(raw, prepend=0.0)

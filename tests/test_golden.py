@@ -35,7 +35,7 @@ from partition_fields import (
 from partition_fields.cli import RunConfig, cmd_simulate
 from partition_fields.fields import _metadata
 
-GOLDEN = Path(__file__).parent / "data" / "golden_v2.json"
+GOLDEN = Path(__file__).parent / "data" / "golden_v3.json"
 SEED = "601de000000000000000000000000001"
 REPLICATE = 3
 REPORT_REPLICATES = 8

@@ -1,14 +1,21 @@
 """Quality and determinism of the keyed identifier hash."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from partition_fields._hashing import (
+    _GOLDEN,
+    _WORD2,
     hash1,
     hash2,
     low_uniforms_from,
     signs_from,
     uniforms_from,
 )
+
+from conftest import finalize_oracle
 
 KEY = (0x0123456789ABCDEF, 0xFEDCBA9876543210)
 
@@ -64,3 +71,27 @@ def test_sign_and_low_uniform_are_unrelated():
     u = low_uniforms_from(h)
     corr = np.corrcoef(s, u)[0, 1]
     assert abs(corr) < 4 / np.sqrt(s.size)
+
+
+def _hash1_oracle(key, a):
+    h = finalize_oracle((np.atleast_1d(a).astype(np.uint64) + _GOLDEN) ^ np.uint64(key[0]))
+    return finalize_oracle(h ^ np.uint64(key[1]))
+
+
+def _hash2_oracle(key, a, b):
+    h = finalize_oracle((np.atleast_1d(a).astype(np.uint64) + _GOLDEN) ^ np.uint64(key[0]))
+    return finalize_oracle(h ^ (np.atleast_1d(b).astype(np.uint64) * _WORD2 + np.uint64(key[1])))
+
+
+@given(st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)),
+       hnp.arrays(np.int64, st.integers(1, 50), elements=st.integers(-(2**63), 2**63 - 1)),
+       hnp.arrays(np.uint64, st.integers(1, 50)))
+@settings(max_examples=200, deadline=None)
+def test_in_place_finalizer_matches_the_allocating_one(key, signed, unsigned):
+    # same words as the finalizer that allocates every step, and the identifiers are left as they were
+    before = signed.copy(), unsigned.copy()
+    for ids in (signed, unsigned):
+        assert np.array_equal(hash1(key, ids), _hash1_oracle(key, ids))
+    assert np.array_equal(hash2(key, signed[:, None], unsigned[None, :]),
+                          _hash2_oracle(key, signed[:, None], unsigned[None, :]))
+    assert np.array_equal(signed, before[0]) and np.array_equal(unsigned, before[1])

@@ -1,4 +1,8 @@
-"""Urn occupancy and forest component engines."""
+"""Urn occupancy and forest component engines.
+
+The urn's label path (``conftest.sample_urn``: n labels, sorted into boxes)
+is the reference for the box-count path ``urn_counts``.
+"""
 
 import math
 from collections import Counter
@@ -13,20 +17,30 @@ from scipy.special import gamma
 
 from partition_fields import (
     FinitePmf,
-    UrnPath,
     expected_occupancy,
     make_hs_pmf,
     make_karlin_pmf,
-    occupancy,
     replicate_generator,
-    sample_urn,
 )
-from partition_fields.distributions import PmfKind, invert_hs_tail
+from partition_fields.distributions import PmfKind, invert_hs_tail, sample_zipf_rows
 from partition_fields.fields import Axis
-from partition_fields.partition1d import hashed_jumps, roots_of, truncation_pair_bound
+from partition_fields.partition1d import (
+    hashed_jumps,
+    roots_of,
+    truncation_pair_bound,
+    urn_counts,
+    urn_head_size,
+)
 from partition_fields.seeding import spin_key
 
-from conftest import roots_on_jumps, running_parity_oracle
+from conftest import (
+    UrnPath,
+    occupancy,
+    roots_on_jumps,
+    running_parity_oracle,
+    sample_urn,
+    urn_layout,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +111,120 @@ def test_occupancy_increment_scaling():
     k_n, _ = occupancy(UrnPath.from_labels(path.labels[0, n // 4:3 * n // 4]))
     scale = n**0.6 * pmf.sv_constant
     assert k_n / scale == pytest.approx(0.5**0.6 * gamma(0.4), rel=0.10)
+
+
+# ---------------------------------------------------------------------------
+# urn box counts per corner segment
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("alpha, n, head", [
+    (0.6, 1, 0), (0.6, 3, 1), (0.6, 1000, 40), (0.6, 1024, 40),
+    (0.3, 500, 6), (0.9, 1000, 65), (0.6, 10**6, 2533),
+])
+def test_urn_head_size_pins(alpha, n, head):
+    assert urn_head_size(alpha, n) == head
+    pmf = make_karlin_pmf(alpha)
+    # L is the last box that n draws are expected to reach at least once
+    assert head == 0 or n * pmf.pmf_at(head) >= 1.0
+    assert n * pmf.pmf_at(head + 1) < 1.0
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.6, 0.9])
+def test_conditioned_tail_chi_square_goodness_of_fit(alpha):
+    # the draws above the head, k >= L + 1, against p_k / tail(L + 1)
+    pmf = make_karlin_pmf(alpha)
+    lo = urn_head_size(alpha, 1000) + 1
+    draws = sample_zipf_rows(alpha, [replicate_generator("7a11", 0)], 10**6, lo=lo)[0]
+    assert draws.min() >= lo
+    observed = np.bincount(np.minimum(draws - lo, 50), minlength=51)  # the last bin is k >= lo + 50
+    expected = np.concatenate((pmf.pmf_block(lo, lo + 50), [pmf.tail_at(lo + 50)])) / pmf.tail_at(lo)
+    stat = float(np.sum((observed - expected * draws.size) ** 2 / (expected * draws.size)))
+    assert sps.chi2.sf(stat, df=50) > 1e-3, stat
+
+
+def _two_sample_p(a: np.ndarray, b: np.ndarray) -> float:
+    """Chi-square two-sample test of two integer samples; adjacent values pooled to 20 or more."""
+    values = np.union1d(a, b)
+    table = np.array([[np.sum(x == v) for v in values] for x in (a, b)])
+    bins, acc = [], np.zeros(2, dtype=np.int64)
+    for column in table.T:
+        acc = acc + column
+        if acc.sum() >= 20:
+            bins.append(acc)
+            acc = np.zeros(2, dtype=np.int64)
+    if acc.sum():
+        bins[-1:] = [bins[-1] + acc] if bins else [acc]
+    if len(bins) < 2:
+        return 1.0
+    return float(sps.chi2_contingency(np.array(bins).T, correction=False).pvalue)
+
+
+# a zero-length segment (0.3 and 0.3001 share their floor at every n here) and a last corner below 1
+_SEGMENT_TS = (0.3, 0.3001, 0.75)
+
+
+def _corners(n: int) -> np.ndarray:
+    return np.array([math.floor(n * t) for t in _SEGMENT_TS], dtype=np.int64)
+
+
+@pytest.mark.parametrize("n", [1, 7, 64, 1024])
+def test_box_counts_match_the_label_oracle(n):
+    # per corner: odd boxes from one call on the whole grid, distinct boxes from
+    # a call on the grid cut at that corner (the classes a row holds)
+    alpha, reps = 0.6, 2000
+    corners = _corners(n)
+    assert corners[0] == corners[1] and corners[-1] < n
+    rngs = [replicate_generator("c0", r) for r in range(reps)]
+    _, parity, starts = urn_counts(alpha, n, corners, rngs)
+    owner = np.repeat(np.arange(reps), np.diff(starts))
+    odd = np.stack([np.bincount(owner, weights=row, minlength=reps) for row in parity])
+    distinct = np.stack([
+        np.diff(urn_counts(alpha, n, corners[: m + 1], [replicate_generator("c1", r) for r in range(reps)])[2])
+        for m in range(corners.size)
+    ])
+
+    labels = sample_zipf_rows(alpha, [replicate_generator("0c", r) for r in range(reps)], int(corners[-1]))
+    _, ref_parity, ref_starts = urn_layout(labels, corners)
+    ref_owner = np.repeat(np.arange(reps), np.diff(ref_starts))
+    ref_odd = np.stack([np.bincount(ref_owner, weights=row, minlength=reps) for row in ref_parity])
+    ref_distinct = np.stack([[np.unique(row[:c]).size for row in labels] for c in corners.tolist()])
+
+    for m in range(corners.size):
+        assert _two_sample_p(odd[m], ref_odd[m]) > 1e-3, ("odd", n, m)
+        assert _two_sample_p(distinct[m], ref_distinct[m]) > 1e-3, ("distinct", n, m)
+
+
+@pytest.mark.parametrize("n", [7, 64, 1024])
+def test_mean_odd_boxes_match_expected_occupancy(n):
+    alpha, reps = 0.6, 4000
+    corners = _corners(n)
+    _, parity, starts = urn_counts(alpha, n, corners, [replicate_generator("e0", r) for r in range(reps)])
+    owner = np.repeat(np.arange(reps), np.diff(starts))
+    for c, row in zip(corners.tolist(), parity):
+        odd = np.bincount(owner, weights=row, minlength=reps)
+        want = expected_occupancy(make_karlin_pmf(alpha), c)[1] if c else 0.0
+        se = odd.std(ddof=1) / math.sqrt(reps)
+        assert abs(odd.mean() - want) <= 4 * se, (n, c, odd.mean(), want, se)
+
+
+def test_box_counts_layout_and_empty_segments():
+    rngs = [replicate_generator("1a", r) for r in range(5)]
+    classes, parity, starts = urn_counts(0.6, 50, [0, 10, 10, 30], rngs)
+    assert parity.dtype == np.int64 and parity.shape == (4, classes.size)
+    assert starts[0] == 0 and starts[-1] == classes.size and np.all(np.diff(starts) >= 1)
+    assert not parity[0].any() and np.array_equal(parity[1], parity[2])  # nothing below 0, nothing added
+    head = urn_head_size(0.6, 50)
+    for b in range(5):
+        row = classes[starts[b]:starts[b + 1]]
+        top, tail = row[row <= head], row[row > head]
+        # head boxes first, then tail boxes, each in increasing order
+        assert np.array_equal(row, np.concatenate((top, tail)))
+        assert np.all(np.diff(top) > 0) and np.all(np.diff(tail) > 0)
+    # a grid whose last corner is 0 draws nothing
+    fresh = [replicate_generator("1b", r) for r in range(2)]
+    classes, parity, starts = urn_counts(0.6, 50, [0], fresh)
+    assert classes.size == 0 and parity.shape == (1, 0) and starts.tolist() == [0] * 3
+    assert [rng.random() for rng in fresh] == [replicate_generator("1b", r).random() for r in range(2)]
 
 
 # ---------------------------------------------------------------------------

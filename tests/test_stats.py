@@ -159,6 +159,7 @@ def test_identity_target_fails_before_any_simulation(monkeypatch):
 
     monkeypatch.setattr(stats, "simulate_raw_matrix", unreachable)
     monkeypatch.setattr(stats, "expected_occupancy", give_up)
+    stats._axis_variance.cache_clear()  # a cached variance would skip expected_occupancy
     spec = ModelSpec(ModelKind.KARLIN_1D, (0.8,), (1024,))
     with pytest.raises(RuntimeError, match="gave up"):
         run_replicates(spec, CornerGrid((0.5, 1.0)), 10, SEED)
@@ -187,10 +188,34 @@ def test_identity_target_evaluates_each_distinct_axis_once(monkeypatch, kind, al
 
     for name in calls:
         monkeypatch.setattr(stats, name, counting(name))
+    stats._axis_variance.cache_clear()  # count the evaluations, not the cache hits
     spec = ModelSpec(kind, alphas, (64, 64))
     analytic, _, _ = stats._identity_target(spec)
     assert counts == calls
     assert analytic == math.prod(stats._axis_variance(axis) for axis in spec.axes)
+
+
+@pytest.mark.parametrize("kind, alphas", [
+    (ModelKind.KARLIN_2D, (0.6, 0.6)),
+    (ModelKind.HS_2D, (0.25, 0.25)),
+    (ModelKind.COMBINED_2D, (0.25, 0.6)),
+])
+def test_second_run_reuses_the_axis_variances(monkeypatch, kind, alphas):
+    # the per-axis variance is cached across calls: a second run on the same
+    # spec evaluates neither the urn occupancy nor the forest weights
+    from partition_fields import stats
+
+    spec = ModelSpec(kind, alphas, (24, 24), forest_depth=500)
+    grid = CornerGrid((0.5, 1.0), (0.5, 1.0))
+    first = run_replicates(spec, grid, 4, SEED)
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("the axis variance was evaluated again")
+
+    monkeypatch.setattr(stats, "expected_occupancy", unexpected)
+    monkeypatch.setattr(stats, "weights", unexpected)
+    second = run_replicates(spec, grid, 4, SEED)
+    assert json.dumps(second.to_dict(), sort_keys=True) == json.dumps(first.to_dict(), sort_keys=True)
 
 
 def test_covariance_estimator_consistency_rate():
