@@ -330,7 +330,7 @@ def cmd_renewal(cfg: RunConfig) -> list[Path]:
         )
         paths.append(w_path)
     click.echo(f"c_alpha({alpha}) = {_FMT(c_alpha(alpha))}")
-    click.echo(f"sum q^2 (kmax={cfg.kmax}) = {_FMT(1.0 / var_xstar(rs))}")
+    click.echo(f"sum q^2 (k <= kmax={cfg.kmax}, plus power-law tail estimate) = {_FMT(1.0 / var_xstar(rs))}")
     return paths
 
 

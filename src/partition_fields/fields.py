@@ -38,8 +38,8 @@ from scipy.special import gamma
 
 from ._hashing import hash1, hash2, signs_from
 from .distributions import MarginalLaw, PmfKind, PowerLawPmf, make_hs_pmf, make_karlin_pmf
-from .partition1d import classes_by_row, roots_of, truncation_pair_bound, urn_counts
-from .renewal import bn_sq_growth_constant, cached_renewal_sequence, var_xstar
+from .partition1d import classes_by_row, roots_of, urn_counts
+from .renewal import RenewalSequence, bn_sq_growth_constant, cached_renewal_sequence, var_xstar
 from .seeding import spin_key
 
 __all__ = [
@@ -54,7 +54,7 @@ __all__ = [
 ]
 
 DEFAULT_FOREST_FLOOR = 10**5
-_RENEWAL_KMAX_NORM = 1 << 18
+_RENEWAL_KMAX = 1 << 18  # least renewal horizon of a forest axis; see Axis.renewal
 # array elements one simulate batch may hold; see batch_size
 _BATCH_ELEMENTS = 1 << 21
 
@@ -88,13 +88,6 @@ KIND_TABLE = {
 }
 
 
-@lru_cache(maxsize=64)
-def _forest_var_xstar(alpha: float) -> float:
-    """Var(X*) = 1 / sum of q_k^2 for the exact-tail jump law at ``alpha``."""
-    rs = cached_renewal_sequence(make_hs_pmf(alpha), _RENEWAL_KMAX_NORM)
-    return var_xstar(rs)
-
-
 @dataclass(frozen=True)
 class Axis:
     """One direction of a model: a random partition of the sites 1..n.
@@ -123,18 +116,41 @@ class Axis:
         return self.alpha / 2.0 if self.is_urn else self.alpha + 0.5
 
     @property
+    def renewal(self) -> RenewalSequence:
+        """q_0..q_K of a forest axis's jump law, K = max(2^18, 16 n, 4 depth).
+
+        The one sequence every forest constant reads: Var(X*) = 1 / sum q_k^2,
+        the window weights of b_n^2 (which need K >= 16 n) and the truncation
+        tail beyond the depth.
+        """
+        return cached_renewal_sequence(self.pmf, max(_RENEWAL_KMAX, 16 * self.n, 4 * self.depth))
+
+    @property
     def variance_factors(self) -> tuple[float, float]:
         """Factors of this direction's limit variance at t = 1."""
         if self.is_urn:
             return gamma(1 - self.alpha), 2 ** (self.alpha - 1)
-        return bn_sq_growth_constant(self.alpha), _forest_var_xstar(self.alpha)
+        return bn_sq_growth_constant(self.alpha), var_xstar(self.renewal)
 
     @property
+    @lru_cache(maxsize=64)  # kept across calls: the tail sum reads K - depth terms
     def truncation_bound(self) -> float | None:
-        """Forest window per-pair truncation bound; None for an urn axis."""
+        """Per-pair bound on losing a coalescence below the floor; None for an urn axis.
+
+        For sites 1 <= i < j <= n, the chance that their lines meet only at or
+        below -depth is at most sum_{m <= -depth} q_{i-m} q_{j-m}.  Summing
+        over all pairs and applying Cauchy-Schwarz blockwise gives
+
+            sum_{i<j<=n} P(pair lost) <= n^2 * (1/2) * sum_{k > depth} q_k^2,
+
+        so ``(1/2) sum_{k > depth} q_k^2`` bounds the average per ordered pair
+        and ``2 * bound * n^2`` bounds the variance deficit of the truncated
+        model.  The q-tail beyond the renewal horizon uses the power-decay
+        estimate of :meth:`RenewalSequence.tail_sum_sq_from`.
+        """
         if self.is_urn:
             return None
-        return truncation_pair_bound(self.pmf, -self.depth)
+        return 0.5 * self.renewal.tail_sum_sq_from(self.depth)
 
     def sample(self, rngs, ts: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One row per generator: (class ids, int64 corner counts, row starts).

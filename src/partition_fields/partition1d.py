@@ -16,7 +16,8 @@ Two partitions of the index line are provided:
   of i inverted to the jump law, so any site's jump is computed on demand
   from the replicate's jump key and nothing is drawn per site.  Lines are
   infinite, so each is cut where its next parent falls at or below the
-  floor -depth, with a quantified truncation bound; the cut errs toward
+  floor -depth, with a quantified truncation bound
+  (``fields.Axis.truncation_bound``); the cut errs toward
   independence.  Roots are found only for the query sites, by walking
   their lines down to the floor.
 
@@ -35,8 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._hashing import hash1, uniforms_from
-from .distributions import PowerLawPmf, invert_hs_tail, make_karlin_pmf, sample_zipf_rows
-from .renewal import cached_renewal_sequence
+from .distributions import invert_hs_tail, make_karlin_pmf, sample_zipf_rows
 
 __all__ = [
     "classes_by_row",
@@ -45,7 +45,6 @@ __all__ = [
     "expected_occupancy",
     "hashed_jumps",
     "roots_of",
-    "truncation_pair_bound",
 ]
 
 _OCCUPANCY_TOL = 1e-10  # certificate on the discarded second-order tail
@@ -183,27 +182,6 @@ def expected_occupancy(pmf, n: int) -> tuple[float, float]:
             return phi, odd  # finite support exhausted
         lo += block
         block = min(2 * block, 1 << 22)
-
-
-@lru_cache(maxsize=64)
-def truncation_pair_bound(pmf: PowerLawPmf, lo: int) -> float:
-    """Per-pair bound on losing a coalescence at or below the floor lo = -depth.
-
-    For sites 1 <= i < j <= hi, the chance that their lines meet only at or
-    below lo is at most sum_{m <= lo} q_{i-m} q_{j-m}.  Summing over all
-    pairs and applying Cauchy-Schwarz blockwise gives
-
-        sum_{i<j<=hi} P(pair lost) <= hi^2 * (1/2) * sum_{k > -lo} q_k^2,
-
-    so ``(1/2) sum_{k > -lo} q_k^2`` bounds the average per ordered pair and
-    ``2 * bound * hi^2`` bounds the variance deficit of the truncated model.
-    The q-tail beyond the computed horizon uses the power-decay estimate of
-    :meth:`RenewalSequence.tail_sum_sq_from`.
-    """
-    depth = -lo
-    kmax = max(1 << 18, 4 * depth)
-    rs = cached_renewal_sequence(pmf, kmax)
-    return 0.5 * rs.tail_sum_sq_from(depth)
 
 
 def hashed_jumps(alpha: float, key, sites) -> np.ndarray:

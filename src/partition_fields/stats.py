@@ -18,7 +18,7 @@ from scipy.special import ndtr
 
 from .fields import KIND_TABLE, Axis, CornerGrid, ModelSpec, batch_size, normalization, simulate
 from .partition1d import expected_occupancy
-from .renewal import cached_renewal_sequence, var_xstar, weights
+from .renewal import var_xstar, weights
 from .seeding import SCHEME_ID, normalize_seed, replicate_generator, seed_to_hex
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "empirical_cov",
 ]
 
-_IDENTITY_KMAX = 1 << 21
 _KOLMOGOROV_TOL = 1e-12  # the Kolmogorov series stops at its first term below this
 
 
@@ -111,19 +110,16 @@ def simulate_raw_matrix(
     """Raw corner sums, one row per replicate, assembled in replicate order."""
     base_seed = normalize_seed(base_seed)
     workers = max(1, int(parallelism))
-    if workers == 1 or replicates < 2:
-        return _replicate_chunk(spec, grid, base_seed, 0, replicates)
-    # replicate 0 runs here first, warming shared caches (renewal constants,
-    # zeta) before forking workers; its row is kept
-    first = _replicate_chunk(spec, grid, base_seed, 0, 1)
     chunk = max(16, math.ceil(replicates / (4 * workers)))
-    bounds = list(range(1, replicates, chunk)) + [replicates]
+    bounds = list(range(0, replicates, chunk)) + [replicates]
+    if workers == 1 or len(bounds) <= 2:
+        return _replicate_chunk(spec, grid, base_seed, 0, replicates)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
             pool.submit(_replicate_chunk, spec, grid, base_seed, r0, r1)
             for r0, r1 in zip(bounds[:-1], bounds[1:])
         ]
-        return np.concatenate([first] + [fut.result() for fut in futures], axis=0)
+        return np.concatenate([fut.result() for fut in futures], axis=0)
 
 
 def run_replicates(
@@ -279,10 +275,11 @@ def _axis_variance(axis: Axis) -> float:
     """Exact Var of one axis's ±1 partial sum S_n (untruncated forest), kept across calls."""
     if axis.is_urn:
         return expected_occupancy(axis.pmf, axis.n)[1]  # E[#odd boxes]
-    kmax = max(_IDENTITY_KMAX, 16 * axis.n)
-    b_sq = weights(cached_renewal_sequence(axis.pmf, kmax), axis.n).b_sq
-    sum_q_sq = 1.0 / var_xstar(cached_renewal_sequence(axis.pmf, _IDENTITY_KMAX))
-    return b_sq / sum_q_sq
+    # b_n^2 Var(X*), one horizon K for both.  weights() drops b_{n,j} for j <= n - K,
+    # where b_{n,j} ~ n q_{-j}: n^2 times the q^2 tail that Var(X*) already estimates
+    rs = axis.renewal
+    b_sq = weights(rs, axis.n).b_sq + axis.n**2 * rs.sum_sq_tail_estimate
+    return b_sq * var_xstar(rs)
 
 
 def _identity_target(spec: ModelSpec) -> tuple[float, str, float]:

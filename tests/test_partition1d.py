@@ -27,7 +27,6 @@ from partition_fields.fields import Axis
 from partition_fields.partition1d import (
     hashed_jumps,
     roots_of,
-    truncation_pair_bound,
     urn_counts,
     urn_head_size,
 )
@@ -402,7 +401,7 @@ def test_hashed_jumps_replay_and_independence():
 
 
 def test_truncation_bound_spec_point():
-    bound = truncation_pair_bound(make_hs_pmf(0.25), -(10**5))
+    bound = Axis(PmfKind.HS_TAIL, 0.25, 512, 10**5).truncation_bound
     assert 0 < bound < 1e-2
 
 

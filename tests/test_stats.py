@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -15,11 +16,14 @@ from partition_fields import (
     empirical_cov,
     fbs_cov_matrix,
     ks_normal,
+    normalization,
     replicate_generator,
     run_replicates,
     sample_fbs,
     simulate,
 )
+from partition_fields.distributions import PmfKind
+from partition_fields.fields import Axis
 from partition_fields.stats import DegenerateSampleError, _kolmogorov_sf
 
 SEED = "57a7000000000000000000000000000b"
@@ -216,6 +220,53 @@ def test_second_run_reuses_the_axis_variances(monkeypatch, kind, alphas):
     monkeypatch.setattr(stats, "weights", unexpected)
     second = run_replicates(spec, grid, 4, SEED)
     assert json.dumps(second.to_dict(), sort_keys=True) == json.dumps(first.to_dict(), sort_keys=True)
+
+
+@pytest.mark.parametrize("spec", [
+    ModelSpec(ModelKind.HS_1D, (0.25,), (512,), forest_depth=77_777),
+    ModelSpec(ModelKind.HS_2D, (0.1, 0.4), (24, 32), forest_depth=77_777),
+    ModelSpec(ModelKind.COMBINED_2D, (0.25, 0.6), (24, 40), forest_depth=77_777),
+], ids=lambda spec: spec.kind.value)
+def test_each_forest_axis_reads_one_renewal_sequence(monkeypatch, spec):
+    # Z, the identity target and the truncation bounds all read Var(X*) and
+    # the q tail from one renewal horizon per forest axis; every binding of
+    # cached_renewal_sequence in the package records what it is asked for
+    from partition_fields import renewal, stats
+
+    original = renewal.cached_renewal_sequence
+    requested = set()
+
+    def recording(pmf, kmax):
+        requested.add((pmf, kmax))
+        return original(pmf, kmax)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("partition_fields") and getattr(module, "cached_renewal_sequence", None) is original:
+            monkeypatch.setattr(module, "cached_renewal_sequence", recording)
+    stats._axis_variance.cache_clear()
+    normalization.cache_clear()
+    normalization(spec)
+    stats._identity_target(spec)
+    for axis in spec.axes:
+        axis.truncation_bound
+    got = set(requested)
+    forest = {axis for axis in spec.axes if not axis.is_urn}
+    assert len(got) == len(forest), sorted((pmf.alpha, kmax) for pmf, kmax in got)
+    assert got == {(axis.pmf, axis.renewal.kmax) for axis in forest}
+
+
+@pytest.mark.parametrize("n, rel", [(512, 2e-4), (1 << 14, 3e-3)])
+def test_forest_axis_variance_does_not_depend_on_the_horizon(n, rel):
+    # weights() drops the b_{n,j} beyond the renewal horizon K; the n^2 tail
+    # term puts that mass back, so the least horizon (2^18, or 16 n = 2^18 at
+    # n = 2^14) agrees with one four times longer (4 depth = 2^20)
+    from partition_fields import stats
+
+    for alpha in (0.1, 0.25, 0.45):
+        short = Axis(PmfKind.HS_TAIL, alpha, n)
+        long = Axis(PmfKind.HS_TAIL, alpha, n, 1 << 18)
+        assert (short.renewal.kmax, long.renewal.kmax) == (1 << 18, 1 << 20)
+        assert stats._axis_variance(short) == pytest.approx(stats._axis_variance(long), rel=rel)
 
 
 def test_covariance_estimator_consistency_rate():
