@@ -39,8 +39,9 @@ __all__ = [
 ]
 
 # Largest label/jump magnitude we materialize.  Mass above is handled by
-# resampling (KarlinZipf) or clamping (HsTail, where any jump this large
-# leaves every window of interest anyway); both choices are deterministic.
+# resampling (KarlinZipf) or clamping (HsTail, where a jump this large from
+# any site above the floor -depth lands below it anyway); both choices are
+# deterministic.
 _MAX_VALUE = 1 << 62
 _SELF_CHECK_TERMS = 1024
 _SELF_CHECK_TOL = 1e-12

@@ -9,13 +9,14 @@ matrix A[m, c] (sites of class c among 1..floor(n*t_m); for an urn box,
 the parity of that count, which is the running sum of its alternating
 signs).  A forest axis resolves its sites' roots and counts them; an urn
 axis draws its boxes' counts per corner segment and never labels single
-draws.  A replicate then attaches replayable spin values to the (product)
-classes through the keyed hash, and evaluates every corner with one
-product: A v in 1D, A1 eps A2^T in 2D.  Replicates are simulated in
-batches: each axis samples and resolves the partitions of a whole batch in
-one pass, and only the final products run per replicate.  The limit
-variance, the Hurst index and the normalization factor by direction as
-well, so each axis owns its share of them.
+draws.  Both lay out their classes and counts through one routine,
+``partition1d.corner_counts``.  A replicate then attaches replayable spin
+values to the (product) classes through the keyed hash, and evaluates
+every corner with one product: A v in 1D, A1 eps A2^T in 2D.  Replicates
+are simulated in batches: each axis samples and resolves the partitions of
+a whole batch in one pass, and only the final products run per replicate.
+The limit variance, the Hurst index and the normalization factor also
+factor by direction, so each axis owns its share of them.
 
 Normalizations divide by Z so that the normalized field converges to the
 *standard* fractional Brownian sheet; the plain power-law normalization is
@@ -38,7 +39,7 @@ from scipy.special import gamma
 
 from ._hashing import hash1, hash2, signs_from
 from .distributions import MarginalLaw, PmfKind, PowerLawPmf, make_hs_pmf, make_karlin_pmf
-from .partition1d import classes_by_row, roots_of, urn_counts
+from .partition1d import corner_counts, roots_of, urn_counts
 from .renewal import RenewalSequence, bn_sq_growth_constant, cached_renewal_sequence, var_xstar
 from .seeding import spin_key
 
@@ -157,32 +158,24 @@ class Axis:
 
         Row b's classes are ``classes[starts[b]:starts[b + 1]]``, and the
         count matrix has one row per grid time and one column per class of
-        every row (see :meth:`corner_counts`).  An urn axis draws its boxes'
-        count parities per corner segment
-        (:func:`~partition_fields.partition1d.urn_counts`); a forest axis
-        takes a jump key per generator, resolves the roots of its n sites
-        and counts them.
-        """
-        if self.is_urn:
-            return urn_counts(self.alpha, self.n, _corner_index(self.n, ts), rngs)
-        keys = [spin_key(rng) for rng in rngs]  # each row's jump key
-        classes, inv, starts = classes_by_row(roots_of(self.alpha, keys, self.depth, np.arange(1, self.n + 1)))
-        return classes, self.corner_counts(inv, classes.size, ts), starts
-
-    def corner_counts(self, inv: np.ndarray, k: int, ts: tuple[float, ...]) -> np.ndarray:
-        """int64 (corners, k): row m counts the sites of class c among 1..floor(n*t_m).
-
-        ``inv`` holds each site's class, one row of n sites per replicate (a
-        1D array is one replicate); the classes of all rows share the k columns.
-
-        An urn axis keeps only each count's parity: its signs alternate +1, -1
-        within a box, so their running sum is 1 after an odd count, else 0.
+        every row, laid out by :func:`~partition_fields.partition1d.corner_counts`.
+        An urn axis draws its boxes' counts per corner segment and keeps
+        their parities (:func:`~partition_fields.partition1d.urn_counts`); a
+        forest axis takes a jump key per generator, resolves the roots of
+        its n sites and counts each root's sites below each corner.
         """
         idx = _corner_index(self.n, ts)
+        if self.is_urn:
+            return urn_counts(self.alpha, self.n, idx, rngs)
+        keys = [spin_key(rng) for rng in rngs]  # each row's jump key
+        roots = roots_of(self.alpha, keys, self.depth, np.arange(1, self.n + 1))
+        order = np.argsort(roots, axis=1)  # each row's sites, by root
         first = np.searchsorted(idx, np.arange(self.n), side="right")  # first corner holding each site
-        counts = np.bincount((first * k + inv).ravel(), minlength=(idx.size + 1) * k)
-        counts = np.cumsum(counts.reshape(idx.size + 1, k)[:-1], axis=0)
-        return counts & 1 if self.is_urn else counts
+        classes, counts, starts = corner_counts(
+            np.repeat(np.arange(len(roots)), self.n), np.take_along_axis(roots, order, axis=1).ravel(),
+            first[order].ravel(), len(roots), idx.size + 1,
+        )
+        return classes, counts[:-1], starts  # a site past the last corner counts at none
 
     def draw(self, marginal: MarginalLaw, h: np.ndarray) -> np.ndarray:
         """One class value per hash word; urn boxes add an independent sign."""
@@ -344,9 +337,12 @@ def _metadata(spec: ModelSpec) -> dict:
 def batch_size(spec: ModelSpec, grid: CornerGrid) -> int:
     """Replicates per simulate call: an element budget over one replicate's footprint.
 
-    A forest axis holds its n roots and a (corners + 1) x n count matrix per
-    replicate; it draws no sites, so its depth costs nothing here.  An urn
-    axis is budgeted the same, though its box counts hold far less.
+    Per axis, a replicate is budgeted n roots and a (corners + 1) x n count
+    matrix.  That is a bound, not a size: both axes build their counts with
+    ``partition1d.corner_counts``, (corners + 1) x classes for a forest axis
+    and corners x classes for an urn axis, and a row has at most n classes
+    (an urn row far fewer).  A forest axis draws no sites, so its depth
+    costs nothing here.
     """
     footprint = sum((len(ts) + 2) * axis.n for axis, ts in zip(spec.axes, (grid.t1, grid.t2)))
     return max(1, _BATCH_ELEMENTS // footprint)

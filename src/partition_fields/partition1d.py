@@ -22,10 +22,14 @@ Two partitions of the index line are provided:
   their lines down to the floor.
 
 Both engines sample a batch of replicates at once, one row per replicate
-generator, and resolve each row's partition once, in the form the fields
-read: the urn's boxes with their count parities below every corner, the
-forest's root of each query site.  An urn box's alternating signs sum to
-the parity of its count.
+generator, and resolve each row's partition once.  A partial sum reads
+either partition only through how many sites of each class lie below each
+corner, so both are laid out the same way, by ``corner_counts``: each
+row's classes in increasing order and an int64 (corners x classes) count
+matrix.  The urn feeds it its tail draws (its head boxes are counted
+densely) and keeps each count's parity, since an urn box's alternating
+signs sum to the parity of its count; the forest feeds it the roots of its
+query sites (``fields.Axis.sample``).
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from ._hashing import hash1, uniforms_from
 from .distributions import invert_hs_tail, make_karlin_pmf, sample_zipf_rows
 
 __all__ = [
-    "classes_by_row",
+    "corner_counts",
     "urn_head_size",
     "urn_counts",
     "expected_occupancy",
@@ -51,23 +55,21 @@ _OCCUPANCY_TOL = 1e-10  # certificate on the discarded second-order tail
 _OCCUPANCY_MAX_BOXES = 1 << 28
 
 
-def classes_by_row(ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(classes, inverse, starts) of the rows of ``ids`` (a 1D array is one row).
+def corner_counts(rows, ids, segments, n_rows: int, n_segments: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(classes, counts, starts) of entries sorted by row, then by class id.
 
-    Row b's distinct ids, in increasing order, are
-    ``classes[starts[b]:starts[b + 1]]``, and ``classes[inverse[b, i]] == ids[b, i]``:
-    one row-wise sort in place of one ``np.unique`` per row.
+    Entry e is one site of row ``rows[e]`` and class ``ids[e]``, first
+    counted at corner ``segments[e]`` (0 <= segments[e] < n_segments).  Row
+    b's classes, in increasing order, are ``classes[starts[b]:starts[b + 1]]``,
+    and ``counts[m, c]`` (int64) is the number of class c's sites counted at
+    corner m, which holds the segments 0..m.
     """
-    ids = np.asarray(ids, dtype=np.int64)
-    rows = ids.reshape(-1, ids.shape[-1])
-    order = np.argsort(rows, axis=1)
-    ordered = np.take_along_axis(rows, order, axis=1)
-    new = np.ones(rows.shape, dtype=bool)
-    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=new[:, 1:])
-    inverse = np.empty_like(rows)
-    np.put_along_axis(inverse, order, np.cumsum(new).reshape(rows.shape) - 1, axis=1)
-    starts = np.concatenate(([0], np.cumsum(np.count_nonzero(new, axis=1))))
-    return ordered[new], inverse.reshape(ids.shape), starts
+    new = np.ones(ids.size, dtype=bool)
+    new[1:] = (ids[1:] != ids[:-1]) | (rows[1:] != rows[:-1])
+    k = int(np.count_nonzero(new))
+    counts = np.bincount(segments * k + np.cumsum(new) - 1, minlength=n_segments * k)
+    starts = np.concatenate(([0], np.cumsum(np.bincount(rows[new], minlength=n_rows))))
+    return ids[new], np.cumsum(counts.reshape(n_segments, k), axis=0), starts
 
 
 def urn_head_size(alpha: float, n: int) -> int:
@@ -126,18 +128,12 @@ def urn_counts(alpha: float, n: int, corners, rngs) -> tuple[np.ndarray, np.ndar
     rows = np.repeat(np.arange(len(rngs)), per_segment.sum(axis=1))
     segment = np.repeat(np.tile(np.arange(corners.size), len(rngs)), per_segment.ravel())
     order = np.lexsort((tail, rows))
-    tail, rows, segment = tail[order], rows[order], segment[order]
-    new = np.ones(tail.size, dtype=bool)
-    new[1:] = (tail[1:] != tail[:-1]) | (rows[1:] != rows[:-1])
-    box = np.cumsum(new) - 1
-    k = int(np.count_nonzero(new))
-    tail_counts = np.bincount(segment * k + box, minlength=corners.size * k).reshape(corners.size, k)
-    tail_parity = np.cumsum(tail_counts, axis=0) & 1
+    tail, tail_counts, tail_starts = corner_counts(rows[order], tail[order], segment[order], len(rngs), corners.size)
 
-    owner = np.concatenate((head_rows, rows[new]))
+    owner = np.concatenate((head_rows, np.repeat(np.arange(len(rngs)), np.diff(tail_starts))))
     merged = np.argsort(owner, kind="stable")  # per row: head boxes, then tail boxes
-    classes = np.concatenate((head_boxes + 1, tail[new]))[merged]
-    parity = np.concatenate((head_parity, tail_parity), axis=1)[:, merged]
+    classes = np.concatenate((head_boxes + 1, tail))[merged]
+    parity = np.concatenate((head_parity, tail_counts & 1), axis=1)[:, merged]
     starts = np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=len(rngs)))))
     return classes, parity, starts
 

@@ -291,9 +291,7 @@ def _identity_target(spec: ModelSpec) -> tuple[float, str, float]:
     axis contributes 2 * bound * n^2 * (product of the other variances) * E[X^2].
     """
     m2 = spec.marginal.second_moment
-    # equal axes (karlin2d or hs2d with one alpha and n) share one evaluation
-    by_axis = {axis: _axis_variance(axis) for axis in dict.fromkeys(spec.axes)}
-    variances = [by_axis[axis] for axis in spec.axes]
+    variances = [_axis_variance(axis) for axis in spec.axes]
     allowance = 0.0
     for q, axis in enumerate(spec.axes):
         if not axis.is_urn:

@@ -94,7 +94,20 @@ class UrnPath:
         labels = np.asarray(labels, dtype=np.int64)
         if labels.size == 0:
             raise ValueError("label sequence must be nonempty")
-        return cls(labels, *partition1d.classes_by_row(labels))
+        return cls(labels, *unique_rows(labels))
+
+
+def unique_rows(ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(classes, inverse, starts) by one ``np.unique`` per row (a 1D array is one row).
+
+    Row b's distinct ids, in increasing order, are ``classes[starts[b]:starts[b + 1]]``,
+    and ``classes[inverse[b, i]] == ids[b, i]``.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    per_row = [np.unique(row, return_inverse=True) for row in np.atleast_2d(ids)]
+    starts = np.cumsum([0] + [u.size for u, _ in per_row], dtype=np.int64)
+    inverse = np.stack([s + inv for s, (_, inv) in zip(starts, per_row)]).reshape(ids.shape)
+    return np.concatenate([u for u, _ in per_row]), inverse, starts
 
 
 def sample_urn(pmf: PowerLawPmf, n: int, rngs) -> UrnPath:
@@ -112,21 +125,28 @@ def occupancy(path: UrnPath) -> tuple[int, int]:
     return int(counts.size), int(np.count_nonzero(counts & 1))
 
 
+def corner_layout(ids, corners) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sites' class ids (one row per replicate) in the layout of ``partition1d.corner_counts``.
+
+    Returns (classes, counts, starts): each row's distinct ids in increasing
+    order, the number of each class's sites among the first corners[m] sites
+    of its row (int64, corners x classes) and the row starts.
+    """
+    classes, inverse, starts = unique_rows(np.atleast_2d(ids))
+    corners = np.asarray(corners).tolist()
+    counts = [np.bincount(inverse[:, :c].ravel(), minlength=classes.size) for c in corners]
+    return classes, np.asarray(counts, dtype=np.int64).reshape(len(corners), classes.size), starts
+
+
 def urn_layout(labels, corners) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Labels (one row per replicate) in the layout of ``partition1d.urn_counts``.
 
-    As there, only the labels up to the last corner are read.  Returns
-    (classes, parities, starts): each row's distinct labels in increasing
-    order, the parity of each box's count among the first corners[m] labels
-    of its row (int64, corners x classes) and the row starts.
+    As there, only the labels up to the last corner are read, and a box
+    keeps the parity of its count: (classes, parities, starts).
     """
-    corners = np.asarray(corners, dtype=np.int64)
-    labels = np.atleast_2d(np.asarray(labels, dtype=np.int64))[:, : corners[-1]]
-    if labels.size == 0:
-        return np.empty(0, np.int64), np.zeros((corners.size, 0), np.int64), np.zeros(len(labels) + 1, np.int64)
-    classes, inverse, starts = partition1d.classes_by_row(labels)
-    counts = [np.bincount(inverse[:, :c].ravel(), minlength=classes.size) for c in corners.tolist()]
-    return classes, np.asarray(counts, dtype=np.int64).reshape(-1, classes.size) & 1, starts
+    labels = np.atleast_2d(np.asarray(labels, dtype=np.int64))[:, : int(corners[-1])]
+    classes, counts, starts = corner_layout(labels, corners)
+    return classes, counts & 1, starts
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from partition_fields import (
     CornerGrid,
@@ -22,9 +23,9 @@ from partition_fields import (
 from partition_fields import fields
 from partition_fields.distributions import PmfKind, sample_zipf_rows
 from partition_fields.fields import KIND_TABLE, Axis, _corner_index, batch_size
-from partition_fields.partition1d import urn_head_size
+from partition_fields.partition1d import corner_counts, urn_head_size
 
-from conftest import roots_on_jumps, running_parity_oracle, urn_layout
+from conftest import corner_layout, roots_on_jumps, running_parity_oracle, urn_layout
 
 SEED = "f1e1d0000000000000000000000000aa"
 
@@ -54,6 +55,28 @@ def _dense_oracle_2d(core, inv1, inv2, s1, s2, n: tuple[int, int], grid: CornerG
     return c[np.ix_(_corner_index(n[0], grid.t1), _corner_index(n[1], grid.t2))].astype(np.float64)
 
 
+def _counts_of(axis: Axis, inv: np.ndarray, k: int, ts) -> np.ndarray:
+    """The axis's int64 (corners, k) count matrix of the sites' classes inv.
+
+    A forest axis samples with its roots forced to inv; an urn site's
+    count goes through ``partition1d.corner_counts``, keeping the parity.
+    """
+    idx = _corner_index(axis.n, ts)
+    if axis.is_urn:
+        order = np.argsort(inv, kind="stable")
+        first = np.searchsorted(idx, order, side="right")  # first corner holding each site
+        classes, counts, _ = corner_counts(np.zeros(inv.size, np.int64), inv[order], first, 1, idx.size + 1)
+        counts = counts[:-1] & 1
+    else:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fields, "roots_of", lambda alpha, keys, depth, sites: inv[None])
+            classes, counts, _ = axis.sample([replicate_generator(SEED, 0)], ts)
+    assert counts.dtype == np.int64
+    full = np.zeros((idx.size, k), np.int64)  # the classes no site holds count 0
+    full[:, classes] = counts
+    return full
+
+
 @st.composite
 def _axis_case(draw):
     """An axis, a class assignment of its n sites and a grid with corners at 0."""
@@ -73,7 +96,7 @@ def test_corner_count_product_matches_dense_field(case1, case2, data):
     core = np.asarray(
         data.draw(st.lists(st.sampled_from([-1, 1]), min_size=k1 * k2, max_size=k1 * k2)), dtype=np.int64
     ).reshape(k1, k2)
-    a1, a2 = ax1.corner_counts(inv1, k1, t1), ax2.corner_counts(inv2, k2, t2)
+    a1, a2 = _counts_of(ax1, inv1, k1, t1), _counts_of(ax2, inv2, k2, t2)
     assert a1.dtype == np.int64 and a1.shape == (len(t1), k1)
     expected = _dense_oracle_2d(core, inv1, inv2, _site_signs(ax1, inv1), _site_signs(ax2, inv2),
                                 (ax1.n, ax2.n), CornerGrid(t1, t2))
@@ -84,7 +107,7 @@ def test_corner_count_product_matches_dense_field(case1, case2, data):
 @settings(max_examples=150, deadline=None)
 def test_corner_count_sum_matches_site_prefix_sum(case, data):
     axis, inv, k, ts = case
-    a = axis.corner_counts(inv, k, ts)
+    a = _counts_of(axis, inv, k, ts)
     signs = _site_signs(axis, inv)
     ints = np.asarray(data.draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k)), dtype=np.float64)
     assert np.array_equal((a * ints).sum(axis=1), _prefix_oracle_1d(ints[inv] * signs, axis.n, ts))
@@ -93,6 +116,26 @@ def test_corner_count_sum_matches_site_prefix_sum(case, data):
     tol = axis.n * np.finfo(np.float64).eps * np.abs(v[inv]).sum()
     np.testing.assert_allclose((a * v).sum(axis=1), _prefix_oracle_1d(v[inv] * signs, axis.n, ts),
                                rtol=0, atol=tol)
+
+
+@given(st.integers(2, 4), st.integers(1, 30), st.data())
+@settings(max_examples=100, deadline=None)
+def test_forest_layout_matches_per_row_unique(rows, depth, data):
+    # explicit-jump roots on a grid with a corner at 0, two equal corners and
+    # sites past the last corner, against one np.unique and bincount per row
+    n, ts = 20, (0.01, 0.3, 0.32, 0.75)
+    idx = _corner_index(n, ts)
+    assert idx[0] == 0 and idx[1] == idx[2] and idx[-1] < n
+    jumps = data.draw(hnp.arrays(np.int64, (rows, depth + n), elements=st.integers(1, 40)))
+    roots = roots_on_jumps(jumps, -depth, np.arange(1, n + 1))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fields, "roots_of", lambda alpha, keys, depth, sites: roots)
+        got = Axis(PmfKind.HS_TAIL, 0.25, n, depth).sample([replicate_generator(SEED, r) for r in range(rows)], ts)
+    for part, want in zip(got, corner_layout(roots, idx)):
+        assert part.dtype == np.int64 and np.array_equal(part, want)
+    classes, _, starts = got
+    for b in range(rows):  # increasing within a row: the 1D reduction sums the classes in this order
+        assert np.all(np.diff(classes[starts[b]:starts[b + 1]]) > 0)
 
 
 @given(st.sampled_from(ModelKind), st.integers(1, 12), st.integers(1, 12), st.integers(1, 40),
@@ -321,8 +364,9 @@ def test_karlin1d_forced_labels(monkeypatch):
     uniq, counts, _ = Axis(PmfKind.KARLIN_ZIPF, 0.6, 3).sample([None], thirds)
     assert uniq.tolist() == [3, 5]
     assert counts.tolist() == [[1, 0], [0, 0], [0, 1]]
-    inv = np.array([0, 0, 1])  # the labels' boxes
-    assert Axis(PmfKind.KARLIN_ZIPF, 0.6, 3).corner_counts(inv, 2, thirds).tolist() == counts.tolist()
+    # the labels sorted into boxes, one draw per corner segment
+    _, direct, _ = corner_counts(np.zeros(3, np.int64), np.array([3, 3, 5]), np.arange(3), 1, 3)
+    assert (direct & 1).tolist() == counts.tolist()
     raw = simulate(ModelSpec(ModelKind.KARLIN_1D, (0.6,), (3,)), CornerGrid(thirds),
                    [replicate_generator(SEED, 0)])[0]
     x = np.diff(raw, prepend=0.0)
@@ -340,7 +384,8 @@ def test_karlin2d_forced_alternation_cancels(monkeypatch):
     # labels dir1 = (3,3) share a box: signs +1,-1; dir2 = (7,) single draw
     _force_partitions(monkeypatch, urn={2: [3, 3], 1: [7]}, core=[[1]])  # eps(3,7) = +1
     grid = CornerGrid((0.5, 1.0), (1.0,))
-    assert Axis(PmfKind.KARLIN_ZIPF, 0.6, 2).corner_counts(np.zeros(2, np.int64), 1, grid.t1).tolist() == [[1], [0]]
+    _, direct, _ = corner_counts(np.zeros(2, np.int64), np.array([3, 3]), np.arange(2), 1, 2)
+    assert (direct & 1).tolist() == [[1], [0]]
     raw = simulate(ModelSpec(ModelKind.KARLIN_2D, (0.6, 0.6), (2, 1)), grid, [replicate_generator(SEED, 0)])[0]
     assert raw[0, 0] == 1.0 and raw[1, 0] == 0.0  # S(1,1)=eps, S(2,1)=0
 
@@ -378,8 +423,8 @@ def test_hs2d_forced_product_structure(monkeypatch):
     # roots (5,5,9) x (9,5): classes inv1 = (0,0,1), inv2 = (1,0)
     _force_partitions(monkeypatch, roots={3: [5, 5, 9], 2: [9, 5]}, core=[[1, -1], [-1, 1]])
     grid = CornerGrid((1 / 3, 2 / 3, 1.0), (0.5, 1.0))  # every site is a corner
-    counts = Axis(PmfKind.HS_TAIL, 0.25, 3).corner_counts(np.array([0, 0, 1]), 2, grid.t1)
-    assert counts.tolist() == [[1, 0], [2, 0], [2, 1]]
+    roots, counts, _ = Axis(PmfKind.HS_TAIL, 0.25, 3, 10).sample([replicate_generator(SEED, 0)], grid.t1)
+    assert roots.tolist() == [5, 9] and counts.tolist() == [[1, 0], [2, 0], [2, 1]]
     spec = ModelSpec(ModelKind.HS_2D, (0.25, 0.25), (3, 2), forest_depth=10)
     raw = simulate(spec, grid, [replicate_generator(SEED, 0)])[0]
     x = np.diff(np.diff(np.pad(raw, ((1, 0), (1, 0))), axis=0), axis=1)
@@ -390,7 +435,8 @@ def test_combined_forced_single_components(monkeypatch):
     # one forest component x one urn box: S(n1, n2) = ±n1·(n2 mod 2)
     _force_partitions(monkeypatch, roots={4: [0, 0, 0, 0]}, urn={3: [9, 9, 9]}, core=[[1]])
     grid = CornerGrid((1.0,), (1.0 / 3.0, 2.0 / 3.0, 1.0))
-    assert Axis(PmfKind.KARLIN_ZIPF, 0.6, 3).corner_counts(np.zeros(3, np.int64), 1, grid.t2).tolist() == [[1], [0], [1]]
+    _, direct, _ = corner_counts(np.zeros(3, np.int64), np.array([9, 9, 9]), np.arange(3), 1, 3)
+    assert (direct & 1).tolist() == [[1], [0], [1]]
     spec = ModelSpec(ModelKind.COMBINED_2D, (0.25, 0.6), (4, 3), forest_depth=10)
     raw = simulate(spec, grid, [replicate_generator(SEED, 0)])[0]
     assert raw[0].tolist() == [4.0, 0.0, 4.0]

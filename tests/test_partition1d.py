@@ -25,6 +25,7 @@ from partition_fields import (
 from partition_fields.distributions import PmfKind, invert_hs_tail, sample_zipf_rows
 from partition_fields.fields import Axis
 from partition_fields.partition1d import (
+    corner_counts,
     hashed_jumps,
     roots_of,
     urn_counts,
@@ -47,10 +48,12 @@ from conftest import (
 # ---------------------------------------------------------------------------
 
 def _parity_rows(path: UrnPath) -> np.ndarray:
-    # per-box count parities after each draw: the urn axis's corner counts at every site
+    # per-box count parities after each draw: the urn's corner counts with a corner at every draw
     n = path.labels.size
-    axis = Axis(PmfKind.KARLIN_ZIPF, 0.5, n)
-    return axis.corner_counts(path.inverse, path.classes.size, tuple(m / n for m in range(1, n + 1)))
+    order = np.argsort(path.labels, kind="stable")  # draw i is first counted at corner i
+    classes, counts, starts = corner_counts(np.zeros(n, np.int64), path.labels[order], order, 1, n)
+    assert np.array_equal(classes, path.classes) and starts.tolist() == [0, classes.size]
+    return counts & 1
 
 
 def test_running_parity_hand_example():
