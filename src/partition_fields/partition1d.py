@@ -18,8 +18,12 @@ Two partitions of the index line are provided:
   infinite, so each is cut where its next parent falls at or below the
   floor -depth, with a quantified truncation bound
   (``fields.Axis.truncation_bound``); the cut errs toward
-  independence.  Roots are found only for the query sites, by walking
-  their lines down to the floor.
+  independence.  Roots are found only for the query sites, in two
+  phases: each query site's jump is hashed once, and a site whose parent
+  is another query site points to it (the two lines share the rest of
+  their path); then only the exit lines, whose parents are not query
+  sites, are walked down to the floor, and the pointers are resolved by
+  pointer jumping.  So depth costs steps only for the exit lines.
 
 Both engines sample a batch of replicates at once, one row per replicate
 generator, and resolve each row's partition once.  A partial sum reads
@@ -194,22 +198,44 @@ def roots_of(alpha: float, keys, depth: int, sites) -> np.ndarray:
 
     ``keys`` holds one jump key (two 64-bit words) per row.  The
     representative of site i is the lowest site on its ancestral line above
-    the floor -depth: the line is walked down, every line of every row at
-    once, until its next parent i - J_i falls at or below -depth.  The walk
-    takes as many vectorized steps as the longest line has sites above the
-    floor, and hashes only the jumps it reads.  The result has shape
-    ``(len(keys), *sites.shape)``.
+    the floor -depth.  A row's m distinct query sites are resolved in two
+    phases.  First, each one's jump is hashed once; where its parent
+    i - J_i is itself a query site, the two lines share the rest of their
+    path, so the site points to its parent.  Second, only the exit lines,
+    whose parents are not query sites, are walked down, every exit line of
+    every row at once, until the next parent falls at or below -depth (the
+    lowest site walked is then the line's root) or is a query site (which
+    the line then points to).  The pointers are resolved by pointer jumping:
+    O(log m) gathers over the (rows x m) nodes and no hashing.  So depth
+    costs steps only for the exit lines, and only the jumps read are
+    hashed.  The result has shape ``(len(keys), *sites.shape)``.
     """
     sites = np.asarray(sites, dtype=np.int64)
     if np.any(sites <= -depth):
         raise IndexError(f"sites must lie above the floor {-depth}")
     keys = np.asarray(keys, dtype=np.uint64).reshape(-1, 2)
-    roots = np.tile(sites.reshape(-1), len(keys))
-    k0, k1 = np.repeat(keys, sites.size, axis=0).T
-    live, pos = np.arange(roots.size), roots
-    while live.size:
+    query, inverse = np.unique(sites.ravel(), return_inverse=True)
+    m = query.size
+    # node r*m + j is row r's query site j; `lowest` holds the lowest site
+    # walked on its line so far, `up` the node its line joins (itself if none)
+    lowest = np.tile(query, len(keys))
+    node, pos = np.arange(lowest.size), lowest
+    up = node.copy()
+    k0, k1 = np.repeat(keys.T, m, axis=1)
+    joinable = True  # a walked parent can still be a query site
+    while node.size:
         parents = pos - hashed_jumps(alpha, (k0, k1), pos)
         inside = parents > -depth
-        live, pos, k0, k1 = live[inside], parents[inside], k0[inside], k1[inside]
-        roots[live] = pos
-    return roots.reshape(len(keys), *sites.shape)
+        if joinable:
+            j = np.minimum(np.searchsorted(query, parents), m - 1)
+            join = inside & (query[j] == parents)
+            joined = node[join]
+            up[joined] = joined - joined % m + j[join]
+            inside &= ~join
+        node, pos, k0, k1 = node[inside], parents[inside], k0[inside], k1[inside]
+        lowest[node] = pos
+        joinable = joinable and bool(np.any(pos > query[0]))
+    jumped = up[up]
+    while not np.array_equal(jumped, up):
+        up, jumped = jumped, jumped[jumped]
+    return lowest[up].reshape(len(keys), m)[:, inverse].reshape(len(keys), *sites.shape)

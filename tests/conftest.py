@@ -165,8 +165,28 @@ def finalize_oracle(z: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the forest walk on explicit jumps
+# the forest walk: every query line to the floor, and on explicit jumps
 # ---------------------------------------------------------------------------
+
+def walk_roots_oracle(alpha: float, keys, depth: int, sites) -> np.ndarray:
+    """``partition1d.roots_of`` by walking every query line down to the floor on its own.
+
+    Each line follows i -> i - J_i until its next parent falls at or below
+    -depth, whether or not it has met another line; the jumps come from
+    ``partition1d.hashed_jumps``, looked up at call time.
+    """
+    sites = np.asarray(sites, dtype=np.int64)
+    keys = np.asarray(keys, dtype=np.uint64).reshape(-1, 2)
+    roots = np.tile(sites.reshape(-1), len(keys))
+    k0, k1 = np.repeat(keys, sites.size, axis=0).T
+    live, pos = np.arange(roots.size), roots
+    while live.size:
+        parents = pos - partition1d.hashed_jumps(alpha, (k0, k1), pos)
+        inside = parents > -depth
+        live, pos, k0, k1 = live[inside], parents[inside], k0[inside], k1[inside]
+        roots[live] = pos
+    return roots.reshape(len(keys), *sites.shape)
+
 
 def roots_on_jumps(jumps, lo: int, sites) -> np.ndarray:
     """``partition1d.roots_of`` run on explicit jumps instead of hashed ones.

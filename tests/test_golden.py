@@ -1,4 +1,4 @@
-"""Golden vectors: exact outputs of every model kind at small n.
+"""Golden vectors: exact outputs of every model kind at small n, and of one deep forest.
 
 Each case pins one replicate's raw corner sums, Z, sigma and metadata, and
 the identities, truncation summary and sha256 of a small ``run_replicates``
@@ -49,6 +49,8 @@ CASES = {
         ModelKind.GENERALIZED_KARLIN_1D, (0.6,), (200,), marginal=TWO_POINT
     ),
     "hs1d": ModelSpec(ModelKind.HS_1D, (0.25,), (128,), forest_depth=2000),
+    # many lines leave the query set and walk to a deep floor
+    "hs1d-deep": ModelSpec(ModelKind.HS_1D, (0.45,), (512,), forest_depth=10**5),
     "generalized-hs1d": ModelSpec(
         ModelKind.GENERALIZED_HS_1D, (0.25,), (128,), forest_depth=2000, marginal=TWO_POINT
     ),

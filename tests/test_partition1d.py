@@ -24,6 +24,7 @@ from partition_fields import (
 )
 from partition_fields.distributions import PmfKind, invert_hs_tail, sample_zipf_rows
 from partition_fields.fields import Axis
+from partition_fields import partition1d
 from partition_fields.partition1d import (
     corner_counts,
     hashed_jumps,
@@ -40,6 +41,7 @@ from conftest import (
     running_parity_oracle,
     sample_urn,
     urn_layout,
+    walk_roots_oracle,
 )
 
 
@@ -365,6 +367,68 @@ def test_sample_forest_validation_and_determinism():
     assert np.array_equal(first[1], roots_of(0.25, keys[1:], 500, sites)[0])  # a row reads its own key
     assert not np.array_equal(first[0], first[1])
     assert np.all(first <= sites)  # a root is the lowest site of its line
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_roots_of_matches_every_line_walk(data):
+    # query sites unsorted, duplicated, non-contiguous and negative: a block
+    # whose lines meet inside it, plus scattered sites, shuffled together
+    alpha = data.draw(st.floats(0.05, 0.49))
+    rows = data.draw(st.integers(1, 4))
+    depth = data.draw(st.integers(1, 10**4))
+    start = data.draw(st.integers(1 - depth, 50))
+    block = list(range(start, start + data.draw(st.integers(0, 60))))
+    scattered = data.draw(st.lists(st.integers(1 - depth, 200), max_size=30))
+    query = np.asarray(data.draw(st.permutations(block + scattered)), dtype=np.int64)
+    seed = data.draw(st.integers(0, 2**32))
+    keys = [spin_key(replicate_generator(seed, r)) for r in range(rows)]
+    got = roots_of(alpha, keys, depth, query)
+    assert got.shape == (rows, query.size)
+    assert np.array_equal(got, walk_roots_oracle(alpha, keys, depth, query))
+
+
+def test_roots_of_edge_cases():
+    keys = [spin_key(replicate_generator("aa", r)) for r in (1, 2, 3)]
+    # no query site: one empty row per key
+    empty = roots_of(0.25, keys, 10, np.array([], dtype=np.int64))
+    assert empty.shape == (3, 0) and empty.dtype == np.int64
+    assert roots_on_jumps(np.ones(20, dtype=np.int64), -10, np.array([], dtype=np.int64)).shape == (0,)
+    # a single site walks its line alone
+    assert roots_on_jumps(np.ones(20, dtype=np.int64), -10, np.array([5])).tolist() == [-9]
+    single = roots_of(0.45, keys, 1000, [7])
+    assert np.array_equal(single, walk_roots_oracle(0.45, keys, 1000, [7]))
+    # a site one above the floor is its own root, whatever its jump
+    assert roots_on_jumps(np.ones(20, dtype=np.int64), -10, np.array([-9, -9])).tolist() == [-9, -9]
+    assert np.array_equal(roots_of(0.45, keys, 1000, [-999]), np.full((3, 1), -999))
+
+
+def test_roots_of_hashes_each_query_site_once(monkeypatch):
+    real = partition1d.hashed_jumps
+    calls = []
+
+    def recording(alpha, key, sites):
+        jumps = real(alpha, key, sites)
+        calls.append((np.asarray(key[0]).copy(), np.asarray(sites).copy(), jumps))
+        return jumps
+
+    keys = [spin_key(replicate_generator("aa", r)) for r in range(3)]
+    row_of = {k0: r for r, (k0, _) in enumerate(keys)}
+    sites = np.concatenate((np.arange(200, 0, -1), np.arange(150, 400, 7), [-40, -7, 5, 5, 600]))
+    monkeypatch.setattr(partition1d, "hashed_jumps", recording)
+    roots = roots_of(0.45, keys, 10**4, sites)
+    monkeypatch.undo()
+    assert np.array_equal(roots, walk_roots_oracle(0.45, keys, 10**4, sites))
+
+    query = np.unique(sites).tolist()
+    words, first, jumps = calls[0]
+    hashed = sorted(zip((row_of[int(w)] for w in words), first.tolist()))
+    assert hashed == [(r, s) for r in range(len(keys)) for s in query]  # each (row, site) once
+    on_query = np.isin(first - jumps, query)  # the site's parent is a query site
+    joined = {(row_of[int(w)], int(s)) for w, s in zip(words[on_query], first[on_query])}
+    assert joined and len(calls) > 1
+    later = {(row_of[int(w)], int(s)) for row_words, walked, _ in calls[1:] for w, s in zip(row_words, walked)}
+    assert not later & joined  # a line that met another query line is never walked on
 
 
 # ---------------------------------------------------------------------------
