@@ -117,16 +117,6 @@ class PowerLawPmf:
         """p_k for k in [lo, hi) as an array."""
         return np.asarray(self.pmf_at(np.arange(lo, hi, dtype=np.float64)))
 
-    def tail_sq_at(self, n: int) -> float:
-        """Upper bound on the squared-mass tail sum over {n, n+1, ...}.
-
-        Exact Hurwitz-zeta value for KarlinZipf; for HsTail it uses
-        p_k <= alpha * k**(-alpha-1).
-        """
-        if self.kind is PmfKind.KARLIN_ZIPF:
-            return float(zeta(2.0 * self._s, n)) / self._zeta_s**2
-        return self.alpha**2 * float(zeta(2.0 + 2.0 * self.alpha, n))
-
     def _self_check(self) -> None:
         # mass conservation: explicit head plus analytic tail
         head = float(np.sum(self.pmf_block(1, _SELF_CHECK_TERMS + 1), dtype=np.longdouble))
@@ -217,8 +207,10 @@ def sample_zipf_rows(alpha: float, rngs, m, lo: int = 1) -> np.ndarray:
 class FinitePmf:
     """Finitely supported pmf on {1..m}; oracle/test companion to PowerLawPmf.
 
-    Implements the same accessor surface so the occupancy expectations and the
-    renewal recursion can be exercised against hand-computable inputs.
+    Implements the accessors the renewal recursion reads (``pmf_block``), plus
+    ``pmf_at`` and ``tail_at``, so the recursion can be exercised against
+    hand-computable inputs.  Occupancy expectations take only the KarlinZipf
+    law (``partition1d.expected_occupancy``).
     """
 
     probs: tuple[float, ...]
@@ -254,11 +246,6 @@ class FinitePmf:
         inside = (ks >= 1) & (ks <= len(self.probs))
         out[inside] = self._p[ks[inside] - 1]
         return out
-
-    def tail_sq_at(self, n: int) -> float:
-        if n > len(self.probs):
-            return 0.0
-        return float(np.sum(self._p[n - 1 :] ** 2))
 
 
 class MarginalKind(enum.Enum):

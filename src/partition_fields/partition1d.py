@@ -10,7 +10,8 @@ Two partitions of the index line are provided:
   head boxes 1..L that n draws are expected to reach, and the few draws
   above L exactly from the conditioned law.  The cost grows like
   corners * n**alpha, not n log n.  Exact occupancy expectations (distinct
-  boxes, odd-occupied boxes) are provided too;
+  boxes, odd-occupied boxes), an explicit head sum plus a closed-form tail,
+  are provided too;
 * the ancestral forest: each site i is joined to i - J_i for heavy-tailed
   jumps J_i, and i ~ j iff their ancestral lines meet.  J_i is a keyed hash
   of i inverted to the jump law, so any site's jump is computed on demand
@@ -42,9 +43,10 @@ import math
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import beta, betainc
 
 from ._hashing import hash1, uniforms_from
-from .distributions import invert_hs_tail, make_karlin_pmf, sample_zipf_rows
+from .distributions import PmfKind, invert_hs_tail, make_karlin_pmf, sample_zipf_rows
 
 __all__ = [
     "corner_counts",
@@ -54,9 +56,6 @@ __all__ = [
     "hashed_jumps",
     "roots_of",
 ]
-
-_OCCUPANCY_TOL = 1e-10  # certificate on the discarded second-order tail
-_OCCUPANCY_MAX_BOXES = 1 << 28
 
 
 def corner_counts(rows, ids, segments, n_rows: int, n_segments: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -143,45 +142,42 @@ def urn_counts(alpha: float, n: int, corners, rngs) -> tuple[np.ndarray, np.ndar
 
 
 def expected_occupancy(pmf, n: int) -> tuple[float, float]:
-    """(E[#occupied boxes], E[#odd-occupied boxes]) after n draws, exactly.
+    """(E[#occupied boxes], E[#odd-occupied boxes]) after n draws from a KarlinZipf law.
 
-    Sums 1-(1-p_l)^n and (1-(1-2 p_l)^n)/2 over boxes in blocks.  Both
-    summands are n*p_l + O((n p_l)^2), so once the squared-mass tail bound
-    n^2 * sum_{l>=m} p_l^2 drops below 1e-10 the remaining boxes are
-    replaced by the analytic first-order tail n * tail(m); the discarded
-    second-order part is below 1e-10 by construction.  (Float rounding adds
-    about eps per explicitly summed box on top of the certificate.)  Gives up
-    (RuntimeError) past 2^28 boxes.
+    Box l is occupied with probability 1 - (1 - p_l)^n and odd-occupied with
+    probability (1 - (1 - 2 p_l)^n)/2.  Boxes 1..L-1, L = 2^20, are summed one
+    by one.  The rest is f(L)/2 - f'(L)/12 plus the integral of f over
+    [L, inf), where f(x) = h (1 - (1 - lam c x^-s)^n), s = 1/alpha,
+    c = 1/zeta(s) and (lam, h) = (1, 1) for occupied or (2, 1/2) for odd
+    boxes.  Under u = lam c x^-s, with w = lam c L^-s, that integral is the
+    incomplete beta tail
+    h (lam c)^alpha [n B(1-alpha, n) I_w(1-alpha, n) - w^-alpha (1 - (1-w)^n)].
+    The first Euler-Maclaurin term left out, f'''(L)/720, is of order
+    f(L) s^3 / L^3, while the tail itself is of order L f(L), so every
+    alpha < 1 and n have a target, at a cost that grows with neither.
     """
+    if getattr(pmf, "kind", None) is not PmfKind.KARLIN_ZIPF:
+        raise ValueError("expected_occupancy needs a KarlinZipf pmf")
     if n < 1:
         raise ValueError("n must be >= 1")
-    block = 1 << 16
-    phi = 0.0
-    odd = 0.0
-    lo = 1
-    while True:
-        cert = n * n * pmf.tail_sq_at(lo)
-        if cert < _OCCUPANCY_TOL:
-            t = float(pmf.tail_at(lo))
-            return phi + n * t, odd + n * t
-        if lo > _OCCUPANCY_MAX_BOXES:
-            raise RuntimeError(
-                f"expected_occupancy needs more than {_OCCUPANCY_MAX_BOXES} explicit boxes "
-                f"for n={n}; the urn variance target is out of reach, use a smaller alpha or n"
-            )
-        p = pmf.pmf_block(lo, lo + block)
-        live = p > 0.0
-        pv = p[live]
-        phi += float(np.sum(-np.expm1(n * np.log1p(-pv)), dtype=np.longdouble))
-        small = pv < 0.25
-        odd_terms = np.empty_like(pv)
-        odd_terms[small] = -0.5 * np.expm1(n * np.log1p(-2.0 * pv[small]))
-        odd_terms[~small] = 0.5 * (1.0 - np.power(1.0 - 2.0 * pv[~small], n))
-        odd += float(np.sum(odd_terms, dtype=np.longdouble))
-        if not np.all(live) and float(pmf.tail_at(lo + block)) == 0.0:
-            return phi, odd  # finite support exhausted
-        lo += block
-        block = min(2 * block, 1 << 22)
+    big_l = 1 << 20
+    p = pmf.pmf_block(1, big_l)
+    phi = float(np.sum(-np.expm1(n * np.log1p(-p)), dtype=np.longdouble))
+    small = p < 0.25  # log1p(-2p) is invalid once 2p > 1
+    odd_terms = np.empty_like(p)
+    odd_terms[small] = -0.5 * np.expm1(n * np.log1p(-2.0 * p[small]))
+    odd_terms[~small] = 0.5 * (1.0 - np.power(1.0 - 2.0 * p[~small], n))
+    odd = float(np.sum(odd_terms, dtype=np.longdouble))
+
+    alpha, s, c = pmf.alpha, 1.0 / pmf.alpha, pmf.pmf_at(1)
+    tails = []
+    for lam, h in ((1.0, 1.0), (2.0, 0.5)):
+        w = lam * c * big_l ** (-s)
+        f_l = -math.expm1(n * math.log1p(-w))  # f(L) / h
+        integral = (lam * c) ** alpha * (n * beta(1.0 - alpha, n) * betainc(1.0 - alpha, n, w) - w ** (-alpha) * f_l)
+        minus_df_l = n * w * s / big_l * math.exp((n - 1) * math.log1p(-w))  # -f'(L) / h
+        tails.append(h * (integral + f_l / 2.0 + minus_df_l / 12.0))
+    return phi + tails[0], odd + tails[1]
 
 
 def hashed_jumps(alpha: float, key, sites) -> np.ndarray:

@@ -3,9 +3,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from scipy.special import zeta
 
 from partition_fields import partition1d
-from partition_fields.distributions import PmfKind, PowerLawPmf, sample_zipf_rows
+from partition_fields.distributions import FinitePmf, PmfKind, PowerLawPmf, sample_zipf_rows
 
 # Keep BLAS thread pools fixed so timings and reductions are stable in CI.
 os.environ.setdefault("OMP_NUM_THREADS", "1")
@@ -147,6 +148,62 @@ def urn_layout(labels, corners) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     labels = np.atleast_2d(np.asarray(labels, dtype=np.int64))[:, : int(corners[-1])]
     classes, counts, starts = corner_layout(labels, corners)
     return classes, counts & 1, starts
+
+
+# ---------------------------------------------------------------------------
+# the urn variance target as a box-by-box sum: the reference for the
+# closed-form tail of ``partition1d.expected_occupancy``
+# ---------------------------------------------------------------------------
+
+_OCCUPANCY_TOL = 1e-10  # certificate on the discarded second-order tail
+_OCCUPANCY_MAX_BOXES = 1 << 28
+
+
+def _tail_sq(pmf, lo: int) -> float:
+    """Squared-mass tail sum over {lo, lo+1, ...}: exact for FinitePmf and KarlinZipf."""
+    if isinstance(pmf, FinitePmf):
+        return float(np.sum(np.asarray(pmf.probs, dtype=np.float64)[lo - 1 :] ** 2))
+    s = 1.0 / pmf.alpha
+    return float(zeta(2.0 * s, lo)) / float(zeta(s)) ** 2
+
+
+def expected_occupancy_oracle(pmf, n: int) -> tuple[float, float]:
+    """(E[#occupied boxes], E[#odd-occupied boxes]) after n draws, box by box.
+
+    Sums 1-(1-p_l)^n and (1-(1-2 p_l)^n)/2 over boxes in blocks.  Both
+    summands are n*p_l + O((n p_l)^2), so once the squared-mass tail bound
+    n^2 * sum_{l>=m} p_l^2 drops below 1e-10 the remaining boxes are
+    replaced by the analytic first-order tail n * tail(m); the discarded
+    second-order part is below 1e-10 by construction.  (Float rounding adds
+    about eps per explicitly summed box on top of the certificate.)  Gives up
+    (RuntimeError) past 2^28 boxes.  Takes a FinitePmf or a KarlinZipf law.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    block = 1 << 16
+    phi = 0.0
+    odd = 0.0
+    lo = 1
+    while True:
+        cert = n * n * _tail_sq(pmf, lo)
+        if cert < _OCCUPANCY_TOL:
+            t = float(pmf.tail_at(lo))
+            return phi + n * t, odd + n * t
+        if lo > _OCCUPANCY_MAX_BOXES:
+            raise RuntimeError(f"expected_occupancy_oracle needs more than {_OCCUPANCY_MAX_BOXES} boxes for n={n}")
+        p = pmf.pmf_block(lo, lo + block)
+        live = p > 0.0
+        pv = p[live]
+        phi += float(np.sum(-np.expm1(n * np.log1p(-pv)), dtype=np.longdouble))
+        small = pv < 0.25
+        odd_terms = np.empty_like(pv)
+        odd_terms[small] = -0.5 * np.expm1(n * np.log1p(-2.0 * pv[small]))
+        odd_terms[~small] = 0.5 * (1.0 - np.power(1.0 - 2.0 * pv[~small], n))
+        odd += float(np.sum(odd_terms, dtype=np.longdouble))
+        if not np.all(live) and float(pmf.tail_at(lo + block)) == 0.0:
+            return phi, odd  # finite support exhausted
+        lo += block
+        block = min(2 * block, 1 << 22)
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,19 @@ def test_verify_passing_suite_exits_0(tmp_path):
     assert checks_csv[0] == "check,target,value,tolerance,passed"
 
 
+def test_verify_variance_reaches_large_alpha(tmp_path):
+    # the urn target has a closed-form tail, so alpha = 0.7 at n = 10^4 runs
+    cfg = {
+        "command": "verify", "suite": "variance",
+        "model": {"kind": "karlin1d", "alphas": [0.7], "n": [10**4]},
+        "replicates": 16, "seed": SEED, "output": str(tmp_path / "v"),
+    }
+    res = CliRunner().invoke(main, ["verify", "--config", _write(tmp_path, "c.json", cfg)])
+    assert res.exit_code in (0, 1), res.output
+    (check,) = json.loads((tmp_path / "v.report.json").read_text())["report"]["checks"]
+    assert check["target"] == pytest.approx(720.30044, rel=1e-6)
+
+
 def test_verify_failing_suite_exits_1(tmp_path):
     runner = CliRunner()
     cfg = {

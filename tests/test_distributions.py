@@ -191,7 +191,6 @@ def test_finite_pmf_accessors():
     pmf = FinitePmf((0.5, 0.5))
     assert pmf.pmf_at(1) == 0.5 and pmf.pmf_at(3) == 0.0
     assert pmf.tail_at(1) == 1.0 and pmf.tail_at(2) == 0.5 and pmf.tail_at(7) == 0.0
-    assert pmf.tail_sq_at(1) == 0.5
     with pytest.raises(ValueError):
         FinitePmf((0.5, 0.6))
 

@@ -7,10 +7,14 @@ allowance are covered).  The suite cases pin the sha256 of small
 ``run_suite`` reports, the bytes that ``verify`` writes.  The CLI cases pin
 the sha256 of the CSV that ``simulate`` writes, and the ``z_norm``, ``sigma``
 and ``truncation`` of its meta.json.  Outputs are bit-reproducible, so every
-comparison is exact.  A change that moves these bits on purpose (a
-``SCHEME_ID`` bump) regenerates every pinned value with
+comparison is exact.  A change that moves these bits on purpose
+regenerates every pinned value with
 
     PYTHONPATH=src python tests/test_golden.py --write
+
+That is a ``SCHEME_ID`` bump, which moves the replicate stream, or a
+deliberate change of an identity target or a p-value that keeps the stream;
+CHANGES.md lists every pinned number such a change moves.
 """
 
 import hashlib

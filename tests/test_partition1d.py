@@ -36,6 +36,7 @@ from partition_fields.seeding import spin_key
 
 from conftest import (
     UrnPath,
+    expected_occupancy_oracle,
     occupancy,
     roots_on_jumps,
     running_parity_oracle,
@@ -240,7 +241,7 @@ def test_expected_occupancy_single_draw():
 
 
 def test_expected_occupancy_two_point_pmf():
-    phi, odd = expected_occupancy(FinitePmf((0.5, 0.5)), 2)
+    phi, odd = expected_occupancy_oracle(FinitePmf((0.5, 0.5)), 2)
     assert phi == pytest.approx(1.5, abs=1e-12)
     # each box is odd iff exactly one of two draws lands in it: p = 1/2 each
     assert odd == pytest.approx(1.0, abs=1e-12)
@@ -259,7 +260,7 @@ def test_expected_occupancy_finite_oracle():
                 counts = np.bincount([a, b, c], minlength=3)
                 phi_brute += w * np.count_nonzero(counts)
                 odd_brute += w * np.count_nonzero(counts % 2)
-    phi, odd = expected_occupancy(FinitePmf(probs), n)
+    phi, odd = expected_occupancy_oracle(FinitePmf(probs), n)
     assert phi == pytest.approx(phi_brute, abs=1e-12)
     assert odd == pytest.approx(odd_brute, abs=1e-12)
 
@@ -275,6 +276,24 @@ def test_expected_occupancy_asymptotics():
 def test_expected_occupancy_rejects_bad_n():
     with pytest.raises(ValueError):
         expected_occupancy(make_karlin_pmf(0.5), 0)
+    for pmf in (FinitePmf((0.5, 0.5)), make_hs_pmf(0.25)):
+        with pytest.raises(ValueError, match="KarlinZipf"):
+            expected_occupancy(pmf, 2)
+
+
+@pytest.mark.parametrize("alpha, n", [(0.1, 10**5), (0.3, 100), (0.5, 1), (0.6, 7), (0.6, 32), (0.6, 1024)])
+def test_expected_occupancy_matches_box_by_box_oracle(alpha, n):
+    # (0.3, 100) and (0.1, 10^5) put boxes with p >= 1/4 in the head; n = 1 gives (1, 1)
+    pmf = make_karlin_pmf(alpha)
+    got, want = expected_occupancy(pmf, n), expected_occupancy_oracle(pmf, n)
+    assert got == pytest.approx(want, rel=1e-11)
+
+
+@pytest.mark.parametrize("alpha, n, odd", [(0.7, 10**4, 720.30044), (0.6, 10**6, 4259.1326)])
+def test_expected_occupancy_where_the_box_sum_gives_up(alpha, n, odd):
+    # the box-by-box sum needs more than 2^28 boxes here; the recorded values
+    # agree with a head sum plus an mpmath quadrature of the tail integral
+    assert expected_occupancy(make_karlin_pmf(alpha), n)[1] == pytest.approx(odd, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------

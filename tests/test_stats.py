@@ -24,7 +24,7 @@ from partition_fields import (
 )
 from partition_fields.distributions import PmfKind
 from partition_fields.fields import Axis
-from partition_fields.stats import DegenerateSampleError, _kolmogorov_sf
+from partition_fields.stats import DegenerateSampleError
 
 SEED = "57a7000000000000000000000000000b"
 
@@ -94,8 +94,13 @@ def test_ks_statistic_hand_example():
 
 
 def test_ks_pvalue_matches_reference_series():
-    for lam in (0.3, 0.6, 1.0, 1.5, 2.2):
-        assert _kolmogorov_sf(lam) == pytest.approx(sps.kstwobign.sf(lam), abs=1e-10)
+    # standard normal quantiles tested against Normal(0, sigma^2) for growing
+    # sigma put lambda = sqrt(n) * statistic from 0.03 to 4.9
+    n = 400
+    quantiles = sps.norm.ppf((np.arange(n) + 0.5) / n)
+    for sigma in (1.0, 1.05, 1.1, 1.2, 1.3, 1.6, 2.0, 3.0):
+        stat, p = ks_normal(quantiles, sigma)
+        assert p == pytest.approx(sps.kstwobign.sf(math.sqrt(n) * stat), abs=1e-10)
 
 
 def test_ks_null_behavior_and_errors():
@@ -151,8 +156,8 @@ def test_run_replicates_validates_r():
 
 
 def test_identity_target_fails_before_any_simulation(monkeypatch):
-    # expected_occupancy gives up (RuntimeError) for urn axes with large
-    # alpha; that must surface before R replicates are simulated
+    # an error while forming the identity target (here a stubbed
+    # expected_occupancy) must surface before any replicate is simulated
     from partition_fields import run_suite, stats
 
     def unreachable(*args, **kwargs):
