@@ -194,8 +194,11 @@ def expected_occupancy_oracle(pmf, n: int) -> tuple[float, float]:
         p = pmf.pmf_block(lo, lo + block)
         live = p > 0.0
         pv = p[live]
-        phi += float(np.sum(-np.expm1(n * np.log1p(-pv)), dtype=np.longdouble))
-        small = pv < 0.25
+        small = pv < 0.25  # log1p(-p) is infinite at p = 1, log1p(-2p) invalid past 1/2
+        phi_terms = np.empty_like(pv)
+        phi_terms[small] = -np.expm1(n * np.log1p(-pv[small]))
+        phi_terms[~small] = 1.0 - np.power(1.0 - pv[~small], n)
+        phi += float(np.sum(phi_terms, dtype=np.longdouble))
         odd_terms = np.empty_like(pv)
         odd_terms[small] = -0.5 * np.expm1(n * np.log1p(-2.0 * pv[small]))
         odd_terms[~small] = 0.5 * (1.0 - np.power(1.0 - 2.0 * pv[~small], n))

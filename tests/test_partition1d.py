@@ -281,19 +281,28 @@ def test_expected_occupancy_rejects_bad_n():
             expected_occupancy(pmf, 2)
 
 
-@pytest.mark.parametrize("alpha, n", [(0.1, 10**5), (0.3, 100), (0.5, 1), (0.6, 7), (0.6, 32), (0.6, 1024)])
+@pytest.mark.parametrize("alpha, n", [(0.01, 100), (0.1, 10**5), (0.3, 100), (0.5, 1), (0.6, 7), (0.6, 32), (0.6, 1024)])
 def test_expected_occupancy_matches_box_by_box_oracle(alpha, n):
-    # (0.3, 100) and (0.1, 10^5) put boxes with p >= 1/4 in the head; n = 1 gives (1, 1)
+    # (0.3, 100) and (0.1, 10^5) put boxes with p >= 1/4 in the head; n = 1 gives (1, 1);
+    # at alpha = 0.01, p_1 rounds to 1 and w = c L^-s underflows to 0
     pmf = make_karlin_pmf(alpha)
     got, want = expected_occupancy(pmf, n), expected_occupancy_oracle(pmf, n)
     assert got == pytest.approx(want, rel=1e-11)
 
 
-@pytest.mark.parametrize("alpha, n, odd", [(0.7, 10**4, 720.30044), (0.6, 10**6, 4259.1326)])
+@pytest.mark.parametrize("alpha, n, odd", [
+    (0.7, 10**4, 720.30044489349665564),
+    (0.6, 10**6, 4259.132637229176556),
+    (0.9, 10**6, 291604.60827180840316),
+    (0.99, 10**8, 86364820.965781333827),
+])
 def test_expected_occupancy_where_the_box_sum_gives_up(alpha, n, odd):
-    # the box-by-box sum needs more than 2^28 boxes here; the recorded values
-    # agree with a head sum plus an mpmath quadrature of the tail integral
-    assert expected_occupancy(make_karlin_pmf(alpha), n)[1] == pytest.approx(odd, rel=1e-6)
+    # the box-by-box sum needs more than 2^28 boxes here.  The recorded values
+    # are mpmath at 40 digits (the head box by box, the incomplete-beta tail
+    # and five Euler-Maclaurin terms) and agree with an 8-digit quadrature of
+    # the tail; scipy.special.beta(1 - alpha, n) alone is off by about 1e-9
+    # relative at n = 10^6
+    assert expected_occupancy(make_karlin_pmf(alpha), n)[1] == pytest.approx(odd, rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
