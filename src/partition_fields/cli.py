@@ -21,7 +21,7 @@ import click
 from . import __version__
 from .distributions import MarginalKind, MarginalLaw, make_hs_pmf
 from .fbs import HurstPair, sample_fbs
-from .fields import CornerGrid, ModelKind, ModelSpec, _metadata, _real, normalization, simulate
+from .fields import CornerGrid, ModelKind, ModelSpec, _real, normalization, simulate, truncation_summary
 from .renewal import c_alpha, cached_renewal_sequence, var_xstar, weights
 from .seeding import SCHEME_ID, normalize_seed, replicate_generator, seed_to_hex
 from .suites import SUITES, run_suite
@@ -275,7 +275,7 @@ def cmd_simulate(cfg: RunConfig) -> list[Path]:
     _write_csv(csv_path, ["t1", "t2", "raw", "normalized"], rows)
     meta_path = Path(f"{cfg.output}.meta.json")
     _write_json(meta_path, _meta(
-        cfg, z_norm=z, sigma=sigma, replicate=0, truncation=_metadata(cfg.model),
+        cfg, z_norm=z, sigma=sigma, replicate=0, truncation=truncation_summary(cfg.model),
     ))
     return [csv_path, meta_path]
 

@@ -151,12 +151,11 @@ def invert_hs_tail(alpha: float, u: np.ndarray) -> np.ndarray:
     return k
 
 
-def sample_zipf_rows(alpha: float, rngs, m, lo: int = 1) -> np.ndarray:
+def sample_zipf_rows(alpha: float, rngs, counts, lo: int = 1) -> np.ndarray:
     """Rejection sampler for p_k proportional to k**(-s) on k >= lo, s = 1/alpha > 1 (Devroye).
 
-    ``m`` is one draw count for every generator, giving one row of m draws
-    per generator, or one count per generator, giving every row's draws one
-    after another in a flat array.  Proposal: X continuous with density
+    ``counts`` holds one draw count per generator; every row's draws come
+    one after another in a flat array.  Proposal: X continuous with density
     proportional to x**(-s) on [lo, inf) by inversion, discretized as
     k = floor(X).  The acceptance ratio T/(k(T-1)) with T = (1+1/k)**(s-1)
     decreases in k, so its maximum is at k = lo, and accepting with the
@@ -173,7 +172,7 @@ def sample_zipf_rows(alpha: float, rngs, m, lo: int = 1) -> np.ndarray:
     x = 1.0 / alpha - 1.0
     inv_b1 = 1.0 / (lo * np.expm1(x * np.log1p(1.0 / lo)))  # 1/(lo(T_lo - 1))
     inv_b = (1.0 + 1.0 / lo) ** -x  # 1/T_lo
-    counts = np.broadcast_to(np.asarray(m, dtype=np.int64), (len(rngs),))
+    counts = np.asarray(counts, dtype=np.int64)
     offsets = np.cumsum(counts) - counts
     out = np.empty(int(counts.sum()), dtype=np.int64)
     filled = np.zeros(len(rngs), dtype=np.int64)
@@ -200,7 +199,7 @@ def sample_zipf_rows(alpha: float, rngs, m, lo: int = 1) -> np.ndarray:
         out[offsets[rows] + filled[rows] + rank] = kf[accept].astype(np.int64)
         filled[short] += n_acc
         short = short[filled[short] < counts[short]]
-    return out.reshape(len(rngs), int(m)) if np.ndim(m) == 0 else out
+    return out
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ from scipy.special import gamma
 from ._hashing import hash1, hash2, signs_from
 from .distributions import MarginalLaw, PmfKind, PowerLawPmf, make_hs_pmf, make_karlin_pmf
 from .partition1d import corner_counts, roots_of, urn_counts
-from .renewal import RenewalSequence, bn_sq_growth_constant, cached_renewal_sequence, var_xstar
+from .renewal import RenewalSequence, bn_sq_growth_constant, cached_renewal_sequence, q_sq_tail_bound, var_xstar
 from .seeding import spin_key
 
 __all__ = [
@@ -52,6 +52,7 @@ __all__ = [
     "simulate",
     "batch_size",
     "normalization",
+    "truncation_summary",
 ]
 
 DEFAULT_FOREST_FLOOR = 10**5
@@ -118,13 +119,13 @@ class Axis:
 
     @property
     def renewal(self) -> RenewalSequence:
-        """q_0..q_K of a forest axis's jump law, K = max(2^18, 16 n, 4 depth).
+        """q_0..q_K of a forest axis's jump law, K = max(2^18, 16 n).
 
-        The one sequence every forest constant reads: Var(X*) = 1 / sum q_k^2,
-        the window weights of b_n^2 (which need K >= 16 n) and the truncation
-        tail beyond the depth.
+        The one sequence a forest axis reads: Var(X*) = 1 / sum q_k^2 and the
+        window weights of b_n^2 (which need K >= 16 n).  The depth does not
+        set K: the truncation bound is a closed form.
         """
-        return cached_renewal_sequence(self.pmf, max(_RENEWAL_KMAX, 16 * self.n, 4 * self.depth))
+        return cached_renewal_sequence(self.pmf, max(_RENEWAL_KMAX, 16 * self.n))
 
     @property
     def variance_factors(self) -> tuple[float, float]:
@@ -134,7 +135,6 @@ class Axis:
         return bn_sq_growth_constant(self.alpha), var_xstar(self.renewal)
 
     @property
-    @lru_cache(maxsize=64)  # kept across calls: the tail sum reads K - depth terms
     def truncation_bound(self) -> float | None:
         """Per-pair bound on losing a coalescence below the floor; None for an urn axis.
 
@@ -146,12 +146,12 @@ class Axis:
 
         so ``(1/2) sum_{k > depth} q_k^2`` bounds the average per ordered pair
         and ``2 * bound * n^2`` bounds the variance deficit of the truncated
-        model.  The q-tail beyond the renewal horizon uses the power-decay
-        estimate of :meth:`RenewalSequence.tail_sum_sq_from`.
+        model.  The q-tail sum is bounded in closed form by
+        :func:`~partition_fields.renewal.q_sq_tail_bound`.
         """
         if self.is_urn:
             return None
-        return 0.5 * self.renewal.tail_sum_sq_from(self.depth)
+        return 0.5 * q_sq_tail_bound(self.alpha, self.depth)
 
     def sample(self, rngs, ts: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One row per generator: (class ids, int64 corner counts, row starts).
@@ -324,14 +324,16 @@ def normalization(spec: ModelSpec) -> tuple[float, float]:
     return z, math.sqrt(limit_var)
 
 
-def _metadata(spec: ModelSpec) -> dict:
-    bounds = tuple(axis.truncation_bound for axis in spec.axes if not axis.is_urn)
-    if not bounds:
-        return {}
-    meta = {"truncation_error_bound": max(bounds)}
-    if len(bounds) > 1:
-        meta["truncation_error_bounds"] = bounds
-    return meta
+def truncation_summary(spec: ModelSpec) -> dict[str, float]:
+    """Each forest axis's truncation bound as ``direction_q``, and their ``max``; {} without one."""
+    summary = {
+        f"direction_{q + 1}": axis.truncation_bound
+        for q, axis in enumerate(spec.axes)
+        if not axis.is_urn
+    }
+    if summary:
+        summary["max"] = max(summary.values())
+    return summary
 
 
 def batch_size(spec: ModelSpec, grid: CornerGrid) -> int:

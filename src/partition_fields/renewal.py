@@ -29,6 +29,7 @@ __all__ = [
     "WeightProfile",
     "RenewalConvergenceWarning",
     "renewal_sequence",
+    "q_sq_tail_bound",
     "var_xstar",
     "weights",
     "c_alpha",
@@ -78,12 +79,16 @@ class RenewalSequence:
             return 0.0
         return float(self.kmax * self.q[-1] ** 2 / (1.0 - 2.0 * alpha))
 
-    def tail_sum_sq_from(self, k0: int) -> float:
-        """Sum of q_k**2 over k > k0, including the beyond-kmax estimate."""
-        if k0 >= self.kmax:
-            return self.sum_sq_tail_estimate
-        tail = float(np.sum(np.square(self.q[k0 + 1 :], dtype=np.longdouble)))
-        return tail + self.sum_sq_tail_estimate
+
+def q_sq_tail_bound(alpha: float, depth: int) -> float:
+    """Upper bound on sum_{k > depth} q_k**2 for exact-tail jumps, depth >= 1.
+
+    q_k <= c k**(alpha-1) with c = sin(pi alpha)/pi (the suite pins it over a
+    computed horizon), so the sum is at most the integral of c**2 x**(2 alpha-2)
+    over x > depth, c**2 depth**(2 alpha-1) / (1 - 2 alpha).
+    """
+    c = math.sin(math.pi * alpha) / math.pi
+    return c * c * depth ** (2.0 * alpha - 1.0) / (1.0 - 2.0 * alpha)
 
 
 def _q_direct(p: np.ndarray, kmax: int) -> np.ndarray:

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import kolmogorov, ndtr
 
-from .fields import KIND_TABLE, Axis, CornerGrid, ModelSpec, batch_size, normalization, simulate
+from .fields import KIND_TABLE, Axis, CornerGrid, ModelSpec, batch_size, normalization, simulate, truncation_summary
 from .partition1d import expected_occupancy
 from .renewal import var_xstar, weights
 from .seeding import SCHEME_ID, normalize_seed, replicate_generator, seed_to_hex
@@ -158,13 +158,6 @@ def run_replicates(
         rec = _identity_record(spec, raw[:, -1], target)
         identities[rec.name] = rec
 
-    truncation = {
-        f"direction_{q + 1}": axis.truncation_bound
-        for q, axis in enumerate(spec.axes)
-        if not axis.is_urn
-    }
-    if truncation:
-        truncation["max"] = max(truncation.values())
     return ReplicateReport(
         spec=spec,
         grid=grid,
@@ -177,7 +170,7 @@ def run_replicates(
         cov_se=cov_se,
         ks=ks,
         identities=identities,
-        truncation=truncation,
+        truncation=truncation_summary(spec),
     )
 
 

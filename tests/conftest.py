@@ -117,7 +117,7 @@ def sample_urn(pmf: PowerLawPmf, n: int, rngs) -> UrnPath:
         raise ValueError("urn labels must follow a KarlinZipf pmf")
     if n < 1:
         raise ValueError("n must be >= 1")
-    return UrnPath.from_labels(sample_zipf_rows(pmf.alpha, rngs, n))
+    return UrnPath.from_labels(sample_zipf_rows(pmf.alpha, rngs, [n] * len(rngs)).reshape(len(rngs), n))
 
 
 def occupancy(path: UrnPath) -> tuple[int, int]:

@@ -73,7 +73,7 @@ def test_karlin_pmf_nonincreasing_property(alpha, k):
 
 def test_zipf_frequency_of_one():
     rng = replicate_generator("d157", 0)
-    draws = sample_zipf_rows(0.5, [rng], 10**6)[0]
+    draws = sample_zipf_rows(0.5, [rng], [10**6])
     p1 = 6 / math.pi**2
     freq = np.mean(draws == 1)
     sigma = math.sqrt(p1 * (1 - p1) / draws.size)
@@ -84,7 +84,7 @@ def test_zipf_frequency_of_one():
 def test_zipf_chi_square_goodness_of_fit(alpha):
     pmf = make_karlin_pmf(alpha)
     rng = replicate_generator("d157", 1)
-    draws = sample_zipf_rows(alpha, [rng], 10**6)[0]
+    draws = sample_zipf_rows(alpha, [rng], [10**6])
     edges = np.arange(1, 52)
     observed = np.concatenate((np.bincount(np.clip(draws, 0, 51), minlength=52)[1:51],
                                [np.sum(draws >= 51)]))
@@ -119,9 +119,8 @@ def test_zipf_rows_match_one_generator_sampler(alpha, m, rows, seed):
     # the default floor lo = 1 with one count per row: each row is the one-generator sampler, byte for byte
     rngs = [replicate_generator(seed, r) for r in range(rows)]
     refs = [replicate_generator(seed, r) for r in range(rows)]
-    got = sample_zipf_rows(alpha, rngs, m)
-    assert got.shape == (rows, m)
-    for row, rng, ref in zip(got, rngs, refs):
+    got = sample_zipf_rows(alpha, rngs, [m] * rows)
+    for row, rng, ref in zip(got.reshape(rows, m), rngs, refs):
         assert np.array_equal(row, sample_zipf_oracle(1.0 / alpha, ref, m))
         assert rng.random() == ref.random()  # each row read exactly its own generator's draws
 

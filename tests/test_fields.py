@@ -177,6 +177,18 @@ def test_batch_size_does_not_depend_on_forest_depth(kind):
     assert len(sizes) == 1
 
 
+def test_renewal_horizon_does_not_depend_on_forest_depth(monkeypatch):
+    # the truncation bound is a closed form, so a deep floor asks for no longer
+    # q: the horizon is max(2^18, 16 n), and the bound reads no sequence
+    asked = []
+    monkeypatch.setattr(fields, "cached_renewal_sequence", lambda pmf, kmax: asked.append(kmax))
+    for n in (512, 1 << 15):
+        axis = Axis(PmfKind.HS_TAIL, 0.25, n, 10**7)
+        axis.renewal
+        assert axis.truncation_bound > 0
+    assert asked == [1 << 18, 16 << 15]
+
+
 def test_stream_layout_spin_key_then_jump_key_then_labels(monkeypatch):
     # combined2d: spin key (2 raw words), the forest axis's jump key (2 more), then the urn's draws
     spec = ModelSpec(ModelKind.COMBINED_2D, (0.25, 0.6), (16, 40), forest_depth=300)

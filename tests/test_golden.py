@@ -1,7 +1,7 @@
 """Golden vectors: exact outputs of every model kind at small n, and of one deep forest.
 
-Each case pins one replicate's raw corner sums, Z, sigma and metadata, and
-the identities, truncation summary and sha256 of a small ``run_replicates``
+Each case pins one replicate's raw corner sums, Z and sigma, and the
+identities, truncation summary and sha256 of a small ``run_replicates``
 report on a grid that ends at 1 (so the variance identity and the truncation
 allowance are covered).  The suite cases pin the sha256 of small
 ``run_suite`` reports, the bytes that ``verify`` writes.  The CLI cases pin
@@ -13,8 +13,9 @@ regenerates every pinned value with
     PYTHONPATH=src python tests/test_golden.py --write
 
 That is a ``SCHEME_ID`` bump, which moves the replicate stream, or a
-deliberate change of an identity target or a p-value that keeps the stream;
-CHANGES.md lists every pinned number such a change moves.
+deliberate change of an identity target, a truncation bound or a p-value
+that keeps the stream; CHANGES.md lists every pinned number such a change
+moves.
 """
 
 import hashlib
@@ -37,7 +38,6 @@ from partition_fields import (
     simulate,
 )
 from partition_fields.cli import RunConfig, cmd_simulate
-from partition_fields.fields import _metadata
 
 GOLDEN = Path(__file__).parent / "data" / "golden_v3.json"
 SEED = "601de000000000000000000000000001"
@@ -74,7 +74,7 @@ SUITE_CASES = {
 }
 
 # name -> simulate config (model and grid); hs2d has two forest axes, so its
-# meta.json carries truncation_error_bounds
+# meta.json truncation lists direction_1, direction_2 and their max
 CLI_CASES = {
     "simulate-hs2d": {
         "model": {"kind": "hs2d", "alphas": [0.1, 0.4], "n": [24, 32], "forest_depth": 2000},
@@ -101,7 +101,6 @@ def record(spec: ModelSpec) -> dict:
         "raw": raw.ravel().tolist(),
         "z_norm": z_norm,
         "sigma": sigma,
-        "metadata": _metadata(spec),
         "identities": report["identities"],
         "truncation": report["truncation"],
         "report_sha256": digest,

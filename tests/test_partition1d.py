@@ -139,7 +139,7 @@ def test_conditioned_tail_chi_square_goodness_of_fit(alpha):
     # the draws above the head, k >= L + 1, against p_k / tail(L + 1)
     pmf = make_karlin_pmf(alpha)
     lo = urn_head_size(alpha, 1000) + 1
-    draws = sample_zipf_rows(alpha, [replicate_generator("7a11", 0)], 10**6, lo=lo)[0]
+    draws = sample_zipf_rows(alpha, [replicate_generator("7a11", 0)], [10**6], lo=lo)
     assert draws.min() >= lo
     observed = np.bincount(np.minimum(draws - lo, 50), minlength=51)  # the last bin is k >= lo + 50
     expected = np.concatenate((pmf.pmf_block(lo, lo + 50), [pmf.tail_at(lo + 50)])) / pmf.tail_at(lo)
@@ -188,7 +188,8 @@ def test_box_counts_match_the_label_oracle(n):
         for m in range(corners.size)
     ])
 
-    labels = sample_zipf_rows(alpha, [replicate_generator("0c", r) for r in range(reps)], int(corners[-1]))
+    gens = [replicate_generator("0c", r) for r in range(reps)]
+    labels = sample_zipf_rows(alpha, gens, [int(corners[-1])] * reps).reshape(reps, -1)
     _, ref_parity, ref_starts = urn_layout(labels, corners)
     ref_owner = np.repeat(np.arange(reps), np.diff(ref_starts))
     ref_odd = np.stack([np.bincount(ref_owner, weights=row, minlength=reps) for row in ref_parity])
@@ -496,8 +497,9 @@ def test_hashed_jumps_replay_and_independence():
 
 
 def test_truncation_bound_spec_point():
+    # (1/2) c^2 D^(2 alpha - 1) / (1 - 2 alpha), c = sin(pi/4)/pi, at alpha = 1/4, D = 10^5
     bound = Axis(PmfKind.HS_TAIL, 0.25, 512, 10**5).truncation_bound
-    assert 0 < bound < 1e-2
+    assert bound == pytest.approx(1.0 / (2.0 * math.pi**2 * math.sqrt(1e5)), rel=1e-12)
 
 
 def test_adjacent_coalescence_against_line_walk_oracle():

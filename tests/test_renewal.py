@@ -34,6 +34,7 @@ from partition_fields.renewal import (
     _q_direct,
     _q_newton,
     p_alpha_weights,
+    q_sq_tail_bound,
 )
 from partition_fields.suites import enumerate_renewal_probability
 
@@ -70,6 +71,22 @@ def test_q_is_probability_and_square_summable():
     assert rs.q[-1] ** 2 < 1e-8
     c = math.sin(math.pi * 0.25) / math.pi
     assert rs.q[-1] == pytest.approx(c * rs.kmax ** (0.25 - 1.0), rel=0.01)
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.1, 0.25, 0.4, 0.45, 0.49])
+def test_q_sq_tail_bound_holds_over_the_computed_horizon(alpha):
+    # the bound rests on q_k <= c k^(alpha-1), c = sin(pi alpha)/pi, at every k
+    rs = renewal_sequence(make_hs_pmf(alpha), 1 << 18)
+    k = np.arange(1, rs.kmax + 1)
+    c = math.sin(math.pi * alpha) / math.pi
+    assert np.all(rs.q[1:] * k ** (1.0 - alpha) <= c)
+    for depth in (2000, 10**5):
+        computed = float(np.sum(np.square(rs.q[depth + 1 :], dtype=np.longdouble)))
+        # the power-decay estimate beyond kmax falls short of the true tail, so
+        # the bound must lie above it too, and within 0.25% of it
+        known = computed + rs.sum_sq_tail_estimate
+        bound = q_sq_tail_bound(alpha, depth)
+        assert computed <= known <= bound <= 1.0025 * known, (depth, bound, known)
 
 
 def test_var_xstar_degenerate_chain_flags_divergence():
@@ -122,7 +139,7 @@ def test_var_xstar_against_line_meeting_oracle():
         meets += int(a == b)
     mc = 1.0 - meets / reps
     se = math.sqrt(mc * (1 - mc) / reps)
-    depth_slack = rs.tail_sum_sq_from(depth // 2)
+    depth_slack = float(np.sum(np.square(rs.q[depth // 2 + 1 :]))) + rs.sum_sq_tail_estimate
     assert abs(mc - analytic) < 3 * se + depth_slack, (mc, analytic, se)
 
 

@@ -233,9 +233,10 @@ def test_second_run_reuses_the_axis_variances(monkeypatch, kind, alphas):
     ModelSpec(ModelKind.COMBINED_2D, (0.25, 0.6), (24, 40), forest_depth=77_777),
 ], ids=lambda spec: spec.kind.value)
 def test_each_forest_axis_reads_one_renewal_sequence(monkeypatch, spec):
-    # Z, the identity target and the truncation bounds all read Var(X*) and
-    # the q tail from one renewal horizon per forest axis; every binding of
-    # cached_renewal_sequence in the package records what it is asked for
+    # Z and the identity target read Var(X*) and the q tail from one renewal
+    # horizon per forest axis, and the truncation bounds read no sequence;
+    # every binding of cached_renewal_sequence in the package records what it
+    # is asked for
     from partition_fields import renewal, stats
 
     original = renewal.cached_renewal_sequence
@@ -261,17 +262,23 @@ def test_each_forest_axis_reads_one_renewal_sequence(monkeypatch, spec):
 
 
 @pytest.mark.parametrize("n, rel", [(512, 2e-4), (1 << 14, 3e-3)])
-def test_forest_axis_variance_does_not_depend_on_the_horizon(n, rel):
+def test_forest_axis_variance_does_not_depend_on_the_horizon(monkeypatch, n, rel):
     # weights() drops the b_{n,j} beyond the renewal horizon K; the n^2 tail
     # term puts that mass back, so the least horizon (2^18, or 16 n = 2^18 at
-    # n = 2^14) agrees with one four times longer (4 depth = 2^20)
-    from partition_fields import stats
+    # n = 2^14) agrees with one four times longer (2^20)
+    from partition_fields import fields, stats
 
-    for alpha in (0.1, 0.25, 0.45):
-        short = Axis(PmfKind.HS_TAIL, alpha, n)
-        long = Axis(PmfKind.HS_TAIL, alpha, n, 1 << 18)
-        assert (short.renewal.kmax, long.renewal.kmax) == (1 << 18, 1 << 20)
-        assert stats._axis_variance(short) == pytest.approx(stats._axis_variance(long), rel=rel)
+    axes = [Axis(PmfKind.HS_TAIL, alpha, n) for alpha in (0.1, 0.25, 0.45)]
+    assert {axis.renewal.kmax for axis in axes} == {1 << 18}
+    short = [stats._axis_variance(axis) for axis in axes]
+    stats._axis_variance.cache_clear()
+    monkeypatch.setattr(fields, "_RENEWAL_KMAX", 1 << 20)
+    try:
+        assert {axis.renewal.kmax for axis in axes} == {1 << 20}
+        for axis, variance in zip(axes, short):
+            assert stats._axis_variance(axis) == pytest.approx(variance, rel=rel)
+    finally:
+        stats._axis_variance.cache_clear()  # drop the long-horizon values
 
 
 def test_covariance_estimator_consistency_rate():
