@@ -44,20 +44,14 @@ def fbs_cov(hurst: HurstPair, s, t):
     return fbm_cov(hurst.h1, s[..., 0], t[..., 0]) * fbm_cov(hurst.h2, s[..., 1], t[..., 1])
 
 
-def _axis_gram(h: float, ts: np.ndarray) -> np.ndarray:
-    return 0.5 * (
-        ts[:, None] ** (2 * h) + ts[None, :] ** (2 * h) - np.abs(ts[:, None] - ts[None, :]) ** (2 * h)
-    )
-
-
 def fbs_cov_matrix(hurst: HurstPair, t1, t2) -> np.ndarray:
     """Gram matrix over the tensor grid, ordered as raveled (t1, t2) pairs.
 
     Row/column order matches ``simulate(...).ravel()``: index i1*len(t2)+i2.
     """
-    g1 = _axis_gram(hurst.h1, np.asarray(t1, dtype=np.float64))
-    g2 = _axis_gram(hurst.h2, np.asarray(t2, dtype=np.float64))
-    return np.kron(g1, g2)
+    t1 = np.asarray(t1, dtype=np.float64)
+    t2 = np.asarray(t2, dtype=np.float64)
+    return np.kron(fbm_cov(hurst.h1, t1[:, None], t1[None, :]), fbm_cov(hurst.h2, t2[:, None], t2[None, :]))
 
 
 class FactorizationError(RuntimeError):
@@ -90,7 +84,7 @@ def sample_fbs(hurst: HurstPair, t1, t2, rng: np.random.Generator, size: int = 1
     m1, m2 = t1.size, t2.size
     if m1 * m2 > 4096:
         raise ValueError("grid too large for the dense reference sampler (m1*m2 <= 4096)")
-    l1 = _cholesky_with_jitter(_axis_gram(hurst.h1, t1))
-    l2 = _cholesky_with_jitter(_axis_gram(hurst.h2, t2))
+    l1 = _cholesky_with_jitter(fbm_cov(hurst.h1, t1[:, None], t1[None, :]))
+    l2 = _cholesky_with_jitter(fbm_cov(hurst.h2, t2[:, None], t2[None, :]))
     g = rng.standard_normal((size, m1, m2))
     return np.einsum("ab,rbc,dc->rad", l1, g, l2, optimize=True)

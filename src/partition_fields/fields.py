@@ -168,7 +168,7 @@ class Axis:
         if self.is_urn:
             return urn_counts(self.alpha, self.n, idx, rngs)
         keys = [spin_key(rng) for rng in rngs]  # each row's jump key
-        roots = roots_of(self.alpha, keys, self.depth, np.arange(1, self.n + 1))
+        roots = roots_of(self.alpha, keys, self.depth, self.n)
         order = np.argsort(roots, axis=1)  # each row's sites, by root
         first = np.searchsorted(idx, np.arange(self.n), side="right")  # first corner holding each site
         classes, counts, starts = corner_counts(

@@ -19,11 +19,12 @@ Two partitions of the index line are provided:
   infinite, so each is cut where its next parent falls at or below the
   floor -depth, with a quantified truncation bound
   (``fields.Axis.truncation_bound``); the cut errs toward
-  independence.  Roots are found only for the query sites, in two
-  phases: each query site's jump is hashed once, and a site whose parent
-  is another query site points to it (the two lines share the rest of
-  their path); then only the exit lines, whose parents are not query
-  sites, are walked down to the floor, and the pointers are resolved by
+  independence.  Roots are found only for the sites 1..n.  Jumps are at
+  least 1, so a line can meet another of these sites only on its first
+  step: each site's jump is hashed once, and a site whose parent is at
+  least 1 points to it (the two lines share the rest of their path); then
+  only the exit lines, whose parents fall in (-depth, 1), are walked down
+  to the floor, with no membership test, and the pointers are resolved by
   pointer jumping.  So depth costs steps only for the exit lines.
 
 Both engines sample a batch of replicates at once, one row per replicate
@@ -34,7 +35,7 @@ row's classes in increasing order and an int64 (corners x classes) count
 matrix.  The urn feeds it its tail draws (its head boxes are counted
 densely) and keeps each count's parity, since an urn box's alternating
 signs sum to the parity of its count; the forest feeds it the roots of its
-query sites (``fields.Axis.sample``).
+sites 1..n (``fields.Axis.sample``).
 """
 
 from __future__ import annotations
@@ -202,49 +203,40 @@ def hashed_jumps(alpha: float, key, sites) -> np.ndarray:
     return invert_hs_tail(alpha, uniforms_from(hash1(key, sites)))
 
 
-def roots_of(alpha: float, keys, depth: int, sites) -> np.ndarray:
-    """Canonical component representative of each site, one row per jump key.
+def roots_of(alpha: float, keys, depth: int, n: int) -> np.ndarray:
+    """Canonical component representative of each site 1..n, one row per jump key.
 
     ``keys`` holds one jump key (two 64-bit words) per row.  The
     representative of site i is the lowest site on its ancestral line above
-    the floor -depth.  A row's m distinct query sites are resolved in two
-    phases.  First, each one's jump is hashed once; where its parent
-    i - J_i is itself a query site, the two lines share the rest of their
-    path, so the site points to its parent.  Second, only the exit lines,
-    whose parents are not query sites, are walked down, every exit line of
-    every row at once, until the next parent falls at or below -depth (the
-    lowest site walked is then the line's root) or is a query site (which
-    the line then points to).  The pointers are resolved by pointer jumping:
-    O(log m) gathers over the (rows x m) nodes and no hashing.  So depth
-    costs steps only for the exit lines, and only the jumps read are
-    hashed.  The result has shape ``(len(keys), *sites.shape)``.
+    the floor -depth.  Jumps are at least 1, so a line can meet another
+    site of 1..n only on its first step.  Each site's jump is hashed once:
+    a site whose parent i - J_i is at least 1 points to it (the two lines
+    share the rest of their path), and a site whose parent is at or below
+    -depth is its own root.  Only the exit lines, whose parents fall in
+    (-depth, 1), are walked on, every exit line of every row at once, until
+    the next parent falls at or below -depth; the lowest site walked is
+    then the line's root.  The pointers are resolved by pointer jumping:
+    O(log n) gathers over the (rows x n) nodes and no hashing.  So depth
+    costs steps only for the exit lines.  The result is int64 of shape
+    ``(len(keys), n)``.
     """
-    sites = np.asarray(sites, dtype=np.int64)
-    if np.any(sites <= -depth):
-        raise IndexError(f"sites must lie above the floor {-depth}")
     keys = np.asarray(keys, dtype=np.uint64).reshape(-1, 2)
-    query, inverse = np.unique(sites.ravel(), return_inverse=True)
-    m = query.size
-    # node r*m + j is row r's query site j; `lowest` holds the lowest site
-    # walked on its line so far, `up` the node its line joins (itself if none)
-    lowest = np.tile(query, len(keys))
-    node, pos = np.arange(lowest.size), lowest
-    up = node.copy()
-    k0, k1 = np.repeat(keys.T, m, axis=1)
-    joinable = True  # a walked parent can still be a query site
+    # node r*n + i - 1 is row r's site i; `lowest` holds the lowest site
+    # walked on its line, `up` the node its line joins (itself if none)
+    lowest = np.tile(np.arange(1, n + 1, dtype=np.int64), len(keys))
+    node = np.arange(lowest.size)
+    k0, k1 = np.repeat(keys.T, n, axis=1)
+    jumps = hashed_jumps(alpha, (k0, k1), lowest)
+    pos = lowest - jumps
+    up = np.where(pos >= 1, node - jumps, node)
+    exits = (pos > -depth) & (pos < 1)
+    node, pos, k0, k1 = node[exits], pos[exits], k0[exits], k1[exits]
     while node.size:
-        parents = pos - hashed_jumps(alpha, (k0, k1), pos)
-        inside = parents > -depth
-        if joinable:
-            j = np.minimum(np.searchsorted(query, parents), m - 1)
-            join = inside & (query[j] == parents)
-            joined = node[join]
-            up[joined] = joined - joined % m + j[join]
-            inside &= ~join
-        node, pos, k0, k1 = node[inside], parents[inside], k0[inside], k1[inside]
         lowest[node] = pos
-        joinable = joinable and bool(np.any(pos > query[0]))
+        pos = pos - hashed_jumps(alpha, (k0, k1), pos)
+        inside = pos > -depth
+        node, pos, k0, k1 = node[inside], pos[inside], k0[inside], k1[inside]
     jumped = up[up]
     while not np.array_equal(jumped, up):
         up, jumped = jumped, jumped[jumped]
-    return lowest[up].reshape(len(keys), m)[:, inverse].reshape(len(keys), *sites.shape)
+    return lowest[up].reshape(len(keys), n)

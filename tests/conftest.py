@@ -252,20 +252,22 @@ def roots_on_jumps(jumps, lo: int, sites) -> np.ndarray:
     """``partition1d.roots_of`` run on explicit jumps instead of hashed ones.
 
     ``jumps[..., i - lo - 1]`` is J_i on the window (lo, hi] (a 1D array is
-    one row); the walk's floor is lo.  The jump function is stubbed for the
-    call, with row b's key set to (b, 0), so the walk itself is the real one.
-    The result has shape ``jumps.shape[:-1] + sites.shape``.
+    one row); the walk's floor is lo.  The window is shifted to the sites
+    1..hi - lo over the floor 0, and the jump function is stubbed for the
+    call, with row b's key set to (b, 0), so the walk itself is the real
+    one; the shifted roots are then read at ``sites``.  The result has
+    shape ``jumps.shape[:-1] + sites.shape``.
     """
     jumps = np.asarray(jumps, dtype=np.int64)
     rows = jumps.reshape(-1, jumps.shape[-1])
+    sites = np.asarray(sites, dtype=np.int64)
 
     def explicit(alpha, key, sites):
-        offsets = sites - lo - 1
-        assert np.all((offsets >= 0) & (offsets < rows.shape[1])), "walk read a site outside the window"
-        return rows[key[0].astype(np.intp), offsets]
+        assert np.all((sites >= 1) & (sites <= rows.shape[1])), "walk read a site outside the window"
+        return rows[key[0].astype(np.intp), sites - 1]
 
     keys = [(b, 0) for b in range(rows.shape[0])]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(partition1d, "hashed_jumps", explicit)
-        roots = partition1d.roots_of(0.25, keys, -lo, sites)  # the stub ignores alpha
-    return roots.reshape(jumps.shape[:-1] + roots.shape[1:])
+        roots = partition1d.roots_of(0.25, keys, 0, rows.shape[1]) + lo  # the stub ignores alpha
+    return roots[:, sites - lo - 1].reshape(jumps.shape[:-1] + sites.shape)

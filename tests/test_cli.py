@@ -289,6 +289,22 @@ def test_verify_normality_too_few_replicates_exits_2(tmp_path):
     assert "normality suite needs at least 100 replicates" in res.output
 
 
+@pytest.mark.parametrize("cfg, message", [
+    ({k: v for k, v in _sim_config().items() if k != "grid"}, "simulate requires model and grid"),
+    (_sim_config(grid={"t1": [1.0], "t2": [1.0]}), "grid dimensionality must match the model"),
+    ({"command": "renewal", "model": {"kind": "hs1d", "alphas": [0.25], "n": [8]}, "seed": SEED},
+     "renewal requires model.alphas[0] and kmax"),
+    ({"command": "sample-fbs", "hurst": [0.3, 0.75], "grid": {"t1": [0.5, 1.0]}, "seed": SEED},
+     "sample-fbs requires a 2D grid"),
+], ids=["simulate-no-grid", "simulate-2d-grid-1d-model", "renewal-no-kmax", "sample-fbs-1d-grid"])
+def test_command_precondition_exits_2(tmp_path, cfg, message):
+    cfg = {**cfg, "output": str(tmp_path / "o")}
+    res = CliRunner().invoke(main, [cfg["command"], "--config", _write(tmp_path, "c.json", cfg)])
+    assert res.exit_code == 2, res.output
+    assert message in res.output
+    assert not list(tmp_path.glob("o*"))  # nothing written
+
+
 def test_main_help_lists_the_commands():
     # wide enough that no one-line help is cut short
     res = CliRunner().invoke(main, ["--help"], terminal_width=120, max_content_width=120)

@@ -17,7 +17,7 @@ from partition_fields import (
     replicate_generator,
     sample_fbs,
 )
-from partition_fields.fbs import _axis_gram, _cholesky_with_jitter
+from partition_fields.fbs import _cholesky_with_jitter
 
 
 def test_fbm_cov_brownian_reduction():
@@ -88,8 +88,8 @@ def test_kron_factorization_equals_dense_factorization():
     t1 = np.array([0.25, 0.5, 1.0])
     t2 = np.array([0.5, 0.75, 1.0])
     pair = HurstPair(0.3, 0.8)
-    l1 = _cholesky_with_jitter(_axis_gram(pair.h1, t1))
-    l2 = _cholesky_with_jitter(_axis_gram(pair.h2, t2))
+    l1 = _cholesky_with_jitter(fbm_cov(pair.h1, t1[:, None], t1[None, :]))
+    l2 = _cholesky_with_jitter(fbm_cov(pair.h2, t2[:, None], t2[None, :]))
     dense = _cholesky_with_jitter(fbs_cov_matrix(pair, t1, t2))
     assert np.allclose(np.kron(l1, l2), dense, atol=1e-10)
 

@@ -69,7 +69,7 @@ def _counts_of(axis: Axis, inv: np.ndarray, k: int, ts) -> np.ndarray:
         counts = counts[:-1] & 1
     else:
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(fields, "roots_of", lambda alpha, keys, depth, sites: inv[None])
+            mp.setattr(fields, "roots_of", lambda alpha, keys, depth, n: inv[None])
             classes, counts, _ = axis.sample([replicate_generator(SEED, 0)], ts)
     assert counts.dtype == np.int64
     full = np.zeros((idx.size, k), np.int64)  # the classes no site holds count 0
@@ -129,7 +129,7 @@ def test_forest_layout_matches_per_row_unique(rows, depth, data):
     jumps = data.draw(hnp.arrays(np.int64, (rows, depth + n), elements=st.integers(1, 40)))
     roots = roots_on_jumps(jumps, -depth, np.arange(1, n + 1))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fields, "roots_of", lambda alpha, keys, depth, sites: roots)
+        mp.setattr(fields, "roots_of", lambda alpha, keys, depth, n: roots)
         got = Axis(PmfKind.HS_TAIL, 0.25, n, depth).sample([replicate_generator(SEED, r) for r in range(rows)], ts)
     for part, want in zip(got, corner_layout(roots, idx)):
         assert part.dtype == np.int64 and np.array_equal(part, want)
@@ -200,9 +200,9 @@ def test_stream_layout_spin_key_then_jump_key_then_labels(monkeypatch):
         seen["boxes"] = real_urn(alpha, n, corners, rngs)
         return seen["boxes"]
 
-    def roots(alpha, keys, depth, sites):
+    def roots(alpha, keys, depth, n):
         seen["keys"] = keys
-        return real_roots(alpha, keys, depth, sites)
+        return real_roots(alpha, keys, depth, n)
 
     monkeypatch.setattr(fields, "urn_counts", urn)
     monkeypatch.setattr(fields, "roots_of", roots)
@@ -364,7 +364,7 @@ def _force_partitions(monkeypatch, urn=None, roots=None, core=None):
         monkeypatch.setattr(fields, "urn_counts", lambda alpha, n, corners, rngs: urn_layout([urn[n]], corners))
     if roots is not None:
         monkeypatch.setattr(fields, "roots_of",
-                            lambda alpha, keys, depth, sites: np.asarray([roots[sites.size]], dtype=np.int64))
+                            lambda alpha, keys, depth, n: np.asarray([roots[n]], dtype=np.int64))
     if core is not None:
         monkeypatch.setattr(fields, "signs_from", lambda h: np.asarray(core, dtype=np.int8))
 

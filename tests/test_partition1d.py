@@ -346,7 +346,7 @@ def test_roots_walk_matches_pointer_doubling(data):
 def test_lazy_walk_matches_dense_jumps(alpha, n, depth, rows, seed):
     # the walk against pointer doubling on the same hashed jumps, laid out densely
     keys = [spin_key(replicate_generator(seed, r)) for r in range(rows)]
-    got = roots_of(alpha, keys, depth, np.arange(1, n + 1))
+    got = roots_of(alpha, keys, depth, n)
     assert got.shape == (rows, n)
     window = np.arange(1 - depth, n + 1)
     for row, key in zip(got, keys):
@@ -372,12 +372,7 @@ def test_forest_component_invariants(jump_list):
 
 
 def test_forest_window_rejects_bad_jumps():
-    # the walk reads no site at or below its floor
     keys = [spin_key(replicate_generator("aa", r)) for r in (1, 2)]
-    with pytest.raises(IndexError):
-        roots_of(0.25, keys, 10, [-10])  # at the floor
-    with pytest.raises(IndexError):
-        roots_of(0.25, keys, 10, np.arange(-12, 5))  # some sites below it
     # a zero jump would never leave its site: the hashed law yields none, even
     # at the extreme uniforms, and no jump passes the 2**62 cap
     for alpha in (0.05, 0.25, 0.45):
@@ -389,47 +384,45 @@ def test_forest_window_rejects_bad_jumps():
 
 def test_sample_forest_validation_and_determinism():
     keys = [spin_key(replicate_generator("aa", r)) for r in (1, 2)]
-    sites = np.arange(-499, 101)
-    first = roots_of(0.25, keys, 500, sites)
-    assert first.shape == (2, sites.size)
-    assert np.array_equal(first, roots_of(0.25, keys, 500, sites))
-    assert np.array_equal(first[1], roots_of(0.25, keys[1:], 500, sites)[0])  # a row reads its own key
+    first = roots_of(0.25, keys, 500, 600)
+    assert first.shape == (2, 600) and first.dtype == np.int64
+    assert np.array_equal(first, roots_of(0.25, keys, 500, 600))
+    assert np.array_equal(first[1], roots_of(0.25, keys[1:], 500, 600)[0])  # a row reads its own key
     assert not np.array_equal(first[0], first[1])
-    assert np.all(first <= sites)  # a root is the lowest site of its line
+    # a root is the lowest site of its line, above the floor
+    assert np.all(first <= np.arange(1, 601)) and np.all(first > -500)
 
 
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_roots_of_matches_every_line_walk(data):
-    # query sites unsorted, duplicated, non-contiguous and negative: a block
-    # whose lines meet inside it, plus scattered sites, shuffled together
+    # the lines of 1..n join one another and exit below 1, floors near and far
     alpha = data.draw(st.floats(0.05, 0.49))
     rows = data.draw(st.integers(1, 4))
     depth = data.draw(st.integers(1, 10**4))
-    start = data.draw(st.integers(1 - depth, 50))
-    block = list(range(start, start + data.draw(st.integers(0, 60))))
-    scattered = data.draw(st.lists(st.integers(1 - depth, 200), max_size=30))
-    query = np.asarray(data.draw(st.permutations(block + scattered)), dtype=np.int64)
+    n = data.draw(st.integers(1, 300))
     seed = data.draw(st.integers(0, 2**32))
     keys = [spin_key(replicate_generator(seed, r)) for r in range(rows)]
-    got = roots_of(alpha, keys, depth, query)
-    assert got.shape == (rows, query.size)
-    assert np.array_equal(got, walk_roots_oracle(alpha, keys, depth, query))
+    got = roots_of(alpha, keys, depth, n)
+    assert got.shape == (rows, n)
+    assert np.array_equal(got, walk_roots_oracle(alpha, keys, depth, np.arange(1, n + 1)))
 
 
 def test_roots_of_edge_cases():
     keys = [spin_key(replicate_generator("aa", r)) for r in (1, 2, 3)]
-    # no query site: one empty row per key
-    empty = roots_of(0.25, keys, 10, np.array([], dtype=np.int64))
+    # no site: one empty row per key
+    empty = roots_of(0.25, keys, 10, 0)
     assert empty.shape == (3, 0) and empty.dtype == np.int64
     assert roots_on_jumps(np.ones(20, dtype=np.int64), -10, np.array([], dtype=np.int64)).shape == (0,)
     # a single site walks its line alone
     assert roots_on_jumps(np.ones(20, dtype=np.int64), -10, np.array([5])).tolist() == [-9]
-    single = roots_of(0.45, keys, 1000, [7])
-    assert np.array_equal(single, walk_roots_oracle(0.45, keys, 1000, [7]))
+    assert np.array_equal(roots_of(0.45, keys, 1000, 1), walk_roots_oracle(0.45, keys, 1000, [1]))
     # a site one above the floor is its own root, whatever its jump
     assert roots_on_jumps(np.ones(20, dtype=np.int64), -10, np.array([-9, -9])).tolist() == [-9, -9]
-    assert np.array_equal(roots_of(0.45, keys, 1000, [-999]), np.full((3, 1), -999))
+    # at depth 1 an exit line stops at 0, the one site between 1..n and the floor
+    shallow = roots_of(0.45, keys, 1, 200)
+    assert np.array_equal(shallow, walk_roots_oracle(0.45, keys, 1, np.arange(1, 201)))
+    assert 0 in shallow and np.all(shallow >= 0)
 
 
 def test_roots_of_hashes_each_query_site_once(monkeypatch):
@@ -443,21 +436,21 @@ def test_roots_of_hashes_each_query_site_once(monkeypatch):
 
     keys = [spin_key(replicate_generator("aa", r)) for r in range(3)]
     row_of = {k0: r for r, (k0, _) in enumerate(keys)}
-    sites = np.concatenate((np.arange(200, 0, -1), np.arange(150, 400, 7), [-40, -7, 5, 5, 600]))
+    n, depth = 400, 10**4
     monkeypatch.setattr(partition1d, "hashed_jumps", recording)
-    roots = roots_of(0.45, keys, 10**4, sites)
+    roots = roots_of(0.45, keys, depth, n)
     monkeypatch.undo()
-    assert np.array_equal(roots, walk_roots_oracle(0.45, keys, 10**4, sites))
+    assert np.array_equal(roots, walk_roots_oracle(0.45, keys, depth, np.arange(1, n + 1)))
 
-    query = np.unique(sites).tolist()
     words, first, jumps = calls[0]
     hashed = sorted(zip((row_of[int(w)] for w in words), first.tolist()))
-    assert hashed == [(r, s) for r in range(len(keys)) for s in query]  # each (row, site) once
-    on_query = np.isin(first - jumps, query)  # the site's parent is a query site
-    joined = {(row_of[int(w)], int(s)) for w, s in zip(words[on_query], first[on_query])}
-    assert joined and len(calls) > 1
-    later = {(row_of[int(w)], int(s)) for row_words, walked, _ in calls[1:] for w, s in zip(row_words, walked)}
-    assert not later & joined  # a line that met another query line is never walked on
+    assert hashed == [(r, s) for r in range(len(keys)) for s in range(1, n + 1)]  # each (row, site) once
+    joined = first - jumps >= 1  # the site's parent is another of the sites 1..n
+    assert np.any(joined) and len(calls) > 1
+    # the walk then reads only sites in (-depth, 1): no joined line, whose
+    # parent is one of 1..n, is walked on, and no site at or below the floor
+    walked = np.concatenate([sites for _, sites, _ in calls[1:]])
+    assert np.all((walked > -depth) & (walked < 1))
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +502,7 @@ def test_adjacent_coalescence_against_line_walk_oracle():
 
     reps = 4000
     keys = [spin_key(replicate_generator("0b", r)) for r in range(reps)]
-    roots = roots_of(alpha, keys, depth, np.array([1, 2]))
+    roots = roots_of(alpha, keys, depth, 2)
     p_forest = float(np.mean(roots[:, 0] == roots[:, 1]))
 
     # oracle: walk the two ancestral lines directly, meeting within depth
