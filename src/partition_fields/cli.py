@@ -19,7 +19,7 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .distributions import MarginalKind, MarginalLaw, make_hs_pmf
+from .distributions import MarginalLaw, make_hs_pmf
 from .fbs import HurstPair, sample_fbs
 from .fields import CornerGrid, ModelKind, ModelSpec, _real, normalization, simulate, truncation_summary
 from .renewal import c_alpha, cached_renewal_sequence, var_xstar, weights
@@ -67,14 +67,6 @@ def _marginal_from(data: dict, path: str) -> MarginalLaw:
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     raise ConfigError(f"{path}.kind: unknown marginal kind {kind!r}")
-
-
-def _marginal_dict(m: MarginalLaw) -> dict:
-    if m.kind is MarginalKind.RADEMACHER:
-        return {"kind": "rademacher"}
-    if m.kind is MarginalKind.SCALED_SIGN:
-        return {"kind": "scaled_sign", "c": m.value_a}
-    return {"kind": "two_point", "a": m.value_a, "b": m.value_b, "p": m.prob_a}
 
 
 def _model_from(data: dict, path: str = "model") -> ModelSpec:
@@ -190,13 +182,7 @@ class RunConfig:
     def to_dict(self) -> dict:
         out: dict = {"command": self.command, "seed": self.seed}
         if self.model is not None:
-            out["model"] = {
-                "kind": self.model.kind.value,
-                "alphas": list(self.model.alphas),
-                "n": list(self.model.n),
-                "marginal": _marginal_dict(self.model.marginal),
-                "forest_depth": self.model.forest_depth,
-            }
+            out["model"] = self.model.to_dict()
         if self.grid is not None:
             out["grid"] = {
                 "t1": list(self.grid.t1),
@@ -330,7 +316,7 @@ def cmd_renewal(cfg: RunConfig) -> list[Path]:
         )
         paths.append(w_path)
     click.echo(f"c_alpha({alpha}) = {_FMT(c_alpha(alpha))}")
-    click.echo(f"sum q^2 (k <= kmax={cfg.kmax}, plus power-law tail estimate) = {_FMT(1.0 / var_xstar(rs))}")
+    click.echo(f"sum q^2 (k <= kmax={cfg.kmax}, plus the closed-form tail past kmax) = {_FMT(1.0 / var_xstar(rs))}")
     return paths
 
 
@@ -341,7 +327,10 @@ def cmd_sample_fbs(cfg: RunConfig) -> list[Path]:
         raise ConfigError("sample-fbs requires a 2D grid")
     size = cfg.replicates or 1
     rng = replicate_generator(cfg.seed, 0)
-    values = sample_fbs(HurstPair(*cfg.hurst), cfg.grid.t1, cfg.grid.t2, rng, size=size)
+    try:
+        values = sample_fbs(HurstPair(*cfg.hurst), cfg.grid.t1, cfg.grid.t2, rng, size=size)
+    except ValueError as exc:  # grid too large for the dense sampler
+        raise ConfigError(str(exc)) from None
     rows = []
     for r in range(size):
         for i, t1 in enumerate(cfg.grid.t1):

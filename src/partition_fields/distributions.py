@@ -305,6 +305,14 @@ class MarginalLaw:
     def is_rademacher(self) -> bool:
         return self.kind is MarginalKind.RADEMACHER
 
+    def to_dict(self) -> dict:
+        """The law as a config's ``marginal`` section names it."""
+        if self.kind is MarginalKind.RADEMACHER:
+            return {"kind": "rademacher"}
+        if self.kind is MarginalKind.SCALED_SIGN:
+            return {"kind": "scaled_sign", "c": self.value_a}
+        return {"kind": "two_point", "a": self.value_a, "b": self.value_b, "p": self.prob_a}
+
     def draw_from_hash(self, h: np.ndarray) -> np.ndarray:
         """One value per hash word, distributed as the law itself."""
         if self.is_rademacher:

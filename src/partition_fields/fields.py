@@ -122,8 +122,10 @@ class Axis:
         """q_0..q_K of a forest axis's jump law, K = max(2^18, 16 n).
 
         The one sequence a forest axis reads: Var(X*) = 1 / sum q_k^2 and the
-        window weights of b_n^2 (which need K >= 16 n).  The depth does not
-        set K: the truncation bound is a closed form.
+        window weights of b_n^2 (which need K >= 16 n).  The q^2 tail past K
+        that both add, and the truncation bound's tail past the depth, are
+        one closed form (:func:`~partition_fields.renewal.q_sq_tail_bound`),
+        so the depth does not set K.
         """
         return cached_renewal_sequence(self.pmf, max(_RENEWAL_KMAX, 16 * self.n))
 
@@ -251,6 +253,16 @@ class ModelSpec:
         if self.forest_depth is not None:
             return self.forest_depth
         return max(DEFAULT_FOREST_FLOOR, 64 * hi)
+
+    def to_dict(self) -> dict:
+        """The spec as a config's ``model`` section names it; reports carry the same."""
+        return {
+            "kind": self.kind.value,
+            "alphas": list(self.alphas),
+            "n": list(self.n),
+            "marginal": self.marginal.to_dict(),
+            "forest_depth": self.forest_depth,
+        }
 
 
 @dataclass(frozen=True)

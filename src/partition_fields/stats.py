@@ -11,14 +11,14 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.special import kolmogorov, ndtr
 
 from .fields import KIND_TABLE, Axis, CornerGrid, ModelSpec, batch_size, normalization, simulate, truncation_summary
 from .partition1d import expected_occupancy
-from .renewal import var_xstar, weights
+from .renewal import q_sq_tail_bound, var_xstar, weights
 from .seeding import SCHEME_ID, normalize_seed, replicate_generator, seed_to_hex
 
 __all__ = [
@@ -72,12 +72,7 @@ class ReplicateReport:
 
     def to_dict(self) -> dict:
         return {
-            "model": {
-                "kind": self.spec.kind.value,
-                "alphas": list(self.spec.alphas),
-                "n": list(self.spec.n),
-                "forest_depth": self.spec.forest_depth,
-            },
+            "model": self.spec.to_dict(),
             "grid": {"t1": list(self.grid.t1), "t2": list(self.grid.t2) if self.grid.t2 else None},
             "replicates": self.replicates,
             "seed": self.base_seed_hex,
@@ -93,31 +88,31 @@ class ReplicateReport:
         }
 
 
-def _replicate_chunk(spec: ModelSpec, grid: CornerGrid, base_seed: int, r0: int, r1: int) -> np.ndarray:
-    out = np.empty((r1 - r0, math.prod(grid.shape())))
-    step = batch_size(spec, grid)
-    for b0 in range(r0, r1, step):
-        rngs = [replicate_generator(base_seed, r) for r in range(b0, min(b0 + step, r1))]
-        out[b0 - r0 : b0 - r0 + len(rngs)] = simulate(spec, grid, rngs).reshape(len(rngs), -1)
-    return out
+def _replicate_batch(spec: ModelSpec, grid: CornerGrid, base_seed: int, r0: int, r1: int) -> np.ndarray:
+    rngs = [replicate_generator(base_seed, r) for r in range(r0, r1)]
+    return simulate(spec, grid, rngs).reshape(r1 - r0, -1)
 
 
 def simulate_raw_matrix(
     spec: ModelSpec, grid: CornerGrid, replicates: int, base_seed: int | str, parallelism: int = 1
 ) -> np.ndarray:
-    """Raw corner sums, one row per replicate, assembled in replicate order."""
+    """Raw corner sums, one row per replicate, assembled in replicate order.
+
+    A task is one simulate batch of ``batch_size`` replicates, and in a pool
+    of at most a chunk, a quarter of a worker's share.
+    """
     base_seed = normalize_seed(base_seed)
     workers = max(1, int(parallelism))
     chunk = max(16, math.ceil(replicates / (4 * workers)))
-    bounds = list(range(0, replicates, chunk)) + [replicates]
-    if workers == 1 or len(bounds) <= 2:
-        return _replicate_chunk(spec, grid, base_seed, 0, replicates)
+    pooled = workers > 1 and replicates > chunk
+    step = min(batch_size(spec, grid), chunk) if pooled else batch_size(spec, grid)
+    starts = range(0, replicates, step)
+    ends = [min(r0 + step, replicates) for r0 in starts]
+    run = partial(_replicate_batch, spec, grid, base_seed)
+    if not pooled:
+        return np.concatenate(list(map(run, starts, ends)))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_replicate_chunk, spec, grid, base_seed, r0, r1)
-            for r0, r1 in zip(bounds[:-1], bounds[1:])
-        ]
-        return np.concatenate([fut.result() for fut in futures], axis=0)
+        return np.concatenate(list(pool.map(run, starts, ends)))
 
 
 def run_replicates(
@@ -254,9 +249,9 @@ def _axis_variance(axis: Axis) -> float:
     if axis.is_urn:
         return expected_occupancy(axis.pmf, axis.n)[1]  # E[#odd boxes]
     # b_n^2 Var(X*), one horizon K for both.  weights() drops b_{n,j} for j <= n - K,
-    # where b_{n,j} ~ n q_{-j}: n^2 times the q^2 tail that Var(X*) already estimates
+    # where b_{n,j} ~ n q_{-j}: n^2 times the q^2 tail past K that Var(X*) adds too
     rs = axis.renewal
-    b_sq = weights(rs, axis.n).b_sq + axis.n**2 * rs.sum_sq_tail_estimate
+    b_sq = weights(rs, axis.n).b_sq + axis.n**2 * q_sq_tail_bound(axis.alpha, rs.kmax)
     return b_sq * var_xstar(rs)
 
 

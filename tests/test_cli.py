@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from partition_fields import CornerGrid, run_replicates
 from partition_fields.cli import ConfigError, RunConfig, main
 
 SEED = "00112233445566778899aabbccddeeff"
@@ -56,6 +57,22 @@ def test_config_field_path_errors():
         RunConfig.from_dict(_sim_config(model={"kind": "nope", "alphas": [0.6], "n": [10]}))
     with pytest.raises(ConfigError, match="suite"):
         RunConfig.from_dict(_sim_config(command="verify", suite="nope"))
+
+
+@pytest.mark.parametrize("marginal, echoed", [
+    (None, {"kind": "rademacher"}),
+    ({"kind": "scaled_sign", "c": 2}, {"kind": "scaled_sign", "c": 2.0}),
+    ({"kind": "two_point", "a": 2, "b": -1, "p": 1 / 3}, {"kind": "two_point", "a": 2.0, "b": -1.0, "p": 1 / 3}),
+])
+def test_config_echo_and_report_share_the_model_section(marginal, echoed):
+    model = {"kind": "generalized-karlin1d", "alphas": [0.6], "n": [10], "forest_depth": None}
+    if marginal is not None:
+        model["marginal"] = marginal
+    cfg = RunConfig.from_dict(_sim_config(model=model))
+    want = {**model, "marginal": echoed}
+    assert cfg.to_dict()["model"] == want
+    report = run_replicates(cfg.model, CornerGrid((1.0,)), 2, SEED).to_dict()
+    assert report["model"] == want
 
 
 def test_config_marginal_parsing():
@@ -296,7 +313,11 @@ def test_verify_normality_too_few_replicates_exits_2(tmp_path):
      "renewal requires model.alphas[0] and kmax"),
     ({"command": "sample-fbs", "hurst": [0.3, 0.75], "grid": {"t1": [0.5, 1.0]}, "seed": SEED},
      "sample-fbs requires a 2D grid"),
-], ids=["simulate-no-grid", "simulate-2d-grid-1d-model", "renewal-no-kmax", "sample-fbs-1d-grid"])
+    ({"command": "sample-fbs", "hurst": [0.3, 0.75], "seed": SEED,
+      "grid": {"t1": [i / 65 for i in range(1, 66)], "t2": [i / 65 for i in range(1, 66)]}},
+     "grid too large for the dense reference sampler"),
+], ids=["simulate-no-grid", "simulate-2d-grid-1d-model", "renewal-no-kmax", "sample-fbs-1d-grid",
+        "sample-fbs-grid-too-large"])
 def test_command_precondition_exits_2(tmp_path, cfg, message):
     cfg = {**cfg, "output": str(tmp_path / "o")}
     res = CliRunner().invoke(main, [cfg["command"], "--config", _write(tmp_path, "c.json", cfg)])

@@ -15,7 +15,7 @@ regenerates every pinned value with
 That is a ``SCHEME_ID`` bump, which moves the replicate stream, or a
 deliberate change of an identity target, a truncation bound or a p-value
 that keeps the stream; CHANGES.md lists every pinned number such a change
-moves.
+moves, as the command prints them (``path: old -> new``).
 """
 
 import hashlib
@@ -40,6 +40,7 @@ from partition_fields import (
 from partition_fields.cli import RunConfig, cmd_simulate
 
 GOLDEN = Path(__file__).parent / "data" / "golden_v3.json"
+ABSENT = "(absent)"  # how --write prints a pinned value that one side lacks
 SEED = "601de000000000000000000000000001"
 REPLICATE = 3
 REPORT_REPLICATES = 8
@@ -161,7 +162,28 @@ def test_golden_cli_simulate(golden, name):
         assert got[key] == want[key], f"{name}: {key} moved"
 
 
+def changes(old, new, path: str = ""):
+    """(path, old, new) for every pinned value that differs; a side that lacks it reads ABSENT."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(set(old) | set(new)):
+            yield from changes(old.get(key, ABSENT), new.get(key, ABSENT), f"{path}.{key}" if path else key)
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for i, (a, b) in enumerate(zip(old, new)):
+            yield from changes(a, b, f"{path}[{i}]")
+    elif old != new:
+        yield path, old, new
+
+
+def test_changes_lists_each_moved_leaf():
+    old = {"cases": {"a": {"raw": [1.0, 2.0], "z_norm": 3.0}, "b": {"sha": "x"}}, "seed": "s"}
+    new = {"cases": {"a": {"raw": [1.0, 2.5], "z_norm": 3.0, "sigma": 4.0}, "b": {"sha": "y"}}, "seed": "s"}
+    assert list(changes(old, new)) == [
+        ("cases.a.raw[1]", 2.0, 2.5), ("cases.a.sigma", ABSENT, 4.0), ("cases.b.sha", "x", "y"),
+    ]
+
+
 def main() -> None:
+    """Rewrite the goldens and print old -> new for every pinned value that moved."""
     if sys.argv[1:] != ["--write"]:
         raise SystemExit("usage: PYTHONPATH=src python tests/test_golden.py --write")
     payload = {
@@ -172,6 +194,9 @@ def main() -> None:
         "suites": {name: suite_digest(*case) for name, case in SUITE_CASES.items()},
         "cli": {name: cli_record(config) for name, config in CLI_CASES.items()},
     }
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    for path, was, now in changes(old, json.loads(json.dumps(payload))):
+        print(f"{path}: {was!r} -> {now!r}")
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(payload, indent=1) + "\n")
 

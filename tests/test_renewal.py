@@ -82,9 +82,10 @@ def test_q_sq_tail_bound_holds_over_the_computed_horizon(alpha):
     assert np.all(rs.q[1:] * k ** (1.0 - alpha) <= c)
     for depth in (2000, 10**5):
         computed = float(np.sum(np.square(rs.q[depth + 1 :], dtype=np.longdouble)))
-        # the power-decay estimate beyond kmax falls short of the true tail, so
-        # the bound must lie above it too, and within 0.25% of it
-        known = computed + rs.sum_sq_tail_estimate
+        # K q_K^2 / (1 - 2 alpha) takes q_k k^(1-alpha) as constant past K, but
+        # it still rises there, so this falls short of the true tail; the bound
+        # must lie above it too, and within 0.25% of it
+        known = computed + rs.kmax * rs.q[-1] ** 2 / (1.0 - 2.0 * alpha)
         bound = q_sq_tail_bound(alpha, depth)
         assert computed <= known <= bound <= 1.0025 * known, (depth, bound, known)
 
@@ -98,12 +99,22 @@ def test_var_xstar_degenerate_chain_flags_divergence():
 
 
 def test_var_xstar_power_tail_estimate_does_not_warn():
-    # the last q_k^2 is not small, but the power-decay tail estimate covers it
+    # the last q_k^2 is not small, but the closed-form tail past kmax covers it
     rs = cached_renewal_sequence(make_hs_pmf(0.4), 1 << 21)
-    assert rs.q[-1] ** 2 >= 1e-10 and rs.sum_sq_tail_estimate > 0
+    assert rs.q[-1] ** 2 >= 1e-10
     with warnings.catch_warnings():
         warnings.simplefilter("error", RenewalConvergenceWarning)
-        var_xstar(rs)
+        v = var_xstar(rs)
+    assert v == 1.0 / (rs.sum_sq + q_sq_tail_bound(0.4, rs.kmax))
+
+
+def test_var_xstar_does_not_depend_on_the_horizon():
+    # near alpha = 1/2 the q^2 tail past K = 2^18 is a large share of sum q^2;
+    # the closed form takes it to within 1e-5 of the value at K = 2^21
+    pmf = make_hs_pmf(0.45)
+    near = var_xstar(cached_renewal_sequence(pmf, 1 << 18))
+    far = var_xstar(cached_renewal_sequence(pmf, 1 << 21))
+    assert abs(near / far - 1.0) < 1e-5, near / far - 1.0
 
 
 def test_var_xstar_against_line_meeting_oracle():
@@ -139,7 +150,7 @@ def test_var_xstar_against_line_meeting_oracle():
         meets += int(a == b)
     mc = 1.0 - meets / reps
     se = math.sqrt(mc * (1 - mc) / reps)
-    depth_slack = float(np.sum(np.square(rs.q[depth // 2 + 1 :]))) + rs.sum_sq_tail_estimate
+    depth_slack = float(np.sum(np.square(rs.q[depth // 2 + 1 :]))) + rs.kmax * rs.q[-1] ** 2 / (1 - 2 * alpha)
     assert abs(mc - analytic) < 3 * se + depth_slack, (mc, analytic, se)
 
 

@@ -23,8 +23,8 @@ from partition_fields import (
     simulate,
 )
 from partition_fields.distributions import PmfKind
-from partition_fields.fields import Axis
-from partition_fields.stats import DegenerateSampleError
+from partition_fields.fields import Axis, batch_size
+from partition_fields.stats import DegenerateSampleError, simulate_raw_matrix
 
 SEED = "57a7000000000000000000000000000b"
 
@@ -147,6 +147,20 @@ def test_run_replicates_parallel_bit_identical():
     a = run_replicates(spec, grid, 120, SEED, parallelism=1)
     b = run_replicates(spec, grid, 120, SEED, parallelism=4)
     assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_raw_matrix_does_not_depend_on_the_batches(monkeypatch, parallelism):
+    # a batch budget of 4 replicates: the pool gets 25 tasks, not 4 chunks
+    from partition_fields import fields
+
+    spec = ModelSpec(ModelKind.KARLIN_1D, (0.6,), (50,))
+    grid = CornerGrid((0.5, 1.0))
+    want = simulate(spec, grid, [replicate_generator(SEED, r) for r in range(100)])
+    monkeypatch.setattr(fields, "_BATCH_ELEMENTS", 4 * 4 * 50)
+    assert batch_size(spec, grid) == 4
+    got = simulate_raw_matrix(spec, grid, 100, SEED, parallelism)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_run_replicates_validates_r():
