@@ -184,10 +184,7 @@ class RunConfig:
         if self.model is not None:
             out["model"] = self.model.to_dict()
         if self.grid is not None:
-            out["grid"] = {
-                "t1": list(self.grid.t1),
-                "t2": list(self.grid.t2) if self.grid.t2 is not None else None,
-            }
+            out["grid"] = self.grid.to_dict()
         if self.replicates is not None:
             out["replicates"] = self.replicates
         out["parallelism"] = self.parallelism

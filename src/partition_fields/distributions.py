@@ -166,8 +166,9 @@ def sample_zipf_rows(alpha: float, rngs, counts, lo: int = 1) -> np.ndarray:
     law conditioned on k < 2**62; the neglected mass is tail(2**62).
 
     Each round, every row still short of draws takes its ``todo`` u's and
-    then its ``todo`` v's from its own generator, so a row depends on its
-    generator alone; the acceptance test runs once on all rows' proposals.
+    then its ``todo`` v's from its own generator in one ``random`` call, so
+    a row depends on its generator alone; the acceptance test runs once on
+    all rows' proposals.
     """
     x = 1.0 / alpha - 1.0
     inv_b1 = 1.0 / (lo * np.expm1(x * np.log1p(1.0 / lo)))  # 1/(lo(T_lo - 1))
@@ -180,11 +181,12 @@ def sample_zipf_rows(alpha: float, rngs, counts, lo: int = 1) -> np.ndarray:
     while short.size:
         todo = counts[short] - filled[short]
         ends = np.cumsum(todo)
-        u = np.empty(int(ends[-1]))
-        v = np.empty_like(u)
-        for row, a, b in zip(short.tolist(), (ends - todo).tolist(), ends.tolist()):
-            rngs[row].random(out=u[a:b])
-            rngs[row].random(out=v[a:b])
+        # row r's block of drawn[2 (ends - todo)[r]:2 ends[r]] holds its u's, then its v's
+        drawn = np.empty(2 * int(ends[-1]))
+        for row, a, b in zip(short.tolist(), (2 * (ends - todo)).tolist(), (2 * ends).tolist()):
+            rngs[row].random(out=drawn[a:b])
+        u_at = np.arange(ends[-1]) + np.repeat(ends - todo, todo)
+        u, v = drawn[u_at], drawn[u_at + np.repeat(todo, todo)]
         with np.errstate(over="ignore"):
             xf = lo * u ** (-1.0 / x)  # exact at lo = 1
         ok = xf < float(_MAX_VALUE)

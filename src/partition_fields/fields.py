@@ -289,6 +289,10 @@ class CornerGrid:
     def shape(self) -> tuple[int, ...]:
         return (len(self.t1),) if self.t2 is None else (len(self.t1), len(self.t2))
 
+    def to_dict(self) -> dict:
+        """The grid as a config's ``grid`` section names it; reports carry the same."""
+        return {"t1": list(self.t1), "t2": list(self.t2) if self.t2 is not None else None}
+
 
 def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
     """The fraction with the smallest denominator in the open interval (lo, hi), 0 < lo."""
@@ -367,14 +371,16 @@ def simulate(spec: ModelSpec, grid: CornerGrid, rngs) -> np.ndarray:
 
     Row b is a pure function of (spec, grid, rngs[b] state): each generator
     gives its spin key first and then the axes' draws in direction order (a
-    forest axis's two-word jump key; an urn axis's one multinomial call over
-    its corner segments, then its tail draws), which fixes the stream's
-    layout.  An urn axis draws only up to its last corner and per corner
-    segment, so a replicate's realization depends on the grid's segments as
-    well.  Divide by Z to normalize.
+    forest axis's two-word jump key; an urn axis's one multinomial call per
+    corner segment, then its tail draws), which fixes the stream's layout.
+    An urn axis draws only up to its last corner and per corner segment, so
+    a replicate's realization depends on the grid's segments as well.
+    Divide by Z to normalize.  No generators give an empty array.
     """
     if grid.is_2d != spec.is_2d:
         raise ValueError(f"{spec.kind.value} needs a {'2D' if spec.is_2d else '1D'} grid")
+    if len(rngs) == 0:
+        return np.empty((0, *grid.shape()))
     keys = np.array([spin_key(rng) for rng in rngs], dtype=np.uint64)
     sampled = [axis.sample(rngs, ts) for axis, ts in zip(spec.axes, (grid.t1, grid.t2))]
     out = np.empty((len(rngs), *grid.shape()))

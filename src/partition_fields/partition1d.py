@@ -101,16 +101,28 @@ def _head_pvals(alpha: float, n: int) -> np.ndarray:
     return pvals
 
 
+def _row_label_order(rows, labels) -> np.ndarray:
+    """The permutation ``np.lexsort((labels, rows))`` for nondecreasing rows, by one sort.
+
+    The key is row * (distinct labels) + the label's rank among them, which
+    stays small at any label; the sort is stable, so ties keep their order.
+    """
+    distinct, rank = np.unique(labels, return_inverse=True)
+    return np.argsort(rows * distinct.size + rank, kind="stable")
+
+
 def urn_counts(alpha: float, n: int, corners, rngs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(classes, parities, starts): the urn boxes below each corner, one row per generator.
 
     ``corners`` are the nondecreasing draw counts floor(n*t_m), so the draws
     split into segments (corners[m-1], corners[m]]; draws past the last
-    corner are never made.  Per generator, one multinomial call gives every
-    head box's count per segment (boxes 1..L, ``urn_head_size``) and the
-    number of the segment's draws that land above L; those tail draws are
-    then drawn exactly from the law conditioned on k >= L + 1 and fill the
-    segments in draw order.  Row b's boxes are ``classes[starts[b]:starts[b + 1]]``,
+    corner are never made.  Per generator, one multinomial call per segment,
+    in segment order, gives every head box's count in it (boxes 1..L,
+    ``urn_head_size``) and the number of its draws that land above L; those
+    tail draws are then drawn exactly from the law conditioned on
+    k >= L + 1 and fill the segments in draw order.  The calls draw what
+    one call over the array of segment lengths draws, without its
+    broadcast.  Row b's boxes are ``classes[starts[b]:starts[b + 1]]``,
     its head boxes first and then its tail boxes, each in increasing order;
     ``parities[m, c]`` is 1 when box c holds an odd number of draws among the
     first corners[m] (int64, one column per class).
@@ -118,8 +130,11 @@ def urn_counts(alpha: float, n: int, corners, rngs) -> tuple[np.ndarray, np.ndar
     corners = np.asarray(corners, dtype=np.int64)
     pvals = _head_pvals(alpha, n)
     head = pvals.size - 1
-    lengths = np.diff(corners, prepend=0)
-    drawn = np.stack([rng.multinomial(lengths, pvals) for rng in rngs])  # (B, corners, L + 1)
+    lengths = np.diff(corners, prepend=0).tolist()
+    drawn = np.empty((len(rngs), corners.size, head + 1), dtype=np.int64)
+    for row, rng in zip(drawn, rngs):
+        for m, length in enumerate(lengths):  # an int n: an array n costs a broadcast per call
+            row[m] = rng.multinomial(length, pvals)
     per_segment = drawn[:, :, head]
     tail = sample_zipf_rows(alpha, rngs, per_segment.sum(axis=1), lo=head + 1)
 
@@ -131,7 +146,7 @@ def urn_counts(alpha: float, n: int, corners, rngs) -> tuple[np.ndarray, np.ndar
     # tail draws: one class per distinct (row, label), counted per segment
     rows = np.repeat(np.arange(len(rngs)), per_segment.sum(axis=1))
     segment = np.repeat(np.tile(np.arange(corners.size), len(rngs)), per_segment.ravel())
-    order = np.lexsort((tail, rows))
+    order = _row_label_order(rows, tail)
     tail, tail_counts, tail_starts = corner_counts(rows[order], tail[order], segment[order], len(rngs), corners.size)
 
     owner = np.concatenate((head_rows, np.repeat(np.arange(len(rngs)), np.diff(tail_starts))))

@@ -5,13 +5,17 @@ Replicate ``r`` of a run with 128-bit base seed ``s`` draws from
 that jump reaches: key s and a 256-bit counter holding r mod 2**128 in its
 upper 128 bits.  Philox is a counter-based generator, so these are disjoint
 counter blocks: every replicate is computable independently of all others,
-which is what makes work-stealing parallelism bit-reproducible.
+which is what makes work-stealing parallelism bit-reproducible.  Philox
+takes the key from a seed sequence that hands it s's two words
+(:class:`_Key`), never from ``Philox(key=s)``: that first seeds a
+``SeedSequence`` from OS entropy and then throws it away, which costs about
+10 µs per generator and fails where ``os.urandom`` does.
 
 A replicate's generator gives its 128-bit spin key first (:func:`spin_key`),
 then each axis's draws in direction order: a forest axis takes two more raw
 words as its jump key (J_i is a keyed hash of site i, so no per-site draws);
-an urn axis makes one ``multinomial`` call over its corner segments (the
-head boxes' counts and each segment's number of tail draws) and then the
+an urn axis makes one ``multinomial`` call per corner segment (the head
+boxes' counts and the segment's number of tail draws) and then the
 rejection rounds of its tail labels.  That layout is identified in reports
 by :data:`SCHEME_ID`; v2 replaced v1's per-site forest window uniforms with
 the jump key, and v3 replaced the urn's n Zipf labels with the box counts
@@ -25,6 +29,7 @@ import operator
 
 import numpy as np
 from numpy.random import Generator, Philox
+from numpy.random.bit_generator import ISeedSequence
 
 SCHEME_ID = "philox128-jumped-v3"
 
@@ -53,14 +58,50 @@ def seed_to_hex(seed: int) -> str:
     return f"{normalize_seed(seed):032x}"
 
 
+class _Key(ISeedSequence):
+    """A seed sequence that gives Philox one base seed's two key words and draws no entropy."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words):
+        self.words = np.asarray(words, dtype=np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        # Philox asks once, for its key: two uint64 words
+        return self.words
+
+
+class _ReplicateGenerator(Generator):
+    """A replicate's Generator; it unpickles from its state, without OS entropy."""
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return _restore, (self.bit_generator.state,)
+
+
+def _restore(state: dict) -> Generator:
+    bit_generator = Philox(_Key(state["state"]["key"]))
+    bit_generator.state = state
+    return _ReplicateGenerator(bit_generator)
+
+
+def replicate_generators(base_seed: int | str, r0: int, r1: int) -> list[Generator]:
+    """Independent generators of the replicates r0..r1 - 1 (see module docstring)."""
+    r0, r1 = operator.index(r0), operator.index(r1)
+    if r0 < 0:
+        raise ValueError("replicate index must be nonnegative")
+    seed = normalize_seed(base_seed)
+    key = _Key([seed & _WORD_MASK, seed >> 64])
+    # the counter of Philox(key=s).jumped(r), which wraps modulo 2**128
+    counters = ([0, 0, r & _WORD_MASK, (r >> 64) & _WORD_MASK] for r in range(r0, r1))
+    return [_ReplicateGenerator(Philox(key, counter=np.array(c, dtype=np.uint64))) for c in counters]
+
+
 def replicate_generator(base_seed: int | str, replicate: int) -> Generator:
     """Independent generator for one replicate (see module docstring)."""
     replicate = operator.index(replicate)
-    if replicate < 0:
-        raise ValueError("replicate index must be nonnegative")
-    # the counter of Philox(key=s).jumped(r), which wraps modulo 2**128
-    counter = np.array([0, 0, replicate & _WORD_MASK, (replicate >> 64) & _WORD_MASK], dtype=np.uint64)
-    return Generator(Philox(key=normalize_seed(base_seed), counter=counter))
+    return replicate_generators(base_seed, replicate, replicate + 1)[0]
 
 
 def spin_key(gen: Generator) -> tuple[int, int]:

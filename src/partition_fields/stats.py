@@ -19,7 +19,7 @@ from scipy.special import kolmogorov, ndtr
 from .fields import KIND_TABLE, Axis, CornerGrid, ModelSpec, batch_size, normalization, simulate, truncation_summary
 from .partition1d import expected_occupancy
 from .renewal import q_sq_tail_bound, var_xstar, weights
-from .seeding import SCHEME_ID, normalize_seed, replicate_generator, seed_to_hex
+from .seeding import SCHEME_ID, normalize_seed, replicate_generators, seed_to_hex
 
 __all__ = [
     "ReplicateReport",
@@ -73,7 +73,7 @@ class ReplicateReport:
     def to_dict(self) -> dict:
         return {
             "model": self.spec.to_dict(),
-            "grid": {"t1": list(self.grid.t1), "t2": list(self.grid.t2) if self.grid.t2 else None},
+            "grid": self.grid.to_dict(),
             "replicates": self.replicates,
             "seed": self.base_seed_hex,
             "scheme": SCHEME_ID,
@@ -89,8 +89,7 @@ class ReplicateReport:
 
 
 def _replicate_batch(spec: ModelSpec, grid: CornerGrid, base_seed: int, r0: int, r1: int) -> np.ndarray:
-    rngs = [replicate_generator(base_seed, r) for r in range(r0, r1)]
-    return simulate(spec, grid, rngs).reshape(r1 - r0, -1)
+    return simulate(spec, grid, replicate_generators(base_seed, r0, r1)).reshape(r1 - r0, -1)
 
 
 def simulate_raw_matrix(

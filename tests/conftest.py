@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 from scipy.special import zeta
 
+from numpy.random import Generator, Philox
+
 from partition_fields import partition1d
 from partition_fields.distributions import FinitePmf, PmfKind, PowerLawPmf, sample_zipf_rows
+from partition_fields.seeding import normalize_seed
 
 # Keep BLAS thread pools fixed so timings and reductions are stable in CI.
 os.environ.setdefault("OMP_NUM_THREADS", "1")
@@ -148,6 +151,80 @@ def urn_layout(labels, corners) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     labels = np.atleast_2d(np.asarray(labels, dtype=np.int64))[:, : int(corners[-1])]
     classes, counts, starts = corner_layout(labels, corners)
     return classes, counts & 1, starts
+
+
+# ---------------------------------------------------------------------------
+# the urn replicate path before its fixed costs were cut: the references for
+# seeding.replicate_generators and for the multinomials, tail order and
+# sampler rounds of partition1d.urn_counts
+# ---------------------------------------------------------------------------
+
+_WORD = (1 << 64) - 1
+
+
+def replicate_generator_oracle(base_seed, r: int) -> Generator:
+    """Replicate r's generator by ``Philox(key=s, counter=...)``, which seeds from OS entropy first."""
+    counter = np.array([0, 0, r & _WORD, (r >> 64) & _WORD], dtype=np.uint64)
+    return Generator(Philox(key=normalize_seed(base_seed), counter=counter))
+
+
+def sample_zipf_rows_oracle(alpha: float, rngs, counts, lo: int = 1) -> np.ndarray:
+    """``distributions.sample_zipf_rows`` with two ``random`` calls per row per round, u's then v's."""
+    x = 1.0 / alpha - 1.0
+    inv_b1 = 1.0 / (lo * np.expm1(x * np.log1p(1.0 / lo)))
+    inv_b = (1.0 + 1.0 / lo) ** -x
+    counts = np.asarray(counts, dtype=np.int64)
+    offsets = np.cumsum(counts) - counts
+    out = np.empty(int(counts.sum()), dtype=np.int64)
+    filled = np.zeros(len(rngs), dtype=np.int64)
+    short = np.flatnonzero(filled < counts)
+    while short.size:
+        todo = counts[short] - filled[short]
+        ends = np.cumsum(todo)
+        u = np.empty(int(ends[-1]))
+        v = np.empty_like(u)
+        for row, a, b in zip(short.tolist(), (ends - todo).tolist(), ends.tolist()):
+            rngs[row].random(out=u[a:b])
+            rngs[row].random(out=v[a:b])
+        with np.errstate(over="ignore"):
+            xf = lo * u ** (-1.0 / x)
+        ok = xf < float(_MAX_VALUE)
+        kf = np.floor(xf, where=ok, out=np.ones_like(xf))
+        tm1 = np.expm1(x * np.log1p(1.0 / kf))
+        accept = np.flatnonzero(ok & (v * kf * tm1 * inv_b1 <= (tm1 + 1.0) * inv_b))
+        seg = np.searchsorted(ends, accept, side="right")
+        n_acc = np.bincount(seg, minlength=short.size)
+        rank = np.arange(accept.size) - (np.cumsum(n_acc) - n_acc)[seg]
+        rows = short[seg]
+        out[offsets[rows] + filled[rows] + rank] = kf[accept].astype(np.int64)
+        filled[short] += n_acc
+        short = short[filled[short] < counts[short]]
+    return out
+
+
+def urn_counts_oracle(alpha: float, n: int, corners, rngs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``partition1d.urn_counts`` by one array-n ``multinomial`` per row, the two-call
+    sampler rounds and a ``np.lexsort`` of the tail draws."""
+    corners = np.asarray(corners, dtype=np.int64)
+    pvals = partition1d._head_pvals(alpha, n)
+    head = pvals.size - 1
+    drawn = np.stack([rng.multinomial(np.diff(corners, prepend=0), pvals) for rng in rngs])
+    per_segment = drawn[:, :, head]
+    tail = sample_zipf_rows_oracle(alpha, rngs, per_segment.sum(axis=1), lo=head + 1)
+    below = np.cumsum(drawn[:, :, :head], axis=1)
+    head_rows, head_boxes = np.nonzero(below[:, -1])
+    head_parity = below[head_rows, :, head_boxes].T & 1
+    rows = np.repeat(np.arange(len(rngs)), per_segment.sum(axis=1))
+    segment = np.repeat(np.tile(np.arange(corners.size), len(rngs)), per_segment.ravel())
+    order = np.lexsort((tail, rows))
+    tail, tail_counts, tail_starts = partition1d.corner_counts(
+        rows[order], tail[order], segment[order], len(rngs), corners.size)
+    owner = np.concatenate((head_rows, np.repeat(np.arange(len(rngs)), np.diff(tail_starts))))
+    merged = np.argsort(owner, kind="stable")
+    classes = np.concatenate((head_boxes + 1, tail))[merged]
+    parity = np.concatenate((head_parity, tail_counts & 1), axis=1)[:, merged]
+    starts = np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=len(rngs)))))
+    return classes, parity, starts
 
 
 # ---------------------------------------------------------------------------

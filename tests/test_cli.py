@@ -75,6 +75,16 @@ def test_config_echo_and_report_share_the_model_section(marginal, echoed):
     assert report["model"] == want
 
 
+@pytest.mark.parametrize("grid", [{"t1": [0.5, 1.0]}, {"t1": [0.5, 1.0], "t2": [0.25, 1.0]}], ids=["1d", "2d"])
+def test_config_echo_and_report_share_the_grid_section(grid):
+    kind = "karlin2d" if "t2" in grid else "karlin1d"
+    cfg = RunConfig.from_dict(_sim_config(model={"kind": kind, "alphas": [0.6] * len(grid), "n": [10] * len(grid)},
+                                          grid=grid))
+    want = {"t1": grid["t1"], "t2": grid.get("t2")}
+    assert cfg.to_dict()["grid"] == want
+    assert run_replicates(cfg.model, cfg.grid, 2, SEED).to_dict()["grid"] == want
+
+
 def test_config_marginal_parsing():
     cfg = RunConfig.from_dict(_sim_config(model={
         "kind": "generalized-karlin1d", "alphas": [0.6], "n": [10],

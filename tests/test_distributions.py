@@ -20,7 +20,7 @@ from partition_fields import (
 )
 from partition_fields.distributions import MarginalKind, invert_hs_tail, sample_zipf_rows
 
-from conftest import invert_hs_tail_oracle, sample_zipf_oracle
+from conftest import invert_hs_tail_oracle, sample_zipf_oracle, sample_zipf_rows_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +137,18 @@ def test_zipf_rows_with_per_row_counts_and_a_floor(alpha, counts, lo, seed):
         ref = replicate_generator(seed, b)
         assert np.array_equal(row, sample_zipf_rows(alpha, [ref], [counts[b]], lo=lo))
         assert rngs[b].random() == ref.random()
+
+
+@given(st.floats(0.05, 0.95), st.lists(st.integers(0, 40), min_size=1, max_size=40), st.integers(1, 50),
+       st.integers(0, 2**32))
+@settings(max_examples=100, deadline=None)
+def test_zipf_rows_match_the_two_call_rounds(alpha, counts, lo, seed):
+    # one random call per row per round, its u's then its v's, reads what two calls read
+    rngs = [replicate_generator(seed, r) for r in range(len(counts))]
+    refs = [replicate_generator(seed, r) for r in range(len(counts))]
+    got = sample_zipf_rows(alpha, rngs, counts, lo=lo)
+    assert np.array_equal(got, sample_zipf_rows_oracle(alpha, refs, counts, lo=lo))
+    assert [rng.random() for rng in rngs] == [ref.random() for ref in refs]
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.7])

@@ -217,8 +217,9 @@ def test_stream_layout_spin_key_then_jump_key_then_labels(monkeypatch):
 
 
 def test_stream_layout_spin_key_then_multinomial_then_tail_rounds(monkeypatch):
-    # karlin1d, replayed on a fresh generator: the spin key, one multinomial call over
-    # the corner segments, then the tail labels' rejection rounds, and nothing else
+    # karlin1d, replayed on a fresh generator: the spin key, one multinomial call per
+    # corner segment (drawn here by one call over the segments, which draws the same),
+    # then the tail labels' rejection rounds, and nothing else
     alpha, n, ts = 0.6, 40, (0.25, 0.5, 1.0)
     seen = {}
     real = fields.urn_counts
@@ -340,6 +341,20 @@ def test_grid_dimension_must_match_model():
     with pytest.raises(ValueError):
         simulate(ModelSpec(ModelKind.HS_2D, (0.25, 0.25), (8, 8)), CornerGrid((1.0,)),
                  [replicate_generator(SEED, 0)])[0]
+
+
+@pytest.mark.parametrize("kind", list(KIND_TABLE), ids=lambda k: k.value)
+def test_simulate_of_no_generators_is_empty(kind):
+    spec = ModelSpec(kind, tuple(0.6 if axis is PmfKind.KARLIN_ZIPF else 0.25 for axis in KIND_TABLE[kind].axes),
+                     (8,) * len(KIND_TABLE[kind].axes))
+    grid = CornerGrid((0.5, 1.0), (0.25, 0.5, 1.0) if spec.is_2d else None)
+    out = simulate(spec, grid, [])
+    assert out.shape == (0, *grid.shape()) and out.dtype == np.float64
+
+
+def test_corner_grid_to_dict():
+    assert CornerGrid((0.5, 1.0)).to_dict() == {"t1": [0.5, 1.0], "t2": None}
+    assert CornerGrid((1.0,), (0.25, 1.0)).to_dict() == {"t1": [1.0], "t2": [0.25, 1.0]}
 
 
 def test_corner_grid_validation():

@@ -28,7 +28,6 @@ TRACED = [
     ("partition_fields.stats", "empirical_cov"),
     ("partition_fields.stats", "ks_normal"),
     ("partition_fields.stats", "simulate"),
-    ("partition_fields.stats", "replicate_generator"),
     ("partition_fields.stats", "expected_occupancy"),
     ("partition_fields.fields", "cached_renewal_sequence"),
     ("partition_fields.fields", "spin_key"),

@@ -41,6 +41,7 @@ from conftest import (
     roots_on_jumps,
     running_parity_oracle,
     sample_urn,
+    urn_counts_oracle,
     urn_layout,
     walk_roots_oracle,
 )
@@ -231,6 +232,42 @@ def test_box_counts_layout_and_empty_segments():
     classes, parity, starts = urn_counts(0.6, 50, [0], fresh)
     assert classes.size == 0 and parity.shape == (1, 0) and starts.tolist() == [0] * 3
     assert [rng.random() for rng in fresh] == [replicate_generator("1b", r).random() for r in range(2)]
+
+
+@pytest.mark.parametrize("lengths", [[1000], [0, 250, 0, 500, 250], [3, 0, 0, 7]], ids=["one", "zeros", "short"])
+def test_int_n_multinomials_match_one_array_n_call(lengths):
+    # what urn_counts relies on: one int-n call per segment draws what one call over
+    # the lengths draws, and leaves the generator at the same place
+    pvals = partition1d._head_pvals(0.6, 1000)
+    for r in range(200):
+        gen, ref = replicate_generator("3d", r), replicate_generator("3d", r)
+        got = np.stack([gen.multinomial(m, pvals) for m in lengths])
+        assert np.array_equal(got, ref.multinomial(np.array(lengths), pvals))
+        assert gen.random() == ref.random()
+
+
+@given(st.sampled_from([0.2, 0.6, 0.9]), st.integers(1, 300),
+       st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5), st.integers(1, 12), st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_urn_counts_match_the_old_path(alpha, n, ts, rows, seed):
+    # against one array-n multinomial per row, the two-call sampler rounds and a lexsort;
+    # corners may repeat (zero-length segments) and start at 0
+    corners = np.sort([math.floor(n * t) for t in ts])
+    gens = [replicate_generator(seed, r) for r in range(rows)]
+    refs = [replicate_generator(seed, r) for r in range(rows)]
+    got, want = urn_counts(alpha, n, corners, gens), urn_counts_oracle(alpha, n, corners, refs)
+    assert all(g.dtype == w.dtype and np.array_equal(g, w) for g, w in zip(got, want))
+    assert [gen.random() for gen in gens] == [ref.random() for ref in refs]
+
+
+@given(st.lists(st.tuples(st.integers(0, 5), st.sampled_from([1, 2, 3, 2**62 - 2, 2**62 - 1])), max_size=40))
+@settings(max_examples=100, deadline=None)
+def test_row_label_order_is_lexsort(entries):
+    # rows sorted, labels with ties, none at all, and labels near 2**62
+    rows = np.array(sorted(r for r, _ in entries), dtype=np.int64)
+    labels = np.array([lab for _, lab in entries], dtype=np.int64)
+    order = partition1d._row_label_order(rows, labels)
+    assert np.array_equal(order, np.lexsort((labels, rows)))
 
 
 # ---------------------------------------------------------------------------
