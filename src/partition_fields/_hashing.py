@@ -19,17 +19,26 @@ _S30 = np.uint64(30)
 _S27 = np.uint64(27)
 _S31 = np.uint64(31)
 
+# the sign bit, and the bits of the float64 1.0
+_TOP = np.uint64(1 << 63)
+_ONE = np.uint64(0x3FF0000000000000)
+
 # 2**-53, for mapping the top 53 hash bits to a uniform in [0, 1)
 _U53 = 1.0 / 9007199254740992.0
 _LOW53 = np.uint64((1 << 53) - 1)
 
 
-def _finalize(z: np.ndarray) -> np.ndarray:
-    # in place: every caller hands over a temporary of its own
+def _mix(z: np.ndarray) -> np.ndarray:
+    # the finalizer up to its last xor-shift, in place: every caller hands over a temporary of its own
     z ^= z >> _S30
     z *= _M1
     z ^= z >> _S27
     z *= _M2
+    return z
+
+
+def _finalize(z: np.ndarray) -> np.ndarray:
+    z = _mix(z)
     z ^= z >> _S31
     return z
 
@@ -52,10 +61,37 @@ def hash1(key, a) -> np.ndarray:
 
 
 def hash2(key, a, b) -> np.ndarray:
-    """Keyed hash of an identifier pair; broadcasts `a` against `b` (and the key)."""
+    """Keyed hash of an identifier pair; broadcasts `a` against `b` (and the key).
+
+    It is ``finalize(left_words(k0, a) ^ right_words(k1, b))``: each side's
+    word depends on one identifier and one key word only.
+    """
     k0, k1 = _key_words(key)
-    h = _finalize((_as_u64(a) + _GOLDEN) ^ k0)
-    return _finalize(h ^ (_as_u64(b) * _WORD2 + k1))
+    return _finalize(left_words(k0, a) ^ right_words(k1, b))
+
+
+def left_words(k0, a) -> np.ndarray:
+    """The word hash2 takes from its first identifier under the key word k0 (per-identifier k0 broadcasts)."""
+    return _finalize((_as_u64(a) + _GOLDEN) ^ np.asarray(k0, dtype=np.uint64))
+
+
+def right_words(k1, b) -> np.ndarray:
+    """The word hash2 takes from its second identifier under the key word k1 (per-identifier k1 broadcasts)."""
+    return _as_u64(b) * _WORD2 + np.asarray(k1, dtype=np.uint64)
+
+
+def pair_signs(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``signs_from(hash2(...))`` as float64 ±1 for every (left, right) word pair, shape (left.size, right.size).
+
+    The finalizer's last step, z ^= z >> 31, keeps the top bit, so the sign
+    is read before it: the mixed word keeps its top bit and takes the other
+    bits of 1.0, which makes it the float64 -1.0 where that bit is set and
+    +1.0 where it is not.
+    """
+    z = _mix(left[:, None] ^ right[None, :])
+    z &= _TOP
+    z |= _ONE
+    return z.view(np.float64)
 
 
 def signs_from(h: np.ndarray) -> np.ndarray:

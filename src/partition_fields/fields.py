@@ -14,7 +14,11 @@ draws.  Both lay out their classes and counts through one routine,
 values to the (product) classes through the keyed hash, and evaluates
 every corner with one product: A v in 1D, A1 eps A2^T in 2D.  Replicates
 are simulated in batches: each axis samples and resolves the partitions of
-a whole batch in one pass, and only the final products run per replicate.
+a whole batch in one pass, the keyed hash takes each class's words for
+the whole batch at once, and only the final products run per replicate.
+In 2D those are float64 BLAS products of integer counts and ±1 spins,
+which are exact because every partial sum stays an integer below 2^53
+(checked per batch).
 The limit variance, the Hurst index and the normalization factor also
 factor by direction, so each axis owns its share of them.
 
@@ -37,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import gamma
 
-from ._hashing import hash1, hash2, signs_from
+from ._hashing import hash1, left_words, pair_signs, right_words
 from .distributions import MarginalLaw, PmfKind, PowerLawPmf, make_hs_pmf, make_karlin_pmf
 from .partition1d import corner_counts, roots_of, urn_counts
 from .renewal import RenewalSequence, bn_sq_growth_constant, cached_renewal_sequence, q_sq_tail_bound, var_xstar
@@ -366,16 +370,45 @@ def batch_size(spec: ModelSpec, grid: CornerGrid) -> int:
     return max(1, _BATCH_ELEMENTS // footprint)
 
 
+def _class_rows(starts: np.ndarray) -> np.ndarray:
+    """The row of each class of a batch whose row b holds the classes starts[b]:starts[b + 1]."""
+    return np.repeat(np.arange(starts.size - 1), starts[1:] - starts[:-1])
+
+
+def _check_exact(a1: np.ndarray, rows1: np.ndarray, a2: np.ndarray, rows2: np.ndarray, n_rows: int) -> None:
+    """Refuse a 2D batch whose corner sums might round in float64.
+
+    A replicate's corner sum is sum_{c,d} a1[m, c] eps[c, d] a2[m', d],
+    with nonnegative integer counts and eps = ±1.  So every partial sum of
+    it, in any order, is an integer of magnitude at most B1 * B2, where
+    B_q, the sum over the row's classes of each class's largest count,
+    bounds the row's count sum at every corner of axis q.  While B1 * B2 is
+    below 2^53 every such integer is a float64, so the float64 products
+    are exact whatever the BLAS build, summation order or thread count.
+    The counts come as float64 and B1, B2 and their product are formed in
+    float64 too, which is exact below 2^53 and, rounding being monotone,
+    reaches 2^53 when the exact value does.
+    """
+    bound = (np.bincount(rows1, a1.max(axis=0), n_rows) * np.bincount(rows2, a2.max(axis=0), n_rows)).max()
+    if bound >= 2.0**53:
+        raise ValueError(f"row-sum bound {bound:.0f} reaches 2^53: the float64 corner sums would not be exact")
+
+
 def simulate(spec: ModelSpec, grid: CornerGrid, rngs) -> np.ndarray:
     """Raw corner sums of one replicate per generator, shape (len(rngs), *grid.shape()).
 
     Row b is a pure function of (spec, grid, rngs[b] state): each generator
     gives its spin key first and then the axes' draws in direction order (a
-    forest axis's two-word jump key; an urn axis's one multinomial call per
-    corner segment, then its tail draws), which fixes the stream's layout.
-    An urn axis draws only up to its last corner and per corner segment, so
-    a replicate's realization depends on the grid's segments as well.
-    Divide by Z to normalize.  No generators give an empty array.
+    forest axis's two-word jump key; an urn axis's multinomial draws, one
+    per corner segment, then its tail draws), which fixes the stream's
+    layout.  An urn axis draws only up to its last corner and per corner
+    segment, so a replicate's realization depends on the grid's segments as
+    well.  In 2D, eps[c, d] is the sign of hash2(key, c, d): each class's
+    side of that hash is computed once per batch (``left_words``,
+    ``right_words``), the ±1 core per replicate (``pair_signs``), and the
+    corner sums are float64 products, refused with a ValueError when their
+    row-sum bound reaches 2^53 (``_check_exact``).  Divide by Z to
+    normalize.  No generators give an empty array.
     """
     if grid.is_2d != spec.is_2d:
         raise ValueError(f"{spec.kind.value} needs a {'2D' if spec.is_2d else '1D'} grid")
@@ -386,14 +419,18 @@ def simulate(spec: ModelSpec, grid: CornerGrid, rngs) -> np.ndarray:
     out = np.empty((len(rngs), *grid.shape()))
     if spec.is_2d:
         (u1, a1, s1), (u2, a2, s2) = sampled
-        for b, key in enumerate(keys):
+        rows1, rows2 = _class_rows(s1), _class_rows(s2)
+        left, right = left_words(keys[rows1, 0], u1), right_words(keys[rows2, 1], u2)
+        # C order: a class's largest count is then one pass per corner, where an
+        # urn axis's column-major parities would take one short reduction per class
+        a1, a2 = a1.astype(np.float64, order="C"), a2.astype(np.float64, order="C")
+        _check_exact(a1, rows1, a2, rows2, len(rngs))
+        for b in range(len(rngs)):
             c1, c2 = slice(s1[b], s1[b + 1]), slice(s2[b], s2[b + 1])
-            core = signs_from(hash2(key, u1[c1, None], u2[None, c2]))
-            out[b] = a1[:, c1] @ core @ a2[:, c2].T  # exact: int64 matmul
+            out[b] = a1[:, c1] @ pair_signs(left[c1], right[c2]) @ a2[:, c2].T  # exact in float64: _check_exact
         return out
     (axis,), ((uniq, a, starts),) = spec.axes, sampled
-    class_keys = keys[np.repeat(np.arange(len(rngs)), np.diff(starts))]
-    v = axis.draw(spec.marginal, hash1(class_keys.T, uniq))
+    v = axis.draw(spec.marginal, hash1(keys[_class_rows(starts)].T, uniq))
     for b in range(len(rngs)):
         c = slice(starts[b], starts[b + 1])
         # per replicate, and a reduction, not float @: BLAS may sum in a CPU-dependent order

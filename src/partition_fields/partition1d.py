@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
 from scipy.special import betainc, gamma, poch
@@ -116,25 +117,32 @@ def urn_counts(alpha: float, n: int, corners, rngs) -> tuple[np.ndarray, np.ndar
 
     ``corners`` are the nondecreasing draw counts floor(n*t_m), so the draws
     split into segments (corners[m-1], corners[m]]; draws past the last
-    corner are never made.  Per generator, one multinomial call per segment,
+    corner are never made.  Per generator, one multinomial draw per segment,
     in segment order, gives every head box's count in it (boxes 1..L,
     ``urn_head_size``) and the number of its draws that land above L; those
     tail draws are then drawn exactly from the law conditioned on
-    k >= L + 1 and fill the segments in draw order.  The calls draw what
-    one call over the array of segment lengths draws, without its
-    broadcast.  Row b's boxes are ``classes[starts[b]:starts[b + 1]]``,
-    its head boxes first and then its tail boxes, each in increasing order;
-    ``parities[m, c]`` is 1 when box c holds an odd number of draws among the
-    first corners[m] (int64, one column per class).
+    k >= L + 1 and fill the segments in draw order.  A run of k segments
+    of equal length is one call with ``size=k``, which loops the routine
+    that k calls would run, and a lone segment one call without ``size``;
+    together they draw what one call over the array of segment lengths
+    draws, without its broadcast.  Row b's boxes are
+    ``classes[starts[b]:starts[b + 1]]``, its head boxes first and then its
+    tail boxes, each in increasing order; ``parities[m, c]`` is 1 when box c
+    holds an odd number of draws among the first corners[m] (int64, one
+    column per class).
     """
     corners = np.asarray(corners, dtype=np.int64)
     pvals = _head_pvals(alpha, n)
     head = pvals.size - 1
-    lengths = np.diff(corners, prepend=0).tolist()
+    runs, m = [], 0  # (segments, length, size): one call per run of equal segment lengths
+    for length, run in groupby(np.diff(corners, prepend=0).tolist()):
+        k = len(list(run))
+        runs.append((slice(m, m + k), length, None if k == 1 else k))
+        m += k
     drawn = np.empty((len(rngs), corners.size, head + 1), dtype=np.int64)
     for row, rng in zip(drawn, rngs):
-        for m, length in enumerate(lengths):  # an int n: an array n costs a broadcast per call
-            row[m] = rng.multinomial(length, pvals)
+        for segments, length, size in runs:  # an int n: an array n costs a broadcast per call
+            row[segments] = rng.multinomial(length, pvals, size=size)
     per_segment = drawn[:, :, head]
     tail = sample_zipf_rows(alpha, rngs, per_segment.sum(axis=1), lo=head + 1)
 

@@ -89,7 +89,7 @@ class ReplicateReport:
 
 
 def _replicate_batch(spec: ModelSpec, grid: CornerGrid, base_seed: int, r0: int, r1: int) -> np.ndarray:
-    return simulate(spec, grid, replicate_generators(base_seed, r0, r1)).reshape(r1 - r0, -1)
+    return simulate(spec, grid, replicate_generators(base_seed, r0, r1)).reshape(r1 - r0, math.prod(grid.shape()))
 
 
 def simulate_raw_matrix(
@@ -98,9 +98,14 @@ def simulate_raw_matrix(
     """Raw corner sums, one row per replicate, assembled in replicate order.
 
     A task is one simulate batch of ``batch_size`` replicates, and in a pool
-    of at most a chunk, a quarter of a worker's share.
+    of at most a chunk, a quarter of a worker's share.  No replicates give
+    an empty (0, corners) matrix.
     """
+    if replicates < 0:
+        raise ValueError(f"replicates must be >= 0, got {replicates}")
     base_seed = normalize_seed(base_seed)
+    if replicates == 0:
+        return _replicate_batch(spec, grid, base_seed, 0, 0)
     workers = max(1, int(parallelism))
     chunk = max(16, math.ceil(replicates / (4 * workers)))
     pooled = workers > 1 and replicates > chunk

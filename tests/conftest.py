@@ -8,8 +8,9 @@ from scipy.special import zeta
 from numpy.random import Generator, Philox
 
 from partition_fields import partition1d
+from partition_fields._hashing import hash2, signs_from
 from partition_fields.distributions import FinitePmf, PmfKind, PowerLawPmf, sample_zipf_rows
-from partition_fields.seeding import normalize_seed
+from partition_fields.seeding import normalize_seed, spin_key
 
 # Keep BLAS thread pools fixed so timings and reductions are stable in CI.
 os.environ.setdefault("OMP_NUM_THREADS", "1")
@@ -299,6 +300,28 @@ def finalize_oracle(z: np.ndarray) -> np.ndarray:
     z = (z ^ (z >> np.uint64(30))) * _M1
     z = (z ^ (z >> np.uint64(27))) * _M2
     return z ^ (z >> np.uint64(31))
+
+
+# ---------------------------------------------------------------------------
+# the 2D spin core before it was read from batched words in float64: the
+# reference for fields.simulate on a 2D spec
+# ---------------------------------------------------------------------------
+
+def simulate_2d_oracle(spec, grid, rngs) -> np.ndarray:
+    """``fields.simulate`` on a 2D spec with one int64 core per replicate.
+
+    Each replicate hashes its class pairs under its own key with ``hash2``,
+    maps them to int8 signs with ``signs_from`` and multiplies its count
+    matrices in int64, which no summation order can round.
+    """
+    keys = [spin_key(rng) for rng in rngs]
+    (u1, a1, s1), (u2, a2, s2) = (axis.sample(rngs, ts) for axis, ts in zip(spec.axes, (grid.t1, grid.t2)))
+    out = np.empty((len(rngs), *grid.shape()))
+    for b, key in enumerate(keys):
+        c1, c2 = slice(s1[b], s1[b + 1]), slice(s2[b], s2[b + 1])
+        core = signs_from(hash2(key, u1[c1, None], u2[None, c2]))
+        out[b] = a1[:, c1] @ core @ a2[:, c2].T
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from partition_fields.distributions import PmfKind, sample_zipf_rows
 from partition_fields.fields import KIND_TABLE, Axis, _corner_index, batch_size
 from partition_fields.partition1d import corner_counts, urn_head_size
 
-from conftest import corner_layout, roots_on_jumps, running_parity_oracle, urn_layout
+from conftest import corner_layout, roots_on_jumps, running_parity_oracle, simulate_2d_oracle, urn_layout
 
 SEED = "f1e1d0000000000000000000000000aa"
 
@@ -155,6 +155,55 @@ def test_batches_match_one_whole_batch(kind, n1, n2, depth, sizes):
         part = simulate(spec, grid, [replicate_generator(SEED, r) for r in range(r0, r1)])
         assert part.shape == (r1 - r0, *grid.shape())
         assert part.tobytes() == whole[r0:r1].tobytes()
+
+
+_TWO_D = [
+    (ModelSpec(ModelKind.KARLIN_2D, (0.6, 0.6), (1024, 1024)), CornerGrid((0.25, 0.5, 0.75, 1.0), (0.25, 0.5, 0.75, 1.0))),
+    (ModelSpec(ModelKind.HS_2D, (0.25, 0.45), (512, 300)), CornerGrid((0.25, 0.5, 0.75, 1.0), (0.3, 1.0))),
+    (ModelSpec(ModelKind.COMBINED_2D, (0.25, 0.6), (512, 2048)), CornerGrid((0.5, 1.0), (0.25, 0.5, 0.75, 1.0))),
+    # first corners at no site (floor(n t) = 0), and an urn axis whose rows hold no class at all
+    (ModelSpec(ModelKind.KARLIN_2D, (0.3, 0.8), (300, 200)), CornerGrid((0.001, 0.5, 1.0), (0.002,))),
+    (ModelSpec(ModelKind.COMBINED_2D, (0.45, 0.6), (300, 200), forest_depth=50),
+     CornerGrid((0.001, 0.002, 1.0), (0.001, 0.7))),
+]
+
+
+@pytest.mark.parametrize("spec, grid", _TWO_D,
+                         ids=["karlin2d", "hs2d", "combined2d", "karlin2d-rows-without-classes", "combined2d-empty-corners"])
+def test_2d_simulate_matches_the_int64_core(spec, grid):
+    want = simulate_2d_oracle(spec, grid, [replicate_generator(SEED, r) for r in range(40)])
+    got = simulate(spec, grid, [replicate_generator(SEED, r) for r in range(40)])
+    assert got.tobytes() == want.tobytes()
+
+
+def _forced_counts(monkeypatch, counts: dict[int, list[int]]):
+    """Urn axes whose one replicate holds one class per count, counted at the one corner."""
+    def urn(alpha, n, corners, rngs):
+        c = np.asarray([counts[n]], dtype=np.int64)
+        return np.arange(1, c.size + 1), c, np.array([0, c.size])
+    monkeypatch.setattr(fields, "urn_counts", urn)
+
+
+@pytest.mark.parametrize("counts", [
+    {2: [1 << 27], 3: [1 << 26]},  # the bound is 2^53 exactly
+    {2: [1 << 26, 1 << 26], 3: [1 << 26]},  # a sum of class counts reaches it, though the sum may cancel
+    {2: [1 << 40], 3: [1 << 40]},
+])
+def test_2d_corner_sums_refuse_a_bound_at_2_53(monkeypatch, counts):
+    _force_partitions(monkeypatch, core=[[1]] if len(counts[2]) == 1 else [[1], [-1]])
+    _forced_counts(monkeypatch, counts)
+    spec, grid = ModelSpec(ModelKind.KARLIN_2D, (0.6, 0.6), (2, 3)), CornerGrid((1.0,), (1.0,))
+    with pytest.raises(ValueError, match="row-sum bound"):
+        simulate(spec, grid, [replicate_generator(SEED, 0)])
+
+
+def test_2d_corner_sums_are_exact_just_below_2_53(monkeypatch):
+    # 2^53 - 1 = 6361 * 69431 * 20394401: every integer below 2^53 is a float64
+    _force_partitions(monkeypatch, core=[[-1]])
+    _forced_counts(monkeypatch, {2: [6361 * 69431], 3: [20394401]})
+    spec, grid = ModelSpec(ModelKind.KARLIN_2D, (0.6, 0.6), (2, 3)), CornerGrid((1.0,), (1.0,))
+    raw = simulate(spec, grid, [replicate_generator(SEED, 0)])
+    assert raw.tolist() == [[[-float(2**53 - 1)]]]
 
 
 def test_batch_size_divides_the_element_budget():
@@ -381,7 +430,7 @@ def _force_partitions(monkeypatch, urn=None, roots=None, core=None):
         monkeypatch.setattr(fields, "roots_of",
                             lambda alpha, keys, depth, n: np.asarray([roots[n]], dtype=np.int64))
     if core is not None:
-        monkeypatch.setattr(fields, "signs_from", lambda h: np.asarray(core, dtype=np.int8))
+        monkeypatch.setattr(fields, "pair_signs", lambda left, right: np.asarray(core, dtype=np.float64))
 
 
 def test_karlin1d_forced_labels(monkeypatch):

@@ -1,16 +1,22 @@
 """Quality and determinism of the keyed identifier hash."""
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from partition_fields._hashing import (
     _GOLDEN,
+    _M1,
+    _M2,
     _WORD2,
     hash1,
     hash2,
+    left_words,
     low_uniforms_from,
+    pair_signs,
+    right_words,
     signs_from,
     uniforms_from,
 )
@@ -95,3 +101,59 @@ def test_in_place_finalizer_matches_the_allocating_one(key, signed, unsigned):
     assert np.array_equal(hash2(key, signed[:, None], unsigned[None, :]),
                           _hash2_oracle(key, signed[:, None], unsigned[None, :]))
     assert np.array_equal(signed, before[0]) and np.array_equal(unsigned, before[1])
+
+
+# ---------------------------------------------------------------------------
+# the ±1 pair core read from per-identifier words
+# ---------------------------------------------------------------------------
+
+_MASK = (1 << 64) - 1
+
+
+def _unfinalize(h: int) -> int:
+    """The SplitMix64 finalizer's inverse: each xor-shift and odd multiplier undone in reverse."""
+    def unshift(y, s):
+        x = y
+        for _ in range(64 // s + 1):
+            x = y ^ (x >> s)
+        return x
+
+    z = unshift(h, 31)
+    z = unshift(z * pow(int(_M2), -1, 1 << 64) & _MASK, 27)
+    return unshift(z * pow(int(_M1), -1, 1 << 64) & _MASK, 30)
+
+
+def _pair_core(key, a, b) -> np.ndarray:
+    return pair_signs(left_words(key[0], a), right_words(key[1], b))
+
+
+def _sign_oracle(key, a, b) -> np.ndarray:
+    return signs_from(hash2(key, np.asarray(a)[:, None], np.asarray(b)[None, :])).astype(np.float64)
+
+
+_IDS = st.one_of(st.integers(-(2**63), 2**63 - 1), st.integers(2**62 - 8, 2**62), st.integers(-(2**62), 0))
+
+
+@given(st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)),
+       st.lists(_IDS, max_size=30), st.lists(_IDS, max_size=30))
+@settings(max_examples=200, deadline=None)
+@example((2**63 + 5, 2**64 - 1), [-5, -1, 0], [2**62 - 1, 2**62])  # top key bits, negative roots, labels near 2^62
+@example((1, 2), [], [3])  # empty class sets
+@example((1, 2), [3], [])
+def test_pair_signs_match_the_hashed_signs(key, a, b):
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    got = _pair_core(key, a, b)
+    assert got.dtype == np.float64 and got.shape == (a.size, b.size)
+    assert got.tobytes() == _sign_oracle(key, a, b).tobytes()  # no -0.0 either
+
+
+@pytest.mark.parametrize("word", [0, 1, 2**63 - 1, 2**63, 2**64 - 1])
+def test_pair_signs_at_the_sign_boundary(word):
+    # an identifier a whose hash2 word is exactly `word`, by inverting the finalizer
+    key, b = (0xF00DFACE12345678, 0x8000000000000001), 12345
+    right = int(right_words(key[1], b)[0])
+    a = ((_unfinalize(_unfinalize(word) ^ right) ^ key[0]) - int(_GOLDEN)) & _MASK
+    a = np.array([a], dtype=np.uint64).view(np.int64)
+    assert int(hash2(key, a, b)[0]) == word
+    assert _pair_core(key, a, [b]).tolist() == [[-1.0 if word >> 63 else 1.0]]
+    assert _pair_core(key, a, [b]).tobytes() == _sign_oracle(key, a, [b]).tobytes()

@@ -33,8 +33,6 @@ TRACED = [
     ("partition_fields.fields", "spin_key"),
     ("partition_fields.fields", "roots_of"),
     ("partition_fields.fields", "hash1"),
-    ("partition_fields.fields", "hash2"),
-    ("partition_fields.fields", "signs_from"),
     ("partition_fields.fields", "normalization"),
 ]
 

@@ -6,10 +6,11 @@ is the reference for the box-count path ``urn_counts``.
 
 import math
 from collections import Counter
+from itertools import groupby
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import stats as sps
@@ -234,21 +235,27 @@ def test_box_counts_layout_and_empty_segments():
     assert [rng.random() for rng in fresh] == [replicate_generator("1b", r).random() for r in range(2)]
 
 
-@pytest.mark.parametrize("lengths", [[1000], [0, 250, 0, 500, 250], [3, 0, 0, 7]], ids=["one", "zeros", "short"])
+@pytest.mark.parametrize("lengths", [[1000], [0, 250, 0, 500, 250], [3, 0, 0, 7], [256] * 4, [0, 0, 7, 7, 7, 3]],
+                         ids=["one", "zeros", "short", "equal", "runs"])
 def test_int_n_multinomials_match_one_array_n_call(lengths):
-    # what urn_counts relies on: one int-n call per segment draws what one call over
-    # the lengths draws, and leaves the generator at the same place
+    # what urn_counts relies on: one int-n call per segment, or one size=k call per run of
+    # k equal lengths, draws what one call over the lengths draws, and leaves the generator
+    # at the same place
     pvals = partition1d._head_pvals(0.6, 1000)
     for r in range(200):
-        gen, ref = replicate_generator("3d", r), replicate_generator("3d", r)
+        gen, runs, ref = (replicate_generator("3d", r) for _ in range(3))
         got = np.stack([gen.multinomial(m, pvals) for m in lengths])
-        assert np.array_equal(got, ref.multinomial(np.array(lengths), pvals))
-        assert gen.random() == ref.random()
+        by_run = np.concatenate([runs.multinomial(m, pvals, size=len(list(k))) for m, k in groupby(lengths)])
+        want = ref.multinomial(np.array(lengths), pvals)
+        assert np.array_equal(got, want) and np.array_equal(by_run, want)
+        assert gen.random() == runs.random() == ref.random()
 
 
 @given(st.sampled_from([0.2, 0.6, 0.9]), st.integers(1, 300),
        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5), st.integers(1, 12), st.integers(0, 2**32))
 @settings(max_examples=60, deadline=None)
+@example(0.6, 1024, [0.25, 0.5, 0.75, 1.0], 30, 5)  # one run of equal segments
+@example(0.6, 100, [0.0, 0.0, 0.07, 0.14, 0.21, 0.24], 30, 6)  # runs of empty, equal and lone segments
 def test_urn_counts_match_the_old_path(alpha, n, ts, rows, seed):
     # against one array-n multinomial per row, the two-call sampler rounds and a lexsort;
     # corners may repeat (zero-length segments) and start at 0

@@ -163,6 +163,18 @@ def test_raw_matrix_does_not_depend_on_the_batches(monkeypatch, parallelism):
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_raw_matrix_of_no_replicates_is_empty(parallelism):
+    spec = ModelSpec(ModelKind.KARLIN_2D, (0.6, 0.6), (8, 8))
+    grid = CornerGrid((0.5, 1.0), (0.25, 0.5, 1.0))
+    out = simulate_raw_matrix(spec, grid, 0, SEED, parallelism)
+    assert out.shape == (0, 6) and out.dtype == np.float64
+    with pytest.raises(ValueError, match="replicates"):
+        simulate_raw_matrix(spec, grid, -1, SEED, parallelism)
+    with pytest.raises(ValueError, match="2D grid"):
+        simulate_raw_matrix(spec, CornerGrid((1.0,)), 0, SEED, parallelism)
+
+
 def test_run_replicates_validates_r():
     spec = ModelSpec(ModelKind.KARLIN_1D, (0.6,), (10,))
     with pytest.raises(ValueError):
