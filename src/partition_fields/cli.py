@@ -19,12 +19,12 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .distributions import MarginalLaw, make_hs_pmf
+from .distributions import MarginalLaw, PmfKind
 from .fbs import HurstPair, sample_fbs
 from .fields import CornerGrid, ModelKind, ModelSpec, _real, normalization, simulate, truncation_summary
 from .renewal import c_alpha, cached_renewal_sequence, var_xstar, weights
 from .seeding import SCHEME_ID, normalize_seed, replicate_generator, seed_to_hex
-from .suites import SUITES, run_suite
+from .suites import SUITES, _axis_of, run_suite
 
 __all__ = ["RunConfig", "ConfigError", "main"]
 
@@ -291,12 +291,11 @@ def cmd_verify(cfg: RunConfig) -> tuple[list[Path], bool]:
 def cmd_renewal(cfg: RunConfig) -> list[Path]:
     if cfg.model is None or cfg.kmax is None:
         raise ConfigError("renewal requires model.alphas[0] and kmax")
-    alpha = cfg.model.alphas[0]
     try:
-        pmf = make_hs_pmf(alpha)
+        axis = _axis_of(cfg.model, PmfKind.HS_TAIL, 0, "renewal")
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    rs = cached_renewal_sequence(pmf, cfg.kmax)
+    rs = cached_renewal_sequence(axis.pmf, cfg.kmax)
     try:
         prof = None if cfg.weights_n is None else weights(rs, cfg.weights_n)
     except ValueError as exc:  # kmax too small for weights_n
@@ -312,7 +311,7 @@ def cmd_renewal(cfg: RunConfig) -> list[Path]:
             ((int(prof.j_lo + i), float(b)) for i, b in enumerate(prof.b)),
         )
         paths.append(w_path)
-    click.echo(f"c_alpha({alpha}) = {_FMT(c_alpha(alpha))}")
+    click.echo(f"c_alpha({axis.alpha}) = {_FMT(c_alpha(axis.alpha))}")
     click.echo(f"sum q^2 (k <= kmax={cfg.kmax}, plus the closed-form tail past kmax) = {_FMT(1.0 / var_xstar(rs))}")
     return paths
 

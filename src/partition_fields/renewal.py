@@ -37,7 +37,6 @@ __all__ = [
     "p_alpha_weights",
 ]
 
-_DIRECT_CUTOFF = 2048
 _MIN_KMAX_RATIO = 16  # weights() needs kmax >= 16 n
 
 
@@ -82,14 +81,6 @@ def q_sq_tail_bound(alpha: float, depth: int) -> float:
     return c * c * depth ** (2.0 * alpha - 1.0) / (1.0 - 2.0 * alpha)
 
 
-def _q_direct(p: np.ndarray, kmax: int) -> np.ndarray:
-    q = np.zeros(kmax + 1)
-    q[0] = 1.0
-    for k in range(1, kmax + 1):
-        q[k] = np.dot(p[:k], q[k - 1 :: -1])
-    return q
-
-
 def _fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Full linear convolution of two real 1D arrays, as SciPy's ``fftconvolve``.
 
@@ -105,39 +96,38 @@ def _fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _series_inverse(a: np.ndarray, n: int) -> np.ndarray:
-    # Newton iteration b <- b(2 - ab) mod x**m doubles correct coefficients
+    # Newton iteration b <- b(2 - ab) mod x**m at most doubles the correct
+    # coefficients; the precisions n, ceil(n/2), ..., 2 taken from the
+    # smallest up run the full-size step once, whatever n
+    sizes = []
+    while n > 1:
+        sizes.append(n)
+        n = (n + 1) // 2
     b = np.array([1.0 / a[0]])
-    m = 1
-    while m < n:
-        m2 = min(2 * m, n)
-        t = _fftconvolve(a[:m2], b)[:m2]
+    for m in reversed(sizes):
+        t = _fftconvolve(a[:m], b)[:m]
         t = -t
         t[0] += 2.0
-        b = _fftconvolve(b, t)[:m2]
-        m = m2
-    return b[:n]
-
-
-def _q_newton(p: np.ndarray, kmax: int) -> np.ndarray:
-    a = np.empty(kmax + 1)
-    a[0] = 1.0
-    a[1:] = -p[:kmax]
-    q = _series_inverse(a, kmax + 1)
-    # q is a probability sequence; clip the O(eps) FFT noise
-    return np.clip(q, 0.0, 1.0)
+        b = _fftconvolve(b, t)[:m]
+    return b
 
 
 def renewal_sequence(pmf, kmax: int) -> RenewalSequence:
-    """Compute q_0..q_kmax by the exact convolution recursion.
+    """Compute q_0..q_kmax as the power-series inverse of 1 - P(x).
 
-    Up to kmax = 2048 the recursion runs directly (O(kmax^2)); beyond, as an
-    FFT series inversion (O(kmax log^2 kmax)).  The two agree to well below
-    1e-10 and the tests pin that.
+    One algorithm at every kmax: Newton iteration on FFT products.  Its
+    precisions kmax + 1, ceil((kmax + 1)/2), ..., 2 shrink geometrically, so
+    the whole costs about two steps of the largest size, O(kmax log kmax).
+    The tests hold it to the direct O(kmax^2) recursion within 1e-10.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    p = pmf.pmf_block(1, kmax + 1)
-    q = _q_direct(p, kmax) if kmax <= _DIRECT_CUTOFF else _q_newton(p, kmax)
+    a = np.empty(kmax + 1)
+    a[0] = 1.0
+    a[1:] = -pmf.pmf_block(1, kmax + 1)
+    # q is a probability sequence and q_0 = 1; clip the O(eps) FFT noise
+    q = np.clip(_series_inverse(a, kmax + 1), 0.0, 1.0)
+    q[0] = 1.0
     return RenewalSequence(q=q, pmf=pmf, kmax=kmax)
 
 

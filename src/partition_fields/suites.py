@@ -28,7 +28,9 @@ from .renewal import (
     bn_sq_growth_constant,
     c_alpha,
     cached_renewal_sequence,
+    p_alpha_tail,
     p_alpha_weights,
+    q_sq_tail_bound,
     renewal_sequence,
     weights,
 )
@@ -219,16 +221,20 @@ def suite_renewal_asymptotics(alpha: float = 0.25, n: int = 10**5, seed=0xFEED) 
     checks: list[CheckResult] = []
 
     # 1) odd-index partial sums of the occupancy weights (known failing:
-    #    the tail is ~ (2R)**(-a) / (2 Gamma(1-a)), far above 1e-6)
+    #    the tail is ~ (2R)**(-a) / (2 Gamma(1-a)), far above 1e-6); the
+    #    shortfall target - partial is the odd-index part of the exact tail T
+    #    past 2R, so it lies in [T/2, T]
     for a in (0.3, 0.5, 0.7):
         partial = float(p_alpha_weights(a, 2 * _ODD_SUM_TERMS)[0::2].sum())
         target = 2.0 ** (a - 1.0)
+        tail = p_alpha_tail(a, 2 * _ODD_SUM_TERMS)
         checks.append(
             CheckResult(
                 f"odd-weight-partial-sum-alpha-{a}",
                 abs(partial - target) <= 1e-6,
                 partial, target, 1e-6,
-                {"terms": _ODD_SUM_TERMS, "gap": partial - target},
+                {"terms": _ODD_SUM_TERMS, "gap": partial - target,
+                 "tail": tail, "shortfall_bracket": [tail / 2.0, tail]},
             )
         )
 
@@ -262,11 +268,13 @@ def suite_renewal_asymptotics(alpha: float = 0.25, n: int = 10**5, seed=0xFEED) 
         _band_check("weight-growth-c-alpha", b_sq / (c_alpha(alpha) * n ** (2 * alpha + 1)),
                     1.0, 0.9, 1.1, alpha=alpha, n=n)
     )
+    # the realized ratio falls short by the weight mass past kmax; the q^2
+    # tail past kmax, times n^2, is what the forest identity target adds
+    realized = bn_sq_growth_constant(alpha) * n ** (2 * alpha + 1)
     checks.append(
         _band_check(
-            "weight-growth-realized",
-            b_sq / (bn_sq_growth_constant(alpha) * n ** (2 * alpha + 1)),
-            1.0, 0.9, 1.1, alpha=alpha, n=n,
+            "weight-growth-realized", b_sq / realized, 1.0, 0.9, 1.1, alpha=alpha, n=n,
+            ratio_with_q_sq_tail=(b_sq + n**2 * q_sq_tail_bound(alpha, rs_big.kmax)) / realized,
         )
     )
 
@@ -296,7 +304,7 @@ def run_suite(
     if name == "occupancy":
         if spec is None:
             return suite_occupancy(seed=seed)
-        axis = _axis_of(spec, PmfKind.KARLIN_ZIPF, -1, name)
+        axis = _axis_of(spec, PmfKind.KARLIN_ZIPF, -1, f"{name} suite")
         return suite_occupancy(alpha=axis.alpha, n=axis.n, seed=seed)
     if name == "variance":
         _need(spec, "model"), _need(replicates, "replicates")
@@ -310,17 +318,17 @@ def run_suite(
     if name == "renewal-asymptotics":
         if spec is None:
             return suite_renewal_asymptotics(seed=seed)
-        axis = _axis_of(spec, PmfKind.HS_TAIL, 0, name)
+        axis = _axis_of(spec, PmfKind.HS_TAIL, 0, f"{name} suite")
         return suite_renewal_asymptotics(alpha=axis.alpha, n=axis.n, seed=seed)
     raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
 
 
-def _axis_of(spec: ModelSpec, kind: PmfKind, which: int, suite: str) -> Axis:
-    """The model's axes of the given kind, indexed by ``which``: the partition the suite checks."""
+def _axis_of(spec: ModelSpec, kind: PmfKind, which: int, user: str) -> Axis:
+    """The model's axes of the given kind, indexed by ``which``: the partition ``user`` reads."""
     axes = [axis for axis in spec.axes if axis.kind is kind]
     if not axes:
         what = "an urn" if kind is PmfKind.KARLIN_ZIPF else "a forest"
-        raise ValueError(f"{suite} suite needs a model with {what} axis, got {spec.kind.value}")
+        raise ValueError(f"{user} needs a model with {what} axis, got {spec.kind.value}")
     return axes[which]
 
 

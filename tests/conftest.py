@@ -371,3 +371,16 @@ def roots_on_jumps(jumps, lo: int, sites) -> np.ndarray:
         mp.setattr(partition1d, "hashed_jumps", explicit)
         roots = partition1d.roots_of(0.25, keys, 0, rows.shape[1]) + lo  # the stub ignores alpha
     return roots[:, sites - lo - 1].reshape(jumps.shape[:-1] + sites.shape)
+
+
+# ---------------------------------------------------------------------------
+# the renewal sequence by its first-jump recursion
+# ---------------------------------------------------------------------------
+
+def q_direct_oracle(p: np.ndarray, kmax: int) -> np.ndarray:
+    """q_0..q_kmax by q_0 = 1, q_k = sum_{j=1..k} p_j q_{k-j}, in O(kmax^2); p[j-1] is p_j."""
+    q = np.zeros(kmax + 1)
+    q[0] = 1.0
+    for k in range(1, kmax + 1):
+        q[k] = np.dot(p[:k], q[k - 1 :: -1])
+    return q

@@ -321,13 +321,19 @@ def test_verify_normality_too_few_replicates_exits_2(tmp_path):
     (_sim_config(grid={"t1": [1.0], "t2": [1.0]}), "grid dimensionality must match the model"),
     ({"command": "renewal", "model": {"kind": "hs1d", "alphas": [0.25], "n": [8]}, "seed": SEED},
      "renewal requires model.alphas[0] and kmax"),
+    # the renewal sequence belongs to a forest axis; an urn model has none
+    ({"command": "renewal", "model": {"kind": "karlin2d", "alphas": [0.3, 0.6], "n": [8, 8]},
+      "kmax": 16, "seed": SEED},
+     "renewal needs a model with a forest axis, got karlin2d"),
+    ({"command": "renewal", "model": {"kind": "karlin1d", "alphas": [0.6], "n": [8]}, "kmax": 16, "seed": SEED},
+     "renewal needs a model with a forest axis, got karlin1d"),
     ({"command": "sample-fbs", "hurst": [0.3, 0.75], "grid": {"t1": [0.5, 1.0]}, "seed": SEED},
      "sample-fbs requires a 2D grid"),
     ({"command": "sample-fbs", "hurst": [0.3, 0.75], "seed": SEED,
       "grid": {"t1": [i / 65 for i in range(1, 66)], "t2": [i / 65 for i in range(1, 66)]}},
      "grid too large for the dense reference sampler"),
-], ids=["simulate-no-grid", "simulate-2d-grid-1d-model", "renewal-no-kmax", "sample-fbs-1d-grid",
-        "sample-fbs-grid-too-large"])
+], ids=["simulate-no-grid", "simulate-2d-grid-1d-model", "renewal-no-kmax", "renewal-karlin2d",
+        "renewal-karlin1d", "sample-fbs-1d-grid", "sample-fbs-grid-too-large"])
 def test_command_precondition_exits_2(tmp_path, cfg, message):
     cfg = {**cfg, "output": str(tmp_path / "o")}
     res = CliRunner().invoke(main, [cfg["command"], "--config", _write(tmp_path, "c.json", cfg)])

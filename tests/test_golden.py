@@ -72,6 +72,8 @@ SUITE_CASES = {
     "variance-karlin2d": ("variance", CASES["karlin2d"], None, 64),
     "normality-karlin1d": ("normality", CASES["karlin1d"], None, 128),
     "covariance-karlin2d": ("covariance", CASES["karlin2d"], CornerGrid((0.5, 1.0), (0.5, 1.0)), 100),
+    # q to K = 2048 and 4096: the oracle gap and every check's details
+    "renewal-asymptotics-hs1d": ("renewal-asymptotics", CASES["hs1d"], None, None),
 }
 
 # name -> simulate config (model and grid); hs2d has two forest axes, so its

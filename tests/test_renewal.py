@@ -31,12 +31,12 @@ from partition_fields.renewal import (
     _fftconvolve,
     cached_renewal_sequence,
     p_alpha_tail,
-    _q_direct,
-    _q_newton,
     p_alpha_weights,
     q_sq_tail_bound,
 )
 from partition_fields.suites import enumerate_renewal_probability
+
+from conftest import q_direct_oracle
 
 
 def test_renewal_basics_hand_values():
@@ -57,11 +57,26 @@ def test_renewal_recursion_vs_enumeration_oracle():
 
 @pytest.mark.parametrize("pmf", [make_hs_pmf(0.25), make_hs_pmf(0.45), FinitePmf((0.3, 0.2, 0.5))])
 def test_newton_matches_direct(pmf):
-    kmax = 4096
-    p = pmf.pmf_block(1, kmax + 1)
-    direct = _q_direct(p, kmax)
-    newton = _q_newton(p, kmax)
-    assert np.max(np.abs(direct - newton)) < 1e-10
+    # sizes on both sides of powers of two, where the Newton schedule changes
+    for kmax in (1, 2, 3, 15, 100, 1024, 1025, 2048, 2049, 4096):
+        direct = q_direct_oracle(pmf.pmf_block(1, kmax + 1), kmax)
+        newton = renewal_sequence(pmf, kmax).q
+        assert np.max(np.abs(direct - newton)) < 1e-10, kmax
+        assert newton[0] == 1.0, kmax
+
+
+def test_newton_runs_one_full_size_step(monkeypatch):
+    # at 2^10 + 1 terms a doubling schedule would run the full-size step twice:
+    # once at 2^10 terms and once more for the last coefficient
+    n, sizes = (1 << 10) + 1, []
+
+    def counting(a, b):
+        sizes.append(a.size + b.size - 1)
+        return _fftconvolve(a, b)
+
+    monkeypatch.setattr(renewal, "_fftconvolve", counting)
+    renewal_sequence(make_hs_pmf(0.25), n - 1)
+    assert sum(size >= n for size in sizes) == 2, sizes
 
 
 def test_q_is_probability_and_square_summable():
@@ -92,7 +107,8 @@ def test_q_sq_tail_bound_holds_over_the_computed_horizon(alpha):
 
 def test_var_xstar_degenerate_chain_flags_divergence():
     rs = renewal_sequence(FinitePmf((1.0,)), 512)
-    assert np.all(rs.q == 1.0)
+    # every q_k is 1, up to the rounding of the FFT products
+    assert np.max(np.abs(rs.q - 1.0)) < 1e-12
     with pytest.warns(RenewalConvergenceWarning):
         v = var_xstar(rs)
     assert v == pytest.approx(1.0 / 513.0)

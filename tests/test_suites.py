@@ -29,6 +29,17 @@ def test_renewal_suite_reads_the_forest_axis():
     assert (growth.details["alpha"], growth.details["n"]) == (0.25, 64)
 
 
+def test_renewal_suite_details_explain_the_known_failures():
+    rep = run_suite("renewal-asymptotics", spec=ModelSpec(ModelKind.HS_1D, (0.25,), (128,)), seed=SEED)
+    checks = {c.name: c for c in rep.checks}
+    for a in (0.3, 0.5, 0.7):
+        odd = checks[f"odd-weight-partial-sum-alpha-{a}"]
+        lo, hi = odd.details["shortfall_bracket"]
+        assert not odd.passed and lo <= odd.target - odd.value <= hi and hi == odd.details["tail"]
+    growth = checks["weight-growth-realized"]
+    assert growth.details["ratio_with_q_sq_tail"] > growth.value
+
+
 @pytest.mark.parametrize("name, spec", [
     ("occupancy", ModelSpec(ModelKind.HS_1D, (0.25,), (1000,))),
     ("occupancy", ModelSpec(ModelKind.HS_2D, (0.25, 0.25), (16, 16))),
