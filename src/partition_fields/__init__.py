@@ -18,7 +18,7 @@ from .distributions import (
     make_hs_pmf,
     make_karlin_pmf,
 )
-from .fbs import HurstPair, fbm_cov, fbs_cov, fbs_cov_matrix, sample_fbs
+from .fbs import HurstPair, fbm_cov, fbs_cov_matrix, sample_fbs
 from .fields import (
     CornerGrid,
     ModelKind,
@@ -68,7 +68,6 @@ __all__ = [
     "empirical_cov",
     "expected_occupancy",
     "fbm_cov",
-    "fbs_cov",
     "fbs_cov_matrix",
     "ks_normal",
     "make_hs_pmf",

@@ -54,10 +54,9 @@ def _key_words(key) -> tuple[np.ndarray, np.ndarray]:
 
 
 def hash1(key, a) -> np.ndarray:
-    """Keyed hash of one identifier array (per-identifier keys broadcast)."""
+    """Keyed hash of one identifier array (per-identifier keys broadcast): ``hash2(key, a, 0)``."""
     k0, k1 = _key_words(key)
-    h = _finalize((_as_u64(a) + _GOLDEN) ^ k0)
-    return _finalize(h ^ k1)
+    return _finalize(left_words(k0, a) ^ k1)
 
 
 def hash2(key, a, b) -> np.ndarray:

@@ -206,12 +206,12 @@ def sample_zipf_rows(alpha: float, rngs, counts, lo: int = 1) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FinitePmf:
-    """Finitely supported pmf on {1..m}; oracle/test companion to PowerLawPmf.
+    """Finitely supported pmf on {1..m}: a hand-computable jump law for the renewal recursion.
 
-    Implements the accessors the renewal recursion reads (``pmf_block``), plus
-    ``pmf_at`` and ``tail_at``, so the recursion can be exercised against
-    hand-computable inputs.  Occupancy expectations take only the KarlinZipf
-    law (``partition1d.expected_occupancy``).
+    It has the one accessor ``renewal_sequence`` reads, ``pmf_block``, so
+    that q can be checked against exact enumeration (acceptance criterion
+    4); the simulated fields and the variance targets take only the
+    power-law pmfs.
     """
 
     probs: tuple[float, ...]
@@ -225,23 +225,8 @@ class FinitePmf:
     def _p(self) -> np.ndarray:
         return np.asarray(self.probs, dtype=np.float64)
 
-    @cached_property
-    def _tail(self) -> np.ndarray:
-        # _tail[i] = sum of p_k for k >= i+1
-        return np.concatenate((np.cumsum(self._p[::-1])[::-1], [0.0]))
-
-    def pmf_at(self, k):
-        k = np.atleast_1d(np.asarray(k, dtype=np.int64))
-        idx = np.clip(k - 1, 0, len(self.probs) - 1)
-        out = np.where((k >= 1) & (k <= len(self.probs)), self._p[idx], 0.0)
-        return out if out.size > 1 else float(out[0])
-
-    def tail_at(self, n):
-        n = np.atleast_1d(np.asarray(n, dtype=np.int64))
-        out = self._tail[np.clip(n - 1, 0, len(self.probs))]
-        return out if out.size > 1 else float(out[0])
-
     def pmf_block(self, lo: int, hi: int) -> np.ndarray:
+        """p_k for k in [lo, hi) as an array, 0 off the support."""
         out = np.zeros(hi - lo)
         ks = np.arange(lo, hi)
         inside = (ks >= 1) & (ks <= len(self.probs))
@@ -286,6 +271,9 @@ class MarginalLaw:
             self.value_a > 0.0 and self.value_b == -self.value_a and self.prob_a == 0.5
         ):
             raise ValueError("a scaled-sign law takes the values c > 0 and -c with probability 1/2")
+        # a law without spread gives Z = 0; values near 1e-200 square to 0 as well
+        if not self.second_moment > 0.0:
+            raise ValueError(f"marginal law must have a positive second moment, got {self.second_moment}")
 
     @classmethod
     def rademacher(cls) -> "MarginalLaw":
@@ -316,9 +304,12 @@ class MarginalLaw:
         return {"kind": "two_point", "a": self.value_a, "b": self.value_b, "p": self.prob_a}
 
     def draw_from_hash(self, h: np.ndarray) -> np.ndarray:
-        """One value per hash word, distributed as the law itself."""
-        if self.is_rademacher:
-            return signs_from(h).astype(np.float64)
+        """One value per hash word, distributed as the law itself.
+
+        ``value_a`` where the word's top 53 bits, as a uniform, fall below
+        ``prob_a``.  At prob_a = 1/2 that is where the top bit is clear, so
+        the Rademacher law gives ``signs_from(h)`` as float64, bit for bit.
+        """
         return np.where(uniforms_from(h) < self.prob_a, self.value_a, self.value_b)
 
     def draw_symmetrized_from_hash(self, h: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["HurstPair", "fbm_cov", "fbs_cov", "fbs_cov_matrix", "sample_fbs"]
+__all__ = ["HurstPair", "fbm_cov", "fbs_cov_matrix", "sample_fbs"]
 
 
 @dataclass(frozen=True)
@@ -35,13 +35,6 @@ def fbm_cov(h: float, s, t):
         raise ValueError("fbm_cov is defined on the nonnegative half-line")
     out = 0.5 * (t ** (2 * h) + s ** (2 * h) - np.abs(t - s) ** (2 * h))
     return out if out.ndim else float(out)
-
-
-def fbs_cov(hurst: HurstPair, s, t):
-    """Product of the two coordinate kernels at points s, t in R_+^2."""
-    s = np.asarray(s, dtype=np.float64)
-    t = np.asarray(t, dtype=np.float64)
-    return fbm_cov(hurst.h1, s[..., 0], t[..., 0]) * fbm_cov(hurst.h2, s[..., 1], t[..., 1])
 
 
 def fbs_cov_matrix(hurst: HurstPair, t1, t2) -> np.ndarray:

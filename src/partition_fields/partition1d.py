@@ -9,9 +9,9 @@ Two partitions of the index line are provided:
   counts per corner segment instead of n labels: a multinomial over the
   head boxes 1..L that n draws are expected to reach, and the few draws
   above L exactly from the conditioned law.  The cost grows like
-  corners * n**alpha, not n log n.  Exact occupancy expectations (distinct
-  boxes, odd-occupied boxes), an explicit head sum plus a closed-form tail,
-  are provided too;
+  corners * n**alpha, not n log n.  The exact expected number of
+  odd-occupied boxes, which is Var S_n, is an explicit head sum plus a
+  closed-form tail;
 * the ancestral forest: each site i is joined to i - J_i for heavy-tailed
   jumps J_i, and i ~ j iff their ancestral lines meet.  J_i is a keyed hash
   of i inverted to the jump law, so any site's jump is computed on demand
@@ -165,17 +165,15 @@ def urn_counts(alpha: float, n: int, corners, rngs) -> tuple[np.ndarray, np.ndar
     return classes, parity, starts
 
 
-def expected_occupancy(pmf, n: int) -> tuple[float, float]:
-    """(E[#occupied boxes], E[#odd-occupied boxes]) after n draws from a KarlinZipf law.
+def expected_occupancy(pmf, n: int) -> float:
+    """E[#odd-occupied boxes] after n draws from a KarlinZipf law: the urn's Var S_n.
 
-    Box l is occupied with probability 1 - (1 - p_l)^n and odd-occupied with
-    probability (1 - (1 - 2 p_l)^n)/2.  Boxes 1..L-1, L = 2^20, are summed one
-    by one.  The rest is f(L)/2 - f'(L)/12 plus the integral of f over
-    [L, inf), where f(x) = h (1 - (1 - lam c x^-s)^n), s = 1/alpha,
-    c = 1/zeta(s) and (lam, h) = (1, 1) for occupied or (2, 1/2) for odd
-    boxes.  Under u = lam c x^-s, with w = lam c L^-s, that integral is the
-    incomplete beta tail
-    h [(lam c)^alpha n B(1-alpha, n) I_w(1-alpha, n) - L (1 - (1-w)^n)],
+    Box l is odd-occupied with probability (1 - (1 - 2 p_l)^n)/2.  Boxes
+    1..L-1, L = 2^20, are summed one by one.  The rest is f(L)/2 - f'(L)/12
+    plus the integral of f over [L, inf), where
+    f(x) = (1 - (1 - 2 c x^-s)^n)/2, s = 1/alpha and c = 1/zeta(s).  Under
+    u = 2 c x^-s, with w = 2 c L^-s, that integral is the incomplete beta
+    tail ((2 c)^alpha n B(1-alpha, n) I_w(1-alpha, n) - L (1 - (1-w)^n))/2,
     which is 0 once w underflows (alpha below about 0.019).  SciPy's beta
     loses up to 3e-9 relative near n = 10^6, so n B(1-alpha, n) =
     Gamma(1-alpha) Gamma(n+1) / Gamma(n+1-alpha) is taken from poch at
@@ -185,7 +183,7 @@ def expected_occupancy(pmf, n: int) -> tuple[float, float]:
     of order L f(L), so every alpha < 1 and n have a target, at a cost that
     grows with neither.
 
-    L = 2^16 is as accurate and takes about 5 ms rather than 50, but the
+    L = 2^16 is as accurate and takes about 4 ms rather than 40, but the
     2^20-element temporaries raise glibc's mmap and trim thresholds to
     8 MB, and below that the replicate path's heap is trimmed after every
     call and faulted back in: about 8,000 minor faults per 2,500 karlin1d
@@ -199,22 +197,19 @@ def expected_occupancy(pmf, n: int) -> tuple[float, float]:
     big_l = 1 << 20
     alpha, s, c = pmf.alpha, 1.0 / pmf.alpha, pmf.pmf_at(1)
     p = pmf.pmf_block(1, big_l)
-    small = p < 0.25  # log1p(-lam p) is infinite or invalid once lam p >= 1
+    small = p < 0.25  # log1p(-2 p) is infinite or invalid once 2 p >= 1
     m = max(n, 1 << 14)
     k = np.arange(n + 1, m + 1, dtype=np.float64)
     n_beta = gamma(1.0 - alpha) * poch(m + 1.0 - alpha, alpha) * math.exp(np.sum(np.log1p(-alpha / k)))
-    out = []
-    for lam, h in ((1.0, 1.0), (2.0, 0.5)):
-        terms = np.empty_like(p)  # f(l) / h
-        terms[small] = -np.expm1(n * np.log1p(-lam * p[small]))
-        terms[~small] = 1.0 - np.power(1.0 - lam * p[~small], n)
-        head = float(np.sum(terms, dtype=np.longdouble))
-        w = lam * c * big_l ** (-s)
-        f_l = -math.expm1(n * math.log1p(-w))  # f(L) / h
-        integral = (lam * c) ** alpha * n_beta * betainc(1.0 - alpha, n, w) - big_l * f_l
-        minus_df_l = n * w * s / big_l * math.exp((n - 1) * math.log1p(-w))  # -f'(L) / h
-        out.append(h * (head + integral + f_l / 2.0 + minus_df_l / 12.0))
-    return out[0], out[1]
+    terms = np.empty_like(p)  # 2 f(l)
+    terms[small] = -np.expm1(n * np.log1p(-2.0 * p[small]))
+    terms[~small] = 1.0 - np.power(1.0 - 2.0 * p[~small], n)
+    head = float(np.sum(terms, dtype=np.longdouble))
+    w = 2.0 * c * big_l ** (-s)
+    f_l = -math.expm1(n * math.log1p(-w))  # 2 f(L)
+    integral = (2.0 * c) ** alpha * n_beta * betainc(1.0 - alpha, n, w) - big_l * f_l
+    minus_df_l = n * w * s / big_l * math.exp((n - 1) * math.log1p(-w))  # -2 f'(L)
+    return 0.5 * (head + integral + f_l / 2.0 + minus_df_l / 12.0)
 
 
 def hashed_jumps(alpha: float, key, sites) -> np.ndarray:

@@ -14,7 +14,6 @@ normalization of the forest-based fields.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -27,7 +26,6 @@ from .distributions import PmfKind
 __all__ = [
     "RenewalSequence",
     "WeightProfile",
-    "RenewalConvergenceWarning",
     "renewal_sequence",
     "q_sq_tail_bound",
     "var_xstar",
@@ -38,10 +36,6 @@ __all__ = [
 ]
 
 _MIN_KMAX_RATIO = 16  # weights() needs kmax >= 16 n
-
-
-class RenewalConvergenceWarning(UserWarning):
-    """Emitted when a truncated q-sum has not numerically converged."""
 
 
 @dataclass(frozen=True)
@@ -138,24 +132,15 @@ def cached_renewal_sequence(pmf, kmax: int) -> RenewalSequence:
 
 
 def var_xstar(rs: RenewalSequence) -> float:
-    """Reciprocal of sum q_k**2: the innovation variance of the ±1 model.
+    """Reciprocal of sum q_k**2 for exact-tail jumps: the innovation variance of the ±1 model.
 
-    For exact-tail jumps the squares beyond kmax add
-    :func:`q_sq_tail_bound` at kmax.  Other laws get no tail term, and a
-    warning (not a failure) when the squared sum has not converged at kmax,
-    e.g. finitely supported jump laws, where q_k tends to a positive renewal
-    density and the sum diverges.
+    The squares beyond kmax add :func:`q_sq_tail_bound` at kmax.  Only the
+    exact-tail laws (alpha in (0, 1/2)) have that closed form, and for them
+    the sum converges; any other law raises ValueError.
     """
-    if getattr(rs.pmf, "kind", None) is PmfKind.HS_TAIL:
-        return 1.0 / (rs.sum_sq + q_sq_tail_bound(rs.pmf.alpha, rs.kmax))
-    if rs.q[-1] ** 2 >= 1e-10:
-        warnings.warn(
-            f"sum of q^2 not converged at kmax={rs.kmax} "
-            f"(last increment {rs.q[-1]**2:.3e})",
-            RenewalConvergenceWarning,
-            stacklevel=2,
-        )
-    return 1.0 / rs.sum_sq
+    if getattr(rs.pmf, "kind", None) is not PmfKind.HS_TAIL:
+        raise ValueError("var_xstar needs an exact-tail (HsTail) jump law")
+    return 1.0 / (rs.sum_sq + q_sq_tail_bound(rs.pmf.alpha, rs.kmax))
 
 
 @dataclass(frozen=True)

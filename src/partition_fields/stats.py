@@ -251,7 +251,7 @@ def _identity_record(spec: ModelSpec, s_final: np.ndarray, target: tuple[float, 
 def _axis_variance(axis: Axis) -> float:
     """Exact Var of one axis's ±1 partial sum S_n (untruncated forest), kept across calls."""
     if axis.is_urn:
-        return expected_occupancy(axis.pmf, axis.n)[1]  # E[#odd boxes]
+        return expected_occupancy(axis.pmf, axis.n)  # E[#odd boxes]
     # b_n^2 Var(X*), one horizon K for both.  weights() drops b_{n,j} for j <= n - K,
     # where b_{n,j} ~ n q_{-j}: n^2 times the q^2 tail past K that Var(X*) adds too
     rs = axis.renewal

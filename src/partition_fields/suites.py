@@ -34,7 +34,7 @@ from .renewal import (
     renewal_sequence,
     weights,
 )
-from .seeding import normalize_seed, replicate_generator
+from .seeding import replicate_generator
 from .stats import run_replicates
 
 __all__ = [
@@ -119,7 +119,7 @@ def _band_check(name: str, value: float, target: float, rel_lo: float, rel_hi: f
 
 def suite_occupancy(alpha: float = 0.6, n: int = 10**6, seed=0xC0FFEE) -> SuiteReport:
     """Single-path occupancy ratios against the urn limits: n draws as one segment."""
-    rng = replicate_generator(normalize_seed(seed), 0)
+    rng = replicate_generator(seed, 0)
     pmf = make_karlin_pmf(alpha)
     boxes, parity, _ = urn_counts(alpha, n, [n], [rng])
     k_n, k_odd = boxes.size, int(parity.sum())
@@ -239,7 +239,7 @@ def suite_renewal_asymptotics(alpha: float = 0.25, n: int = 10**5, seed=0xFEED) 
         )
 
     # 2) recursion vs exhaustive composition enumeration on a small pmf
-    rng = replicate_generator(normalize_seed(seed), 0)
+    rng = replicate_generator(seed, 0)
     raw = rng.random(5) + 0.1
     probs = tuple(raw / raw.sum())
     rs = renewal_sequence(FinitePmf(probs), _ORACLE_KMAX)

@@ -229,12 +229,19 @@ def urn_counts_oracle(alpha: float, n: int, corners, rngs) -> tuple[np.ndarray, 
 
 
 # ---------------------------------------------------------------------------
-# the urn variance target as a box-by-box sum: the reference for the
-# closed-form tail of ``partition1d.expected_occupancy``
+# the urn occupancies as a box-by-box sum: the odd-box count is the reference
+# for the closed-form tail of ``partition1d.expected_occupancy``
 # ---------------------------------------------------------------------------
 
 _OCCUPANCY_TOL = 1e-10  # certificate on the discarded second-order tail
 _OCCUPANCY_MAX_BOXES = 1 << 28
+
+
+def _tail(pmf, lo: int) -> float:
+    """Mass of {lo, lo+1, ...}: from the probabilities for FinitePmf, exact for KarlinZipf."""
+    if isinstance(pmf, FinitePmf):
+        return float(np.sum(np.asarray(pmf.probs, dtype=np.float64)[lo - 1 :]))
+    return float(pmf.tail_at(lo))
 
 
 def _tail_sq(pmf, lo: int) -> float:
@@ -265,7 +272,7 @@ def expected_occupancy_oracle(pmf, n: int) -> tuple[float, float]:
     while True:
         cert = n * n * _tail_sq(pmf, lo)
         if cert < _OCCUPANCY_TOL:
-            t = float(pmf.tail_at(lo))
+            t = _tail(pmf, lo)
             return phi + n * t, odd + n * t
         if lo > _OCCUPANCY_MAX_BOXES:
             raise RuntimeError(f"expected_occupancy_oracle needs more than {_OCCUPANCY_MAX_BOXES} boxes for n={n}")
@@ -281,7 +288,7 @@ def expected_occupancy_oracle(pmf, n: int) -> tuple[float, float]:
         odd_terms[small] = -0.5 * np.expm1(n * np.log1p(-2.0 * pv[small]))
         odd_terms[~small] = 0.5 * (1.0 - np.power(1.0 - 2.0 * pv[~small], n))
         odd += float(np.sum(odd_terms, dtype=np.longdouble))
-        if not np.all(live) and float(pmf.tail_at(lo + block)) == 0.0:
+        if not np.all(live) and _tail(pmf, lo + block) == 0.0:
             return phi, odd  # finite support exhausted
         lo += block
         block = min(2 * block, 1 << 22)

@@ -200,8 +200,8 @@ def test_hs_chi_square_goodness_of_fit():
 
 def test_finite_pmf_accessors():
     pmf = FinitePmf((0.5, 0.5))
-    assert pmf.pmf_at(1) == 0.5 and pmf.pmf_at(3) == 0.0
-    assert pmf.tail_at(1) == 1.0 and pmf.tail_at(2) == 0.5 and pmf.tail_at(7) == 0.0
+    assert pmf.pmf_block(0, 4).tolist() == [0.0, 0.5, 0.5, 0.0]  # 0 off the support {1, 2}
+    assert pmf.pmf_block(3, 7).tolist() == [0.0] * 4
     with pytest.raises(ValueError):
         FinitePmf((0.5, 0.6))
 
@@ -214,6 +214,12 @@ def test_marginal_law_validation_and_moments():
     assert MarginalLaw.scaled_sign(2.5).second_moment == pytest.approx(6.25)
     with pytest.raises(ValueError):
         MarginalLaw.scaled_sign(0.0)
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 0.0), (1e-200, -1e-200)])  # the second squares to 0
+def test_marginal_law_rejects_zero_second_moment(a, b):
+    with pytest.raises(ValueError, match="second moment"):
+        MarginalLaw.two_point(a, b, 0.5)
 
 
 @pytest.mark.parametrize("values", [
@@ -247,6 +253,19 @@ def test_marginal_law_empirical_mean(law):
     draws = law.draw_from_hash(hash1((0xD157, 4), np.arange(10**6, dtype=np.int64)))
     assert set(np.unique(draws)) <= {law.value_a, law.value_b}
     assert abs(draws.mean()) < 4 / math.sqrt(draws.size) * max(abs(law.value_a), abs(law.value_b))
+
+
+def test_rademacher_hash_draws_are_the_sign_bit():
+    # the two-point draw at (1, -1, 1/2) against the sign bit as float64, the
+    # Rademacher law's own former branch, on random words and around bit 63
+    from partition_fields._hashing import signs_from
+
+    rng = replicate_generator("5161", 0)
+    edges = np.array([0, 1, 2**63 - 2**11, 2**63 - 1, 2**63, 2**63 + 2**11, 2**64 - 1], dtype=np.uint64)
+    h = np.concatenate((rng.integers(0, 2**64, size=10**6, dtype=np.uint64), edges))
+    draws = MarginalLaw.rademacher().draw_from_hash(h)
+    assert draws.dtype == np.float64
+    assert draws.tobytes() == signs_from(h).astype(np.float64).tobytes()
 
 
 def test_marginal_hash_draws_match_law():

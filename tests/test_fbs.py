@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from partition_fields import (
     HurstPair,
     fbm_cov,
-    fbs_cov,
     fbs_cov_matrix,
     ks_normal,
     replicate_generator,
@@ -31,12 +30,20 @@ def test_fbm_cov_variance_line():
     assert fbm_cov(0.75, 1.0, 1.0) == 1.0
 
 
+def _sheet_cov(hurst, s, t):
+    """Cov of the sheet at points s and t: their entry in the Gram matrix of {s1, t1} x {s2, t2}."""
+    return fbs_cov_matrix(hurst, [s[0], t[0]], [s[1], t[1]])[0, 3]
+
+
 def test_fbs_cov_products_and_boundary():
     pair = HurstPair(0.5, 0.5)
     s, t = np.array([0.3, 0.8]), np.array([0.6, 0.4])
-    assert fbs_cov(pair, s, t) == pytest.approx(0.3 * 0.4, abs=1e-15)
-    assert fbs_cov(pair, np.array([1.0, 1.0]), np.array([1.0, 1.0])) == 1.0
-    assert fbs_cov(HurstPair(0.3, 0.8), np.array([0.0, 0.5]), np.array([0.7, 0.6])) == 0.0
+    assert _sheet_cov(pair, s, t) == pytest.approx(0.3 * 0.4, abs=1e-15)
+    assert _sheet_cov(pair, np.array([1.0, 1.0]), np.array([1.0, 1.0])) == 1.0
+    assert _sheet_cov(HurstPair(0.3, 0.8), np.array([0.0, 0.5]), np.array([0.7, 0.6])) == 0.0
+    # the product of the coordinate kernels
+    product = fbm_cov(0.3, 0.3, 0.6) * fbm_cov(0.8, 0.8, 0.4)
+    assert _sheet_cov(HurstPair(0.3, 0.8), s, t) == pytest.approx(product, rel=1e-15)
 
 
 def test_hurst_pair_domain():
@@ -67,9 +74,9 @@ def test_fbs_cov_self_similarity(h1, h2, c1, c2, s1, s2, t1, t2):
     s = np.array([s1, s2])
     t = np.array([t1, t2])
     c = np.array([c1, c2])
-    scaled = fbs_cov(pair, c * s, c * t)
+    scaled = _sheet_cov(pair, c * s, c * t)
     factor = c1 ** (2 * h1) * c2 ** (2 * h2)
-    assert scaled == pytest.approx(factor * fbs_cov(pair, s, t), rel=1e-10, abs=1e-12)
+    assert scaled == pytest.approx(factor * _sheet_cov(pair, s, t), rel=1e-10, abs=1e-12)
 
 
 def test_fbs_gram_psd_on_random_grids(rng):

@@ -525,7 +525,7 @@ def test_combined_single_row_reduces_to_urn_statistics():
     vals = np.array([
         simulate(spec, grid, [replicate_generator(SEED, r) for r in range(4000)])[:, 0, 0]
     ])
-    _, ek_odd = expected_occupancy(make_karlin_pmf(0.6), 256)
+    ek_odd = expected_occupancy(make_karlin_pmf(0.6), 256)
     mc = np.var(vals, ddof=1)
     se = mc * math.sqrt(2 / 3999)
     assert abs(mc - ek_odd) <= 3 * se
@@ -575,7 +575,7 @@ def test_generalized_karlin_variance_identity():
     vals = np.array([
         simulate(spec, grid, [replicate_generator(SEED, r) for r in range(5000)])[:, 0]
     ])
-    _, ek_odd = expected_occupancy(make_karlin_pmf(0.6), 200)
+    ek_odd = expected_occupancy(make_karlin_pmf(0.6), 200)
     target = ek_odd * law.second_moment
     mc = np.var(vals, ddof=1)
     se = mc * math.sqrt(2 / 4999)

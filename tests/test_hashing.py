@@ -79,6 +79,13 @@ def test_sign_and_low_uniform_are_unrelated():
     assert abs(corr) < 4 / np.sqrt(s.size)
 
 
+@pytest.mark.parametrize("key", [KEY, (0, 2**64 - 1)])
+def test_hash1_is_hash2_with_second_identifier_zero(key):
+    # 101,000 ids, negative ones and both ends of int64 among them
+    ids = np.concatenate((np.arange(-50_000, 50_998), [-(2**63), 2**63 - 1])).astype(np.int64)
+    assert hash1(key, ids).tobytes() == hash2(key, ids, 0).tobytes()
+
+
 def _hash1_oracle(key, a):
     h = finalize_oracle((np.atleast_1d(a).astype(np.uint64) + _GOLDEN) ^ np.uint64(key[0]))
     return finalize_oracle(h ^ np.uint64(key[1]))

@@ -1,7 +1,9 @@
-"""Package surface: every exported name exists."""
+"""Package surface: every exported name exists and the package itself uses it."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,32 @@ def test_every_name_in_all_resolves(name):
     module = importlib.import_module(name)
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert not missing, f"{name}.__all__ names {missing}"
+
+
+def _loaded_names(source: str) -> set[str]:
+    """Every name a module reads, as a bare name or as an attribute."""
+    loads = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            loads.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            loads.add(node.attr)
+    return loads
+
+
+def test_every_exported_name_has_a_package_caller():
+    # a name that only tests read is a test-only path: it belongs in tests/
+    # (an oracle in conftest) or nowhere.  The package's __init__ re-exports
+    # by import and by string, neither of which is a read, so it calls nothing.
+    src = Path(partition_fields.__file__).parent
+    loads = set().union(*(_loaded_names(path.read_text()) for path in src.glob("*.py")))
+    uncalled = {
+        f"{module.name}.{attr}"
+        for module in pkgutil.iter_modules([str(src)])
+        for attr in getattr(importlib.import_module(f"partition_fields.{module.name}"), "__all__", ())
+        if attr not in loads
+    }
+    assert not uncalled, sorted(uncalled)
 
 
 # The bindings the benchmark's span tracer (bench/tracing.py, TARGETS) wraps

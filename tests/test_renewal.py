@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +26,6 @@ from partition_fields import renewal
 from partition_fields.distributions import PmfKind, invert_hs_tail
 from partition_fields.fields import Axis
 from partition_fields.renewal import (
-    RenewalConvergenceWarning,
     _fftconvolve,
     cached_renewal_sequence,
     p_alpha_tail,
@@ -105,23 +103,21 @@ def test_q_sq_tail_bound_holds_over_the_computed_horizon(alpha):
         assert computed <= known <= bound <= 1.0025 * known, (depth, bound, known)
 
 
-def test_var_xstar_degenerate_chain_flags_divergence():
+def test_var_xstar_rejects_a_law_without_the_exact_tail():
+    # under the one-point law every q_k is 1, up to the rounding of the FFT
+    # products, so the sum of q^2 diverges
     rs = renewal_sequence(FinitePmf((1.0,)), 512)
-    # every q_k is 1, up to the rounding of the FFT products
     assert np.max(np.abs(rs.q - 1.0)) < 1e-12
-    with pytest.warns(RenewalConvergenceWarning):
-        v = var_xstar(rs)
-    assert v == pytest.approx(1.0 / 513.0)
+    for law_rs in (rs, renewal_sequence(make_karlin_pmf(0.25), 512)):
+        with pytest.raises(ValueError, match="exact-tail"):
+            var_xstar(law_rs)
 
 
-def test_var_xstar_power_tail_estimate_does_not_warn():
-    # the last q_k^2 is not small, but the closed-form tail past kmax covers it
+def test_var_xstar_adds_the_closed_form_tail_past_kmax():
+    # the last q_k^2 is not small, and the closed-form tail past kmax covers it
     rs = cached_renewal_sequence(make_hs_pmf(0.4), 1 << 21)
     assert rs.q[-1] ** 2 >= 1e-10
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RenewalConvergenceWarning)
-        v = var_xstar(rs)
-    assert v == 1.0 / (rs.sum_sq + q_sq_tail_bound(0.4, rs.kmax))
+    assert var_xstar(rs) == 1.0 / (rs.sum_sq + q_sq_tail_bound(0.4, rs.kmax))
 
 
 def test_var_xstar_does_not_depend_on_the_horizon():
