@@ -54,33 +54,27 @@ def _key_words(key) -> tuple[np.ndarray, np.ndarray]:
 
 
 def hash1(key, a) -> np.ndarray:
-    """Keyed hash of one identifier array (per-identifier keys broadcast): ``hash2(key, a, 0)``."""
+    """Keyed hash of one identifier array (per-identifier keys broadcast).
+
+    It is the pair hash ``finalize(left_words ^ right_words)`` with second
+    identifier 0, whose right word is the key word k1 itself.
+    """
     k0, k1 = _key_words(key)
     return _finalize(left_words(k0, a) ^ k1)
 
 
-def hash2(key, a, b) -> np.ndarray:
-    """Keyed hash of an identifier pair; broadcasts `a` against `b` (and the key).
-
-    It is ``finalize(left_words(k0, a) ^ right_words(k1, b))``: each side's
-    word depends on one identifier and one key word only.
-    """
-    k0, k1 = _key_words(key)
-    return _finalize(left_words(k0, a) ^ right_words(k1, b))
-
-
 def left_words(k0, a) -> np.ndarray:
-    """The word hash2 takes from its first identifier under the key word k0 (per-identifier k0 broadcasts)."""
+    """A pair hash's word for its first identifier under the key word k0 (per-identifier k0 broadcasts)."""
     return _finalize((_as_u64(a) + _GOLDEN) ^ np.asarray(k0, dtype=np.uint64))
 
 
 def right_words(k1, b) -> np.ndarray:
-    """The word hash2 takes from its second identifier under the key word k1 (per-identifier k1 broadcasts)."""
+    """A pair hash's word for its second identifier under the key word k1 (per-identifier k1 broadcasts)."""
     return _as_u64(b) * _WORD2 + np.asarray(k1, dtype=np.uint64)
 
 
 def pair_signs(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """``signs_from(hash2(...))`` as float64 ±1 for every (left, right) word pair, shape (left.size, right.size).
+    """``signs_from(finalize(left ^ right))`` as float64 ±1 for every word pair, shape (left.size, right.size).
 
     The finalizer's last step, z ^= z >> 31, keeps the top bit, so the sign
     is read before it: the mixed word keeps its top bit and takes the other

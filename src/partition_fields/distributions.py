@@ -271,9 +271,14 @@ class MarginalLaw:
             self.value_a > 0.0 and self.value_b == -self.value_a and self.prob_a == 0.5
         ):
             raise ValueError("a scaled-sign law takes the values c > 0 and -c with probability 1/2")
-        # a law without spread gives Z = 0; values near 1e-200 square to 0 as well
-        if not self.second_moment > 0.0:
-            raise ValueError(f"marginal law must have a positive second moment, got {self.second_moment}")
+        # a law without spread gives Z = 0; values near 1e-200 square to 0 as well,
+        # and values past about 1.3e154 square past the float range
+        try:
+            second_moment = self.second_moment
+        except OverflowError:
+            second_moment = math.inf
+        if not 0.0 < second_moment < math.inf:
+            raise ValueError(f"marginal law must have a positive second moment, finite in float64, got {second_moment}")
 
     @classmethod
     def rademacher(cls) -> "MarginalLaw":

@@ -403,12 +403,13 @@ def simulate(spec: ModelSpec, grid: CornerGrid, rngs) -> np.ndarray:
     per corner segment, then its tail draws), which fixes the stream's
     layout.  An urn axis draws only up to its last corner and per corner
     segment, so a replicate's realization depends on the grid's segments as
-    well.  In 2D, eps[c, d] is the sign of hash2(key, c, d): each class's
-    side of that hash is computed once per batch (``left_words``,
-    ``right_words``), the ±1 core per replicate (``pair_signs``), and the
-    corner sums are float64 products, refused with a ValueError when their
-    row-sum bound reaches 2^53 (``_check_exact``).  Divide by Z to
-    normalize.  No generators give an empty array.
+    well.  In 2D, eps[c, d] is the sign of the keyed hash
+    finalize(left_words ^ right_words) of (c, d): each class's side of that
+    hash is computed once per batch (``left_words``, ``right_words``), the
+    ±1 core per replicate (``pair_signs``), and the corner sums are float64
+    products, refused with a ValueError when their row-sum bound reaches
+    2^53 (``_check_exact``).  Divide by Z to normalize.  No generators give
+    an empty array.
     """
     if grid.is_2d != spec.is_2d:
         raise ValueError(f"{spec.kind.value} needs a {'2D' if spec.is_2d else '1D'} grid")

@@ -44,11 +44,10 @@ class RenewalSequence:
 
     q: np.ndarray
     pmf: object
-    kmax: int
 
-    def __post_init__(self):
-        if self.q.shape != (self.kmax + 1,):
-            raise ValueError("q must have length kmax+1")
+    @property
+    def kmax(self) -> int:
+        return self.q.size - 1
 
     @cached_property
     def cum_q(self) -> np.ndarray:
@@ -122,7 +121,7 @@ def renewal_sequence(pmf, kmax: int) -> RenewalSequence:
     # q is a probability sequence and q_0 = 1; clip the O(eps) FFT noise
     q = np.clip(_series_inverse(a, kmax + 1), 0.0, 1.0)
     q[0] = 1.0
-    return RenewalSequence(q=q, pmf=pmf, kmax=kmax)
+    return RenewalSequence(q=q, pmf=pmf)
 
 
 @lru_cache(maxsize=32)

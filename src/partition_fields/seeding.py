@@ -71,21 +71,6 @@ class _Key(ISeedSequence):
         return self.words
 
 
-class _ReplicateGenerator(Generator):
-    """A replicate's Generator; it unpickles from its state, without OS entropy."""
-
-    __slots__ = ()
-
-    def __reduce__(self):
-        return _restore, (self.bit_generator.state,)
-
-
-def _restore(state: dict) -> Generator:
-    bit_generator = Philox(_Key(state["state"]["key"]))
-    bit_generator.state = state
-    return _ReplicateGenerator(bit_generator)
-
-
 def replicate_generators(base_seed: int | str, r0: int, r1: int) -> list[Generator]:
     """Independent generators of the replicates r0..r1 - 1 (see module docstring)."""
     r0, r1 = operator.index(r0), operator.index(r1)
@@ -95,7 +80,7 @@ def replicate_generators(base_seed: int | str, r0: int, r1: int) -> list[Generat
     key = _Key([seed & _WORD_MASK, seed >> 64])
     # the counter of Philox(key=s).jumped(r), which wraps modulo 2**128
     counters = ([0, 0, r & _WORD_MASK, (r >> 64) & _WORD_MASK] for r in range(r0, r1))
-    return [_ReplicateGenerator(Philox(key, counter=np.array(c, dtype=np.uint64))) for c in counters]
+    return [Generator(Philox(key, counter=np.array(c, dtype=np.uint64))) for c in counters]
 
 
 def replicate_generator(base_seed: int | str, replicate: int) -> Generator:

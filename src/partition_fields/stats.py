@@ -1,8 +1,9 @@
 """Monte Carlo replicate driver and the estimators that turn fields into verdicts.
 
-Replicate r always draws from the stream ``split(base_seed, r)`` and the
-estimators run in the parent over the replicate-indexed value matrix, so the
-report is a pure function of (base seed, spec, grid, R): worker count and
+Replicate r always draws from its own stream,
+``seeding.replicate_generators(base_seed, r, r + 1)``, and the estimators
+run in the parent over the replicate-indexed value matrix, so the report is
+a pure function of (base seed, spec, grid, R): worker count and
 scheduling cannot change a single output bit.
 """
 

@@ -8,7 +8,7 @@ from scipy.special import zeta
 from numpy.random import Generator, Philox
 
 from partition_fields import partition1d
-from partition_fields._hashing import hash2, signs_from
+from partition_fields._hashing import _finalize, _key_words, left_words, right_words, signs_from
 from partition_fields.distributions import FinitePmf, PmfKind, PowerLawPmf, sample_zipf_rows
 from partition_fields.seeding import normalize_seed, spin_key
 
@@ -307,6 +307,17 @@ def finalize_oracle(z: np.ndarray) -> np.ndarray:
     z = (z ^ (z >> np.uint64(30))) * _M1
     z = (z ^ (z >> np.uint64(27))) * _M2
     return z ^ (z >> np.uint64(31))
+
+
+def hash2(key, a, b) -> np.ndarray:
+    """The keyed pair hash behind every 2D spin; broadcasts `a` against `b` (and the key).
+
+    It is ``finalize(left_words(k0, a) ^ right_words(k1, b))``: each side's
+    word depends on one identifier and one key word only.  ``pair_signs``
+    reads its top bit, and ``hash1(key, a)`` is ``hash2(key, a, 0)``.
+    """
+    k0, k1 = _key_words(key)
+    return _finalize(left_words(k0, a) ^ right_words(k1, b))
 
 
 # ---------------------------------------------------------------------------

@@ -461,9 +461,10 @@ def test_config_value_of_wrong_json_type_exits_2(tmp_path, monkeypatch, override
     assert not list(tmp_path.glob("*.csv"))
 
 
-@pytest.mark.parametrize("a, b", [(0.0, 0.0), (1e-200, -1e-200)])  # the second moment of the second underflows
+# the second moment of the second underflows, that of the third overflows
+@pytest.mark.parametrize("a, b", [(0.0, 0.0), (1e-200, -1e-200), (1e200, -1e200)])
 def test_marginal_law_without_spread_exits_2(tmp_path, a, b):
-    # Z would be 0, and every normalized value NaN or infinite
+    # Z would be 0 (or infinite), and every normalized value NaN or infinite
     model = {"kind": "generalized-karlin1d", "alphas": [0.6], "n": [10],
              "marginal": {"kind": "two_point", "a": a, "b": b, "p": 0.5}}
     cfg = _sim_config(model=model, output=str(tmp_path / "s"))

@@ -216,7 +216,8 @@ def test_marginal_law_validation_and_moments():
         MarginalLaw.scaled_sign(0.0)
 
 
-@pytest.mark.parametrize("a, b", [(0.0, 0.0), (1e-200, -1e-200)])  # the second squares to 0
+# the second squares to 0, the third past the float range
+@pytest.mark.parametrize("a, b", [(0.0, 0.0), (1e-200, -1e-200), (1e200, -1e200)])
 def test_marginal_law_rejects_zero_second_moment(a, b):
     with pytest.raises(ValueError, match="second moment"):
         MarginalLaw.two_point(a, b, 0.5)

@@ -59,6 +59,15 @@ CASES = {
     "generalized-hs1d": ModelSpec(
         ModelKind.GENERALIZED_HS_1D, (0.25,), (128,), forest_depth=2000, marginal=TWO_POINT
     ),
+    # non-integer spin values: the 1D sums pin the summation order, which
+    # follows the memory layout of the count matrix (urn column-major, forest row-major)
+    "generalized-karlin1d-scaled-sign": ModelSpec(
+        ModelKind.GENERALIZED_KARLIN_1D, (0.6,), (200,), marginal=MarginalLaw.scaled_sign(0.7)
+    ),
+    "generalized-hs1d-two-point": ModelSpec(
+        ModelKind.GENERALIZED_HS_1D, (0.25,), (128,), forest_depth=2000,
+        marginal=MarginalLaw.two_point(0.7, -0.3, 0.3),
+    ),
     "karlin2d": ModelSpec(ModelKind.KARLIN_2D, (0.6, 0.6), (32, 48)),
     "hs2d": ModelSpec(ModelKind.HS_2D, (0.25, 0.25), (24, 32), forest_depth=2000),
     "hs2d-0.1-0.4": ModelSpec(ModelKind.HS_2D, (0.1, 0.4), (24, 32), forest_depth=2000),

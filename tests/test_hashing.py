@@ -12,7 +12,6 @@ from partition_fields._hashing import (
     _M2,
     _WORD2,
     hash1,
-    hash2,
     left_words,
     low_uniforms_from,
     pair_signs,
@@ -21,7 +20,7 @@ from partition_fields._hashing import (
     uniforms_from,
 )
 
-from conftest import finalize_oracle
+from conftest import finalize_oracle, hash2
 
 KEY = (0x0123456789ABCDEF, 0xFEDCBA9876543210)
 

@@ -32,17 +32,35 @@ def _loaded_names(source: str) -> set[str]:
     return loads
 
 
+SRC = Path(partition_fields.__file__).parent
+
+
+def _package_loads() -> set[str]:
+    return set().union(*(_loaded_names(path.read_text()) for path in SRC.glob("*.py")))
+
+
 def test_every_exported_name_has_a_package_caller():
     # a name that only tests read is a test-only path: it belongs in tests/
     # (an oracle in conftest) or nowhere.  The package's __init__ re-exports
     # by import and by string, neither of which is a read, so it calls nothing.
-    src = Path(partition_fields.__file__).parent
-    loads = set().union(*(_loaded_names(path.read_text()) for path in src.glob("*.py")))
+    loads = _package_loads()
     uncalled = {
         f"{module.name}.{attr}"
-        for module in pkgutil.iter_modules([str(src)])
+        for module in pkgutil.iter_modules([str(SRC)])
         for attr in getattr(importlib.import_module(f"partition_fields.{module.name}"), "__all__", ())
         if attr not in loads
+    }
+    assert not uncalled, sorted(uncalled)
+
+
+def test_every_module_level_definition_has_a_package_caller():
+    # the same rule for every top-level function and class, exported or private
+    loads = _package_loads()
+    uncalled = {
+        f"{path.stem}.{node.name}"
+        for path in SRC.glob("*.py")
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name not in loads
     }
     assert not uncalled, sorted(uncalled)
 
