@@ -19,20 +19,24 @@ _S30 = np.uint64(30)
 _S27 = np.uint64(27)
 _S31 = np.uint64(31)
 
-# the sign bit, and the bits of the float64 1.0
-_TOP = np.uint64(1 << 63)
-_ONE = np.uint64(0x3FF0000000000000)
+_BITS = np.uint64(64)
+_ONE = np.uint64(0x3FF0000000000000)  # the bits of the float64 1.0
+# a pattern pair's word j hashes the second identifier b + (j << 48)
+_WORD_STEP = np.uint64((int(_WORD2) << 48) & ((1 << 64) - 1))
 
 # 2**-53, for mapping the top 53 hash bits to a uniform in [0, 1)
 _U53 = 1.0 / 9007199254740992.0
 _LOW53 = np.uint64((1 << 53) - 1)
 
 
-def _mix(z: np.ndarray) -> np.ndarray:
-    # the finalizer up to its last xor-shift, in place: every caller hands over a temporary of its own
-    z ^= z >> _S30
+def _mix(z: np.ndarray, spare: np.ndarray | None = None) -> np.ndarray:
+    # the finalizer up to its last xor-shift, in place: every caller hands over a
+    # temporary of its own, and `spare`, an array of z's shape, if it has one
+    t = np.right_shift(z, _S30, out=spare)
+    z ^= t
     z *= _M1
-    z ^= z >> _S27
+    np.right_shift(z, _S27, out=t)
+    z ^= t
     z *= _M2
     return z
 
@@ -73,18 +77,36 @@ def right_words(k1, b) -> np.ndarray:
     return _as_u64(b) * _WORD2 + np.asarray(k1, dtype=np.uint64)
 
 
-def pair_signs(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """``signs_from(finalize(left ^ right))`` as float64 ±1 for every word pair, shape (left.size, right.size).
+def next_words(right: np.ndarray, j) -> np.ndarray:
+    """``right_words(k1, b + (j << 48))`` from ``right = right_words(k1, b)``: a pattern pair's word j.
 
-    The finalizer's last step, z ^= z >> 31, keeps the top bit, so the sign
-    is read before it: the mixed word keeps its top bit and takes the other
-    bits of 1.0, which makes it the float64 -1.0 where that bit is set and
-    +1.0 where it is not.
+    The right word is linear in the identifier, so word j of a pair is
+    its first word's right side plus j * (_WORD2 << 48), wrapping.
     """
-    z = _mix(left[:, None] ^ right[None, :])
-    z &= _TOP
-    z |= _ONE
-    return z.view(np.float64)
+    return right + np.asarray(j, dtype=np.uint64) * _WORD_STEP
+
+
+def pair_heads(left: np.ndarray, right: np.ndarray, bits: np.ndarray, out: np.ndarray,
+               spare: np.ndarray) -> np.ndarray:
+    """Set bits among the top ``bits`` bits of ``finalize(left ^ right)``, elementwise, as float64.
+
+    ``left``, ``right`` and ``bits`` (0..64, uint64; 0 reads nothing)
+    broadcast to the shape of ``out`` and ``spare``, uint64 arrays that
+    take the words and one temporary.  The finalizer's last step,
+    z ^= z >> 31, changes only the low 33 bits, so it runs only when some
+    word is read below its top 31 bits.  Where every word is read to at
+    most one bit, that bit times the bits of the float64 1.0 is the count,
+    in ``out``'s memory.
+    """
+    z = _mix(np.bitwise_xor(left, right, out=out), spare)
+    most = bits.max(initial=0)
+    if most > 31:
+        z ^= np.right_shift(z, _S31, out=spare)
+    z >>= _BITS - bits  # a shift by 64 gives 0
+    if most <= 1:
+        z *= _ONE
+        return z.view(np.float64)
+    return np.bitwise_count(z).astype(np.float64)
 
 
 def signs_from(h: np.ndarray) -> np.ndarray:

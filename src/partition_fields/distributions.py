@@ -174,29 +174,29 @@ def sample_zipf_rows(alpha: float, rngs, counts, lo: int = 1) -> np.ndarray:
     inv_b1 = 1.0 / (lo * np.expm1(x * np.log1p(1.0 / lo)))  # 1/(lo(T_lo - 1))
     inv_b = (1.0 + 1.0 / lo) ** -x  # 1/T_lo
     counts = np.asarray(counts, dtype=np.int64)
-    offsets = np.cumsum(counts) - counts
+    offsets = counts.cumsum() - counts
     out = np.empty(int(counts.sum()), dtype=np.int64)
     filled = np.zeros(len(rngs), dtype=np.int64)
-    short = np.flatnonzero(filled < counts)
+    short = (filled < counts).nonzero()[0]
     while short.size:
         todo = counts[short] - filled[short]
-        ends = np.cumsum(todo)
+        ends = todo.cumsum()
         # row r's block of drawn[2 (ends - todo)[r]:2 ends[r]] holds its u's, then its v's
         drawn = np.empty(2 * int(ends[-1]))
         for row, a, b in zip(short.tolist(), (2 * (ends - todo)).tolist(), (2 * ends).tolist()):
             rngs[row].random(out=drawn[a:b])
-        u_at = np.arange(ends[-1]) + np.repeat(ends - todo, todo)
-        u, v = drawn[u_at], drawn[u_at + np.repeat(todo, todo)]
+        u_at = np.arange(ends[-1]) + (ends - todo).repeat(todo)
+        u, v = drawn[u_at], drawn[u_at + todo.repeat(todo)]
         with np.errstate(over="ignore"):
             xf = lo * u ** (-1.0 / x)  # exact at lo = 1
         ok = xf < float(_MAX_VALUE)
-        kf = np.floor(xf, where=ok, out=np.ones_like(xf))
+        kf = np.floor(xf, where=ok, out=np.ones(xf.shape))
         tm1 = np.expm1(x * np.log1p(1.0 / kf))
-        accept = np.flatnonzero(ok & (v * kf * tm1 * inv_b1 <= (tm1 + 1.0) * inv_b))
+        accept = (ok & (v * kf * tm1 * inv_b1 <= (tm1 + 1.0) * inv_b)).nonzero()[0]
         # accepted draws keep their order within each row
-        seg = np.searchsorted(ends, accept, side="right")
+        seg = ends.searchsorted(accept, side="right")
         n_acc = np.bincount(seg, minlength=short.size)
-        rank = np.arange(accept.size) - (np.cumsum(n_acc) - n_acc)[seg]
+        rank = np.arange(accept.size) - (n_acc.cumsum() - n_acc)[seg]
         rows = short[seg]
         out[offsets[rows] + filled[rows] + rank] = kf[accept].astype(np.int64)
         filled[short] += n_acc

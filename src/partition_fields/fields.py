@@ -4,23 +4,29 @@ Every model is a product of independent per-direction axes.  An axis is a
 random partition of the sites 1..n of one direction: urn boxes with
 alternating signs, or forest trees with identical signs.  A partial sum
 depends on the partition only through how many sites of each class lie
-below the corner, so a replicate samples each axis as a corner-count
-matrix A[m, c] (sites of class c among 1..floor(n*t_m); for an urn box,
-the parity of that count, which is the running sum of its alternating
-signs).  A forest axis resolves its sites' roots and counts them; an urn
-axis draws its boxes' counts per corner segment and never labels single
-draws.  Both lay out their classes and counts through one routine,
-``partition1d.corner_counts``.  A replicate then attaches replayable spin
-values to the (product) classes through the keyed hash, and evaluates
-every corner with one product: A v in 1D, A1 eps A2^T in 2D.  Replicates
-are simulated in batches: each axis samples and resolves the partitions of
-a whole batch in one pass, the keyed hash takes each class's words for
-the whole batch at once, and only the final products run per replicate.
-In 2D those are float64 BLAS products of integer counts and ±1 spins,
-which are exact because every partial sum stays an integer below 2^53
-(checked per batch).
-The limit variance, the Hurst index and the normalization factor also
-factor by direction, so each axis owns its share of them.
+below the corner: the count of class c among 1..floor(n*t_m), or for an
+urn box its parity, which is the running sum of its alternating signs.
+Given the partitions the spins are iid, so a sum reads a class only
+through that column of counts, and classes with equal columns can share
+one sum of their spins.  A replicate samples each axis as a pattern table
+(``partition1d.Patterns``): its classes grouped by column, each pattern
+with its size.  An urn axis draws its boxes' counts per corner segment and
+groups them by parity code, so a row holds at most 2^corners - 1 patterns;
+a forest axis resolves its sites' roots, counts them through
+``partition1d.corner_counts`` and keeps each root as a pattern of size 1.
+The spins of a pattern (1D) or pattern pair (2D) are summed from the
+keyed hash of (pattern id, word index) under the replicate's spin key:
+values drawn from each word in 1D, and in 2D the number of set bits among
+the top N bits of the pair's words for its N spins.  The corner sums are
+then one product per replicate, A X in 1D and A1 X A2^T in 2D.
+Replicates are simulated in batches: each axis samples and groups the
+partitions of a whole batch in one pass, the hash words of every pattern
+are taken once per batch, and the 2D sums run over blocks of replicates.
+They are float64 BLAS products of integer counts and integer pattern
+sums, which are exact because every partial sum stays an integer below
+2^53 (checked per batch).  The limit variance, the Hurst index and the
+normalization factor also factor by direction, so each axis owns its
+share of them.
 
 Normalizations divide by Z so that the normalized field converges to the
 *standard* fractional Brownian sheet; the plain power-law normalization is
@@ -41,9 +47,9 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import gamma
 
-from ._hashing import hash1, left_words, pair_signs, right_words
+from ._hashing import hash1, left_words, next_words, pair_heads, right_words
 from .distributions import MarginalLaw, PmfKind, PowerLawPmf, make_hs_pmf, make_karlin_pmf
-from .partition1d import corner_counts, roots_of, urn_counts
+from .partition1d import Patterns, corner_counts, roots_of, urn_patterns
 from .renewal import RenewalSequence, bn_sq_growth_constant, cached_renewal_sequence, q_sq_tail_bound, var_xstar
 from .seeding import spin_key
 
@@ -63,6 +69,10 @@ DEFAULT_FOREST_FLOOR = 10**5
 _RENEWAL_KMAX = 1 << 18  # least renewal horizon of a forest axis; see Axis.renewal
 # array elements one simulate batch may hold; see batch_size
 _BATCH_ELEMENTS = 1 << 21
+# pattern pairs one block of the 2D spin core holds, about; see _blocks
+_CORE_ELEMENTS = 1 << 15
+# a pattern pair's word index takes the bits 48.. of its second identifier
+_MAX_PAIR_WORDS = 1 << 16
 
 
 class ModelKind(enum.Enum):
@@ -159,20 +169,20 @@ class Axis:
             return None
         return 0.5 * q_sq_tail_bound(self.alpha, self.depth)
 
-    def sample(self, rngs, ts: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One row per generator: (class ids, int64 corner counts, row starts).
+    def sample(self, rngs, ts: tuple[float, ...]) -> Patterns:
+        """The pattern table of one row per generator, without patterns that no corner counts.
 
-        Row b's classes are ``classes[starts[b]:starts[b + 1]]``, and the
-        count matrix has one row per grid time and one column per class of
-        every row, laid out by :func:`~partition_fields.partition1d.corner_counts`.
-        An urn axis draws its boxes' counts per corner segment and keeps
-        their parities (:func:`~partition_fields.partition1d.urn_counts`); a
-        forest axis takes a jump key per generator, resolves the roots of
-        its n sites and counts each root's sites below each corner.
+        An urn axis draws its boxes' counts per corner segment and groups
+        the boxes by parity column
+        (:func:`~partition_fields.partition1d.urn_patterns`); a forest axis
+        takes a jump key per generator, resolves the roots of its n sites,
+        counts each root's sites below each corner
+        (:func:`~partition_fields.partition1d.corner_counts`) and makes
+        each root a pattern of size 1.
         """
         idx = _corner_index(self.n, ts)
         if self.is_urn:
-            return urn_counts(self.alpha, self.n, idx, rngs)
+            return urn_patterns(self.alpha, self.n, idx, rngs)
         keys = [spin_key(rng) for rng in rngs]  # each row's jump key
         roots = roots_of(self.alpha, keys, self.depth, self.n)
         order = np.argsort(roots, axis=1)  # each row's sites, by root
@@ -181,10 +191,12 @@ class Axis:
             np.repeat(np.arange(len(roots)), self.n), np.take_along_axis(roots, order, axis=1).ravel(),
             first[order].ravel(), len(roots), idx.size + 1,
         )
-        return classes, counts[:-1], starts  # a site past the last corner counts at none
+        table = Patterns(classes, counts[:-1], np.ones_like(classes), starts)
+        # a site past the last corner counts at none, and only such sites can make a class count at none
+        return _counted(table) if idx[-1] < self.n else table
 
     def draw(self, marginal: MarginalLaw, h: np.ndarray) -> np.ndarray:
-        """One class value per hash word; urn boxes add an independent sign."""
+        """One class's value per hash word; urn boxes add an independent sign."""
         if self.is_urn:
             return marginal.draw_symmetrized_from_hash(h)
         return marginal.draw_from_hash(h)
@@ -360,11 +372,11 @@ def batch_size(spec: ModelSpec, grid: CornerGrid) -> int:
     """Replicates per simulate call: an element budget over one replicate's footprint.
 
     Per axis, a replicate is budgeted n roots and a (corners + 1) x n count
-    matrix.  That is a bound, not a size: both axes build their counts with
-    ``partition1d.corner_counts``, (corners + 1) x classes for a forest axis
-    and corners x classes for an urn axis, and a row has at most n classes
-    (an urn row far fewer).  A forest axis draws no sites, so its depth
-    costs nothing here.
+    matrix.  That is a bound, not a size: a forest axis counts its classes
+    in a (corners + 1) x classes matrix, an urn axis its boxes in a dense
+    (corners x head boxes) array, and a row has at most n classes (an urn
+    row far fewer, and far fewer patterns still).  A forest axis draws no
+    sites, so its depth costs nothing here.
     """
     footprint = sum((len(ts) + 2) * axis.n for axis, ts in zip(spec.axes, (grid.t1, grid.t2)))
     return max(1, _BATCH_ELEMENTS // footprint)
@@ -375,23 +387,155 @@ def _class_rows(starts: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(starts.size - 1), starts[1:] - starts[:-1])
 
 
-def _check_exact(a1: np.ndarray, rows1: np.ndarray, a2: np.ndarray, rows2: np.ndarray, n_rows: int) -> None:
+def _counted(table: Patterns) -> Patterns:
+    """The table without the patterns that no corner counts (they add 0 to every sum)."""
+    keep = table.counts.any(axis=0)
+    if keep.all():
+        return table
+    kept = np.zeros(keep.size + 1, dtype=np.int64)  # kept[c]: patterns kept before pattern c
+    np.cumsum(keep, out=kept[1:])
+    return Patterns(table.ids[keep], table.counts[:, keep], table.sizes[keep], kept[table.starts])
+
+
+def _padded(table: Patterns, words: np.ndarray, slot: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(words, sizes, counts) with row b of the table in row slot[b], padded with empty patterns.
+
+    Shapes (B, P), (B, P) and (corners, B, P) for the row maxima P; the
+    sizes and counts are float64, and a pad's are 0.
+    """
+    n_rows, n_classes = table.starts.size - 1, table.ids.size
+    per_row = table.starts[1:] - table.starts[:-1]
+    width = int(per_row.max(initial=0))
+    classes = np.arange(n_classes)
+    src = np.full(n_rows * width, n_classes)  # pads read the appended empty pattern
+    src[(slot * width - table.starts[:-1]).repeat(per_row) + classes] = classes
+    counts = np.zeros((table.counts.shape[0] + 1, n_classes + 1))
+    counts[:-1, :-1] = table.counts
+    counts[-1, :-1] = table.sizes
+    counts = counts.take(src, axis=1).reshape(counts.shape[0], n_rows, width)
+    padded = np.zeros(n_classes + 1, dtype=np.uint64)
+    padded[:-1] = words
+    return padded[src].reshape(n_rows, width), counts[-1], counts[:-1]
+
+
+def _row_sums(counts: np.ndarray, x: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """sum_p counts[m, p] x[p] over each row's patterns, in pattern order: (B, len(counts)) float64."""
+    n_rows, n_sums = starts.size - 1, counts.shape[0]
+    # a sum per row and count row, not float @: BLAS may sum in a CPU-dependent order
+    cells = (_class_rows(starts) * n_sums + np.arange(n_sums)[:, None]).ravel()
+    return np.bincount(cells, (counts * x).ravel(), n_rows * n_sums).reshape(n_rows, n_sums)
+
+
+def _wide_heads(heads: np.ndarray, spins: np.ndarray, left: np.ndarray, right: np.ndarray) -> None:
+    """Add to ``heads`` the set bits of the words j >= 1 of every pair with more than 64 spins.
+
+    Word j of a pair reads its top min(64, N - 64 j) bits; ``left``
+    (rows, P, 1) and ``right`` (rows, 1, Q) hold the sides of the pairs'
+    first words, and ``spins`` their N, which broadcasts to ``heads``.
+    """
+    if spins.shape != heads.shape:
+        spins = np.broadcast_to(spins, heads.shape)
+    wide = b, p, q = (spins > 64).nonzero()
+    n = spins[wide]
+    if n.max() > 64 * _MAX_PAIR_WORDS:
+        raise ValueError(f"a pattern pair needs more than {_MAX_PAIR_WORDS} hash words")
+    extra = ((n - np.uint64(1)) >> np.uint64(6)).astype(np.int64)  # words past the first
+    first = extra.cumsum() - extra  # each pair's first such word
+    j = (np.arange(1, first[-1] + extra[-1] + 1) - first.repeat(extra)).astype(np.uint64)
+    right = next_words(right[b, 0, q].repeat(extra), j)
+    bits = np.minimum(n.repeat(extra) - (j << np.uint64(6)), 64)
+    more = pair_heads(left[b, p, 0].repeat(extra), right, bits, right, np.empty_like(right))
+    heads[wide] += np.add.reduceat(more, first)
+
+
+def _check_exact(bound1: np.ndarray, bound2: np.ndarray) -> None:
     """Refuse a 2D batch whose corner sums might round in float64.
 
-    A replicate's corner sum is sum_{c,d} a1[m, c] eps[c, d] a2[m', d],
-    with nonnegative integer counts and eps = ±1.  So every partial sum of
-    it, in any order, is an integer of magnitude at most B1 * B2, where
-    B_q, the sum over the row's classes of each class's largest count,
-    bounds the row's count sum at every corner of axis q.  While B1 * B2 is
-    below 2^53 every such integer is a float64, so the float64 products
-    are exact whatever the BLAS build, summation order or thread count.
-    The counts come as float64 and B1, B2 and their product are formed in
-    float64 too, which is exact below 2^53 and, rounding being monotone,
-    reaches 2^53 when the exact value does.
+    A replicate's corner sum is sum_{p,q} a1[m, p] X[p, q] a2[m', q], with
+    nonnegative integer counts and |X[p, q]| <= sizes1[p] * sizes2[q], the
+    number of spins it sums.  So every partial sum of it, in any order, is
+    an integer of magnitude at most B1 * B2, where B_q, the row's sum over
+    its patterns of size times largest count, bounds its count sum at
+    every corner of axis q.  While B1 * B2 is below 2^53 every such integer
+    is a float64, so the float64 products are exact whatever the BLAS
+    build, summation order or thread count, and so is (A1 s1)(A2 s2)^T
+    - 2 A1 H A2^T: both terms are integers below 2^53 in magnitude, twice
+    one is still a float64, and their difference is.  B1, B2 and their
+    product are formed in float64 too, which is exact below 2^53 and,
+    rounding being monotone, reaches 2^53 when the exact value does.
     """
-    bound = (np.bincount(rows1, a1.max(axis=0), n_rows) * np.bincount(rows2, a2.max(axis=0), n_rows)).max()
+    bound = (bound1 * bound2).max(initial=0.0)
     if bound >= 2.0**53:
         raise ValueError(f"row-sum bound {bound:.0f} reaches 2^53: the float64 corner sums would not be exact")
+
+
+def _blocks(pairs: np.ndarray) -> np.ndarray:
+    """The first row and the end of each block of the 2D core, given each row's pattern pairs.
+
+    A block holds about _CORE_ELEMENTS pattern pairs; rows in order of
+    their pairs pad little to their block's largest P and Q.
+    """
+    block = pairs.cumsum() // _CORE_ELEMENTS
+    bounds = np.empty(block.size + 1, dtype=bool)
+    bounds[0] = bounds[-1] = True
+    np.not_equal(block[1:], block[:-1], out=bounds[1:-1])
+    return bounds.nonzero()[0]
+
+
+def _sums_2d(keys: np.ndarray, t1: Patterns, t2: Patterns) -> np.ndarray:
+    """Corner sums sum_{p,q} a1[m, p] X[p, q] a2[m', q] of each replicate, exact in float64.
+
+    X[p, q] = N - 2 H is the sum of the N = sizes1[p] * sizes2[q] spins of
+    a pattern pair, H the set bits among the top N bits of its words
+    finalize(left_words(k0, id_p) ^ right_words(k1, id_q + (j << 48))),
+    j < ceil(N / 64).  So the sums are (A1 s1)(A2 s2)^T - 2 A1 H A2^T.  The
+    rows go in order of their number of pattern pairs, and the first words
+    of every pair of a block of rows are one padded (rows, P, Q) array
+    (``_blocks``); the further words of pairs with N > 64 follow as one
+    flat array (``_wide_heads``).
+    """
+    p1, p2 = t1.starts[1:] - t1.starts[:-1], t2.starts[1:] - t2.starts[:-1]
+    order = (p1 * p2).argsort(kind="stable")  # row i of the padded arrays is replicate order[i]
+    slot = np.empty_like(order)
+    slot[order] = np.arange(order.size)
+    left, f1, a1 = _padded(t1, left_words(keys[_class_rows(t1.starts), 0], t1.ids), slot)
+    right, f2, a2 = _padded(t2, right_words(keys[_class_rows(t2.starts), 1], t2.ids), slot)
+    _check_exact(np.einsum("bp,bp->b", a1.max(axis=0), f1), np.einsum("bp,bp->b", a2.max(axis=0), f2))
+    # (A1 s1)(A2 s2)^T, then less 2 A1 H A2^T block by block
+    sums = np.einsum("mbp,bp->bm", a1, f1)[:, :, None] * np.einsum("mbp,bp->bm", a2, f2)[:, None, :]
+    # sizes that are all 1 (a forest axis) broadcast as (B, 1): a pad then reads as one spin with counts 0
+    s1, s2 = (np.ones((f.shape[0], 1), dtype=np.uint64) if (t.sizes == 1).all() else f.astype(np.uint64)
+              for f, t in ((f1, t1), (f2, t2)))
+    bounds = _blocks(p1[order] * p2[order])
+    p, q = (np.maximum.reduceat(v[order], bounds[:-1]).tolist() for v in (p1, p2))
+    words = spare = np.empty(0, dtype=np.uint64)  # the uint64 temporaries of pair_heads
+    for b0, b1, p, q in zip(bounds[:-1].tolist(), bounds[1:].tolist(), p, q):
+        shape, size = (b1 - b0, p, q), (b1 - b0) * p * q
+        if size > words.size:
+            words, spare = np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64)
+        spins = s1[b0:b1, :p, None] * s2[b0:b1, None, :q]  # N per pair (broadcast where sizes are 1)
+        lw, rw = left[b0:b1, :p, None], right[b0:b1, None, :q]
+        h = pair_heads(lw, rw, np.minimum(spins, 64), words[:size].reshape(shape), spare[:size].reshape(shape))
+        if spins.max(initial=0) > 64:
+            _wide_heads(h, spins, lw, rw)
+        sums[b0:b1] -= 2.0 * (a1[:, b0:b1, :p].transpose(1, 0, 2) @ h @ a2[:, b0:b1, :q].transpose(1, 2, 0))
+    out = np.empty(sums.shape)
+    out[order] = sums
+    return out
+
+
+def _sums_1d(keys: np.ndarray, table: Patterns, draw) -> np.ndarray:
+    """Corner sums sum_p a[m, p] X[p] of each replicate.
+
+    X[p] sums the values ``draw`` gives the words hash1((k0, right_words(k1, j)), id_p),
+    j < sizes[p], which are the pair hashes of (id_p, j).
+    """
+    rows = _class_rows(table.starts)
+    first = np.cumsum(table.sizes) - table.sizes
+    owner = np.repeat(np.arange(table.sizes.size), table.sizes)  # the pattern of each word
+    j = np.arange(owner.size) - first[owner]
+    words = hash1((keys[rows[owner], 0], right_words(keys[rows[owner], 1], j)), table.ids[owner])
+    return _row_sums(table.counts, np.add.reduceat(draw(words), first) if owner.size else np.zeros(0), table.starts)
 
 
 def simulate(spec: ModelSpec, grid: CornerGrid, rngs) -> np.ndarray:
@@ -403,37 +547,21 @@ def simulate(spec: ModelSpec, grid: CornerGrid, rngs) -> np.ndarray:
     per corner segment, then its tail draws), which fixes the stream's
     layout.  An urn axis draws only up to its last corner and per corner
     segment, so a replicate's realization depends on the grid's segments as
-    well.  In 2D, eps[c, d] is the sign of the keyed hash
-    finalize(left_words ^ right_words) of (c, d): each class's side of that
-    hash is computed once per batch (``left_words``, ``right_words``), the
-    ±1 core per replicate (``pair_signs``), and the corner sums are float64
-    products, refused with a ValueError when their row-sum bound reaches
-    2^53 (``_check_exact``).  Divide by Z to normalize.  No generators give
-    an empty array.
+    well.  Given the partitions the spins are iid, so each axis groups its
+    classes by count column (``Axis.sample``) and a sum reads only how many
+    spins each pattern (1D) or pattern pair (2D) holds: in 1D the values of
+    the words (id_p, j < N_p), in 2D the set bits of the top N bits of the
+    words (id_p, id_q + (j << 48)), all under the spin key (``_sums_1d``,
+    ``_sums_2d``).  The 2D sums are float64 products, refused with a
+    ValueError when their row-sum bound reaches 2^53 (``_check_exact``).
+    Divide by Z to normalize.  No generators give an empty array.
     """
     if grid.is_2d != spec.is_2d:
         raise ValueError(f"{spec.kind.value} needs a {'2D' if spec.is_2d else '1D'} grid")
     if len(rngs) == 0:
         return np.empty((0, *grid.shape()))
     keys = np.array([spin_key(rng) for rng in rngs], dtype=np.uint64)
-    sampled = [axis.sample(rngs, ts) for axis, ts in zip(spec.axes, (grid.t1, grid.t2))]
-    out = np.empty((len(rngs), *grid.shape()))
+    tables = [axis.sample(rngs, ts) for axis, ts in zip(spec.axes, (grid.t1, grid.t2))]
     if spec.is_2d:
-        (u1, a1, s1), (u2, a2, s2) = sampled
-        rows1, rows2 = _class_rows(s1), _class_rows(s2)
-        left, right = left_words(keys[rows1, 0], u1), right_words(keys[rows2, 1], u2)
-        # C order: a class's largest count is then one pass per corner, where an
-        # urn axis's column-major parities would take one short reduction per class
-        a1, a2 = a1.astype(np.float64, order="C"), a2.astype(np.float64, order="C")
-        _check_exact(a1, rows1, a2, rows2, len(rngs))
-        for b in range(len(rngs)):
-            c1, c2 = slice(s1[b], s1[b + 1]), slice(s2[b], s2[b + 1])
-            out[b] = a1[:, c1] @ pair_signs(left[c1], right[c2]) @ a2[:, c2].T  # exact in float64: _check_exact
-        return out
-    (axis,), ((uniq, a, starts),) = spec.axes, sampled
-    v = axis.draw(spec.marginal, hash1(keys[_class_rows(starts)].T, uniq))
-    for b in range(len(rngs)):
-        c = slice(starts[b], starts[b + 1])
-        # per replicate, and a reduction, not float @: BLAS may sum in a CPU-dependent order
-        out[b] = (a[:, c] * v[c]).sum(axis=1)
-    return out
+        return _sums_2d(keys, *tables)
+    return _sums_1d(keys, tables[0], lambda h: spec.axes[0].draw(spec.marginal, h))

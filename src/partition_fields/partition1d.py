@@ -30,12 +30,14 @@ Two partitions of the index line are provided:
 Both engines sample a batch of replicates at once, one row per replicate
 generator, and resolve each row's partition once.  A partial sum reads
 either partition only through how many sites of each class lie below each
-corner, so both are laid out the same way, by ``corner_counts``: each
-row's classes in increasing order and an int64 (corners x classes) count
-matrix.  The urn feeds it its tail draws (its head boxes are counted
-densely) and keeps each count's parity, since an urn box's alternating
-signs sum to the parity of its count; the forest feeds it the roots of its
-sites 1..n (``fields.Axis.sample``).
+corner, and given the partition the spins are iid, so both come out as a
+pattern table (``Patterns``): each row's classes grouped by their column
+of corner counts.  An urn box's column is the parity of its count at each
+corner, since its alternating signs sum to that parity, so the urn gives
+each box a parity code (``urn_boxes``) and groups the boxes by code
+(``urn_patterns``); the forest counts the roots of its sites 1..n with
+``corner_counts`` and keeps each root as a pattern of size 1
+(``fields.Axis.sample``).
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import groupby
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import betainc, gamma, poch
@@ -52,8 +55,10 @@ from .distributions import PmfKind, invert_hs_tail, make_karlin_pmf, sample_zipf
 
 __all__ = [
     "corner_counts",
+    "Patterns",
     "urn_head_size",
-    "urn_counts",
+    "urn_boxes",
+    "urn_patterns",
     "expected_occupancy",
     "hashed_jumps",
     "roots_of",
@@ -75,6 +80,21 @@ def corner_counts(rows, ids, segments, n_rows: int, n_segments: int) -> tuple[np
     counts = np.bincount(segments * k + np.cumsum(new) - 1, minlength=n_segments * k)
     starts = np.concatenate(([0], np.cumsum(np.bincount(rows[new], minlength=n_rows))))
     return ids[new], np.cumsum(counts.reshape(n_segments, k), axis=0), starts
+
+
+class Patterns(NamedTuple):
+    """A batch's classes grouped by count column, one row per generator.
+
+    Row b's patterns are ``starts[b]:starts[b + 1]``.  Pattern p stands for
+    ``sizes[p]`` classes whose sites below corner m number ``counts[m, p]``
+    each (int64, corners x patterns), and ``ids[p]`` names it in its row's
+    keyed hash.  A forest class is a pattern of size 1 named by its root.
+    """
+
+    ids: np.ndarray
+    counts: np.ndarray
+    sizes: np.ndarray
+    starts: np.ndarray
 
 
 def urn_head_size(alpha: float, n: int) -> int:
@@ -112,8 +132,47 @@ def _row_label_order(rows, labels) -> np.ndarray:
     return np.argsort(rows * distinct.size + rank, kind="stable")
 
 
-def urn_counts(alpha: float, n: int, corners, rngs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(classes, parities, starts): the urn boxes below each corner, one row per generator.
+def _codes(bits) -> np.ndarray:
+    """Each row of a 0/1 (items, corners) array as a code: bit m in word m // 64 (uint64, words x items)."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    words = np.zeros((bits.shape[0], 8 * -(-bits.shape[1] // 64)), dtype=np.uint8)
+    words[:, : packed.shape[1]] = packed
+    return words.view("<u8").T
+
+
+@lru_cache(maxsize=64)
+def _segment_runs(corners: tuple[int, ...]) -> tuple[tuple[slice, int, int | None], ...]:
+    """(segments, length, size) per run of equal segment lengths: one multinomial call each."""
+    runs, m = [], 0
+    for length, run in groupby(np.diff(corners, prepend=0).tolist()):
+        k = len(list(run))
+        runs.append((slice(m, m + k), length, None if k == 1 else k))
+        m += k
+    return tuple(runs)
+
+
+@lru_cache(maxsize=64)
+def _segment_masks(n_segments: int) -> np.ndarray:
+    """The code of one draw in each segment s: the bits m >= s (read-only, words x segments)."""
+    masks = _codes(np.arange(n_segments) >= np.arange(n_segments)[:, None])
+    masks.flags.writeable = False
+    return masks
+
+
+def _rank(codes) -> tuple[np.ndarray, np.ndarray]:
+    """(rank of each code among the distinct ones, the distinct codes), codes compared from their last word."""
+    order = codes[0].argsort() if len(codes) == 1 else np.lexsort(codes)
+    ordered = codes[:, order]
+    new = np.empty(order.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[:, 1:], ordered[:, :-1]).any(axis=0, out=new[1:])
+    rank = np.empty(order.size, dtype=np.int64)
+    rank[order] = new.cumsum() - 1
+    return rank, ordered[:, new]
+
+
+def urn_boxes(alpha: float, n: int, corners, rngs) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, codes): every urn box that holds a draw below the last corner, one row per generator.
 
     ``corners`` are the nondecreasing draw counts floor(n*t_m), so the draws
     split into segments (corners[m-1], corners[m]]; draws past the last
@@ -125,44 +184,77 @@ def urn_counts(alpha: float, n: int, corners, rngs) -> tuple[np.ndarray, np.ndar
     of equal length is one call with ``size=k``, which loops the routine
     that k calls would run, and a lone segment one call without ``size``;
     together they draw what one call over the array of segment lengths
-    draws, without its broadcast.  Row b's boxes are
-    ``classes[starts[b]:starts[b + 1]]``, its head boxes first and then its
-    tail boxes, each in increasing order; ``parities[m, c]`` is 1 when box c
-    holds an odd number of draws among the first corners[m] (int64, one
-    column per class).
+    draws, without its broadcast.
+
+    Box k is in row ``rows[k]``, and its code, ``codes[:, k]`` (uint64, bit
+    m in word m // 64), has bit m set when it holds an odd number of draws
+    among the first corners[m]: a head box's from its running counts, a
+    tail box's as the xor of its draws' masks, a draw in segment s setting
+    the bits m >= s.  A row's head boxes come first, then its tail boxes.
     """
     corners = np.asarray(corners, dtype=np.int64)
     pvals = _head_pvals(alpha, n)
     head = pvals.size - 1
-    runs, m = [], 0  # (segments, length, size): one call per run of equal segment lengths
-    for length, run in groupby(np.diff(corners, prepend=0).tolist()):
-        k = len(list(run))
-        runs.append((slice(m, m + k), length, None if k == 1 else k))
-        m += k
     drawn = np.empty((len(rngs), corners.size, head + 1), dtype=np.int64)
+    runs = _segment_runs(tuple(corners.tolist()))
     for row, rng in zip(drawn, rngs):
         for segments, length, size in runs:  # an int n: an array n costs a broadcast per call
             row[segments] = rng.multinomial(length, pvals, size=size)
     per_segment = drawn[:, :, head]
     tail = sample_zipf_rows(alpha, rngs, per_segment.sum(axis=1), lo=head + 1)
 
-    # a head box is a class of its row when it holds a draw below the last corner
+    # head boxes: a box is a class of its row when it holds a draw below the last corner
     below = np.cumsum(drawn[:, :, :head], axis=1)
     head_rows, head_boxes = np.nonzero(below[:, -1])
-    head_parity = below[head_rows, :, head_boxes].T & 1
+    head_codes = _codes(below[head_rows, :, head_boxes] & 1)
 
-    # tail draws: one class per distinct (row, label), counted per segment
+    # tail boxes: one per distinct (row, label), the xor of its draws' masks
     rows = np.repeat(np.arange(len(rngs)), per_segment.sum(axis=1))
-    segment = np.repeat(np.tile(np.arange(corners.size), len(rngs)), per_segment.ravel())
+    segment = (np.arange(per_segment.size) % corners.size).repeat(per_segment.ravel())
     order = _row_label_order(rows, tail)
-    tail, tail_counts, tail_starts = corner_counts(rows[order], tail[order], segment[order], len(rngs), corners.size)
+    rows, tail = rows[order], tail[order]
+    new = np.ones(tail.size, dtype=bool)
+    new[1:] = (tail[1:] != tail[:-1]) | (rows[1:] != rows[:-1])
+    masks = _segment_masks(corners.size)[:, segment[order]]
+    tail_codes = np.bitwise_xor.reduceat(masks, new.nonzero()[0], axis=1) if tail.size else masks
 
-    owner = np.concatenate((head_rows, np.repeat(np.arange(len(rngs)), np.diff(tail_starts))))
-    merged = np.argsort(owner, kind="stable")  # per row: head boxes, then tail boxes
-    classes = np.concatenate((head_boxes + 1, tail))[merged]
-    parity = np.concatenate((head_parity, tail_counts & 1), axis=1)[:, merged]
-    starts = np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=len(rngs)))))
-    return classes, parity, starts
+    return np.concatenate((head_rows, rows[new])), np.concatenate((head_codes, tail_codes), axis=1)
+
+
+def urn_patterns(alpha: float, n: int, corners, rngs) -> Patterns:
+    """The boxes of :func:`urn_boxes` grouped by code, one pattern per row and nonzero code.
+
+    A box of code 0 is even at every corner and adds nothing to a sum, so
+    it is left out.  A row's patterns come in increasing code order, and
+    ``ids`` numbers them 0, 1, ... within the row; ``counts`` holds each
+    code's bits (int64).
+    """
+    n_corners, n_rows = np.asarray(corners).size, len(rngs)
+    rows, codes = urn_boxes(alpha, n, corners, rngs)
+    # one pattern per distinct (row, code), by one sort of row << width | code; a code
+    # that leaves the row too few of a word's bits goes by its rank among the batch's codes
+    shared = n_corners + n_rows.bit_length() <= 64
+    if shared:
+        code, width = codes[0], n_corners
+    else:
+        code, codes = _rank(codes)
+        width = max(codes.shape[1] - 1, 1).bit_length()
+    keys = rows.astype(np.uint64) << np.uint64(width) | code.astype(np.uint64)
+    keys.sort()
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    at = first.nonzero()[0]
+    code = keys[at] & np.uint64((1 << width) - 1)
+    words = code[None] if shared else codes[:, code.astype(np.int64)]
+    counted = words.any(axis=0)
+    owner = (keys[at[counted]] >> np.uint64(width)).astype(np.int64)
+    bits = np.unpackbits(words[:, counted].T.astype("<u8").view(np.uint8), axis=1, count=n_corners,
+                         bitorder="little")
+    starts = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner, minlength=n_rows), out=starts[1:])
+    return Patterns(np.arange(owner.size) - starts[owner], bits.T.astype(np.int64),
+                    np.diff(at, append=keys.size)[counted], starts)
 
 
 def expected_occupancy(pmf, n: int) -> float:

@@ -19,8 +19,12 @@ boxes' counts and the segment's number of tail draws) and then the
 rejection rounds of its tail labels.  That layout is identified in reports
 by :data:`SCHEME_ID`; v2 replaced v1's per-site forest window uniforms with
 the jump key, and v3 replaced the urn's n Zipf labels with the box counts
-per corner segment.  The multinomial draws come from NumPy's binomial
-sampler, so the bytes also depend on it.
+per corner segment.  v4 draws what v3 draws and changes only how spins are
+attached: the classes of an axis are grouped by count column, and a sum
+reads the hashed words of each pattern (1D) or pattern pair (2D), not one
+spin per class or class pair, so fields with an urn axis moved and
+forest-only fields kept their sums.  The multinomial draws come from
+NumPy's binomial sampler, so the bytes also depend on it.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 from numpy.random.bit_generator import ISeedSequence
 
-SCHEME_ID = "philox128-jumped-v3"
+SCHEME_ID = "philox128-jumped-v4"
 
 _SEED_BITS = 128
 _SEED_MASK = (1 << _SEED_BITS) - 1

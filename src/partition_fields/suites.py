@@ -23,7 +23,7 @@ from scipy.special import gamma
 from .distributions import FinitePmf, PmfKind, make_hs_pmf, make_karlin_pmf
 from .fbs import HurstPair, fbs_cov_matrix
 from .fields import KIND_TABLE, Axis, CornerGrid, ModelSpec
-from .partition1d import urn_counts
+from .partition1d import urn_boxes
 from .renewal import (
     bn_sq_growth_constant,
     c_alpha,
@@ -121,8 +121,8 @@ def suite_occupancy(alpha: float = 0.6, n: int = 10**6, seed=0xC0FFEE) -> SuiteR
     """Single-path occupancy ratios against the urn limits: n draws as one segment."""
     rng = replicate_generator(seed, 0)
     pmf = make_karlin_pmf(alpha)
-    boxes, parity, _ = urn_counts(alpha, n, [n], [rng])
-    k_n, k_odd = boxes.size, int(parity.sum())
+    _, codes = urn_boxes(alpha, n, [n], [rng])  # one corner: a code's bit 0 marks an odd box
+    k_n, k_odd = codes.shape[1], int((codes[0] & np.uint64(1)).sum())
     scale = n**alpha * pmf.sv_constant
     checks = (
         _band_check(

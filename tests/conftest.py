@@ -1,5 +1,7 @@
 import os
+from collections import Counter
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from scipy.special import zeta
 from numpy.random import Generator, Philox
 
 from partition_fields import partition1d
-from partition_fields._hashing import _finalize, _key_words, left_words, right_words, signs_from
+from partition_fields._hashing import _finalize, _key_words, left_words, right_words
 from partition_fields.distributions import FinitePmf, PmfKind, PowerLawPmf, sample_zipf_rows
 from partition_fields.seeding import normalize_seed, spin_key
 
@@ -155,9 +157,8 @@ def urn_layout(labels, corners) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# the urn replicate path before its fixed costs were cut: the references for
-# seeding.replicate_generators and for the multinomials, tail order and
-# sampler rounds of partition1d.urn_counts
+# the urn replicate path before its fixed costs were cut: the reference for
+# seeding.replicate_generators, and the sampler rounds the urn's tail reads
 # ---------------------------------------------------------------------------
 
 _WORD = (1 << 64) - 1
@@ -203,21 +204,41 @@ def sample_zipf_rows_oracle(alpha: float, rngs, counts, lo: int = 1) -> np.ndarr
     return out
 
 
+# ---------------------------------------------------------------------------
+# the urn as boxes with parities, before scheme v4 grouped them: the
+# reference for partition1d.urn_patterns
+# ---------------------------------------------------------------------------
+
 def urn_counts_oracle(alpha: float, n: int, corners, rngs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``partition1d.urn_counts`` by one array-n ``multinomial`` per row, the two-call
-    sampler rounds and a ``np.lexsort`` of the tail draws."""
+    """(classes, parities, starts): the urn boxes below each corner, one row per generator.
+
+    This is ``partition1d.urn_counts`` of scheme v3, which drew what
+    ``urn_patterns`` draws: per row one multinomial call per run of equal
+    corner segments, then the tail labels.  Row b's boxes are
+    ``classes[starts[b]:starts[b + 1]]``, its head boxes first and then its
+    tail boxes, each in increasing order; ``parities[m, c]`` is 1 when box
+    c holds an odd number of draws among the first corners[m].
+    """
     corners = np.asarray(corners, dtype=np.int64)
     pvals = partition1d._head_pvals(alpha, n)
     head = pvals.size - 1
-    drawn = np.stack([rng.multinomial(np.diff(corners, prepend=0), pvals) for rng in rngs])
+    runs, m = [], 0
+    for length, run in groupby(np.diff(corners, prepend=0).tolist()):
+        k = len(list(run))
+        runs.append((slice(m, m + k), length, None if k == 1 else k))
+        m += k
+    drawn = np.empty((len(rngs), corners.size, head + 1), dtype=np.int64)
+    for row, rng in zip(drawn, rngs):
+        for segments, length, size in runs:
+            row[segments] = rng.multinomial(length, pvals, size=size)
     per_segment = drawn[:, :, head]
-    tail = sample_zipf_rows_oracle(alpha, rngs, per_segment.sum(axis=1), lo=head + 1)
+    tail = sample_zipf_rows(alpha, rngs, per_segment.sum(axis=1), lo=head + 1)
     below = np.cumsum(drawn[:, :, :head], axis=1)
     head_rows, head_boxes = np.nonzero(below[:, -1])
     head_parity = below[head_rows, :, head_boxes].T & 1
     rows = np.repeat(np.arange(len(rngs)), per_segment.sum(axis=1))
     segment = np.repeat(np.tile(np.arange(corners.size), len(rngs)), per_segment.ravel())
-    order = np.lexsort((tail, rows))
+    order = partition1d._row_label_order(rows, tail)
     tail, tail_counts, tail_starts = partition1d.corner_counts(
         rows[order], tail[order], segment[order], len(rngs), corners.size)
     owner = np.concatenate((head_rows, np.repeat(np.arange(len(rngs)), np.diff(tail_starts))))
@@ -226,6 +247,31 @@ def urn_counts_oracle(alpha: float, n: int, corners, rngs) -> tuple[np.ndarray, 
     parity = np.concatenate((head_parity, tail_counts & 1), axis=1)[:, merged]
     starts = np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=len(rngs)))))
     return classes, parity, starts
+
+
+def group_by_column(counts, starts) -> partition1d.Patterns:
+    """Each row's classes grouped by count column, by one Python ``Counter`` per row.
+
+    A column of zeros is left out.  A row's patterns come in increasing
+    code order, the code having bit m set when counts[m] is odd (the urn's
+    parity columns) and numbered 0, 1, ... within the row, as
+    ``partition1d.urn_patterns`` lays them out.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    ids, columns, sizes, per_row = [], [], [], []
+    for b in range(len(starts) - 1):
+        row = Counter(tuple(col) for col in counts[:, starts[b]:starts[b + 1]].T.tolist() if any(col))
+        ordered = sorted(row, key=lambda col: sum(bit << m for m, bit in enumerate(col)))
+        ids += range(len(ordered))
+        columns += ordered
+        sizes += [row[col] for col in ordered]
+        per_row.append(len(ordered))
+    return partition1d.Patterns(
+        np.asarray(ids, dtype=np.int64),
+        np.asarray(columns, dtype=np.int64).reshape(-1, counts.shape[0]).T,
+        np.asarray(sizes, dtype=np.int64),
+        np.concatenate(([0], np.cumsum(per_row, dtype=np.int64))),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -310,35 +356,54 @@ def finalize_oracle(z: np.ndarray) -> np.ndarray:
 
 
 def hash2(key, a, b) -> np.ndarray:
-    """The keyed pair hash behind every 2D spin; broadcasts `a` against `b` (and the key).
+    """The keyed pair hash behind every spin word; broadcasts `a` against `b` (and the key).
 
     It is ``finalize(left_words(k0, a) ^ right_words(k1, b))``: each side's
-    word depends on one identifier and one key word only.  ``pair_signs``
-    reads its top bit, and ``hash1(key, a)`` is ``hash2(key, a, 0)``.
+    word depends on one identifier and one key word only.  ``hash1(key, a)``
+    is ``hash2(key, a, 0)``, and a pattern's word j in 1D is ``hash2(key, id, j)``.
     """
     k0, k1 = _key_words(key)
     return _finalize(left_words(k0, a) ^ right_words(k1, b))
 
 
 # ---------------------------------------------------------------------------
-# the 2D spin core before it was read from batched words in float64: the
-# reference for fields.simulate on a 2D spec
+# the 2D spin sums one replicate and one pattern pair at a time, in int64:
+# the reference for the padded blocks and wide pairs of fields.simulate
 # ---------------------------------------------------------------------------
 
-def simulate_2d_oracle(spec, grid, rngs) -> np.ndarray:
-    """``fields.simulate`` on a 2D spec with one int64 core per replicate.
+def top_bits_set(words: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """The set bits among the top ``bits`` bits of each word, one bit position at a time."""
+    count = np.zeros(words.shape, dtype=np.int64)
+    for k in range(64):
+        count += ((words >> np.uint64(63 - k)) & np.uint64(1)).astype(np.int64) * (k < bits)
+    return count
 
-    Each replicate hashes its class pairs under its own key with ``hash2``,
-    maps them to int8 signs with ``signs_from`` and multiplies its count
-    matrices in int64, which no summation order can round.
+
+def pair_spin_sums(key, ids1, sizes1, ids2, sizes2) -> np.ndarray:
+    """X[p, q]: the sum of the N = sizes1[p] * sizes2[q] spins of each pattern pair under one key.
+
+    Word j of a pair is ``hash2(key, id_p, id_q + (j << 48))``, j < ceil(N / 64),
+    and X = N - 2 * (the set bits among the first N bits of the words, top bit first).
     """
+    n = np.multiply.outer(np.asarray(sizes1, dtype=np.int64), np.asarray(sizes2, dtype=np.int64))
+    ids1, ids2 = np.asarray(ids1), np.asarray(ids2).astype(np.uint64)
+    heads = top_bits_set(hash2(key, ids1[:, None], ids2[None, :]), np.minimum(n, 64))
+    for p, q in zip(*np.nonzero(n > 64)):
+        j = np.arange(1, -(-int(n[p, q]) // 64), dtype=np.uint64)
+        words = hash2(key, ids1[p], ids2[q] + (j << np.uint64(48)))
+        heads[p, q] += int(top_bits_set(words, np.minimum(int(n[p, q]) - 64 * j.astype(np.int64), 64)).sum())
+    return n - 2 * heads
+
+
+def simulate_2d_oracle(spec, grid, rngs) -> np.ndarray:
+    """``fields.simulate`` on a 2D spec, one replicate at a time in int64, which no summation order can round."""
     keys = [spin_key(rng) for rng in rngs]
-    (u1, a1, s1), (u2, a2, s2) = (axis.sample(rngs, ts) for axis, ts in zip(spec.axes, (grid.t1, grid.t2)))
+    t1, t2 = (axis.sample(rngs, ts) for axis, ts in zip(spec.axes, (grid.t1, grid.t2)))
     out = np.empty((len(rngs), *grid.shape()))
     for b, key in enumerate(keys):
-        c1, c2 = slice(s1[b], s1[b + 1]), slice(s2[b], s2[b + 1])
-        core = signs_from(hash2(key, u1[c1, None], u2[None, c2]))
-        out[b] = a1[:, c1] @ core @ a2[:, c2].T
+        c1, c2 = slice(t1.starts[b], t1.starts[b + 1]), slice(t2.starts[b], t2.starts[b + 1])
+        x = pair_spin_sums(key, t1.ids[c1], t1.sizes[c1], t2.ids[c2], t2.sizes[c2])
+        out[b] = t1.counts[:, c1] @ x @ t2.counts[:, c2].T
     return out
 
 

@@ -30,7 +30,7 @@ from partition_fields import (
     run_replicates,
     sample_fbs,
 )
-from partition_fields.partition1d import urn_counts
+from partition_fields.partition1d import urn_boxes
 from partition_fields.renewal import cached_renewal_sequence, p_alpha_weights, weights
 from partition_fields.stats import empirical_cov
 from partition_fields.suites import enumerate_renewal_probability, run_suite
@@ -52,9 +52,9 @@ def test_criterion_01_occupancy_law():
     t0 = time.monotonic()
     alpha, n = 0.6, 10**6
     pmf = make_karlin_pmf(alpha)
-    # one path of n draws: one corner segment, its boxes and their parities
-    boxes, parity, _ = urn_counts(alpha, n, [n], [replicate_generator(SEED, 1)])
-    k_n, k_odd = boxes.size, int(parity.sum())
+    # one path of n draws: one corner segment, its boxes and their parities (bit 0 of the codes)
+    _, codes = urn_boxes(alpha, n, [n], [replicate_generator(SEED, 1)])
+    k_n, k_odd = codes.shape[1], int((codes[0] & np.uint64(1)).sum())
     ratio_kn = k_n / (n**alpha * pmf.sv_constant)
     ratio_odd = k_odd / k_n
     ok_kn = 0.9 * gamma(0.4) <= ratio_kn <= 1.1 * gamma(0.4)

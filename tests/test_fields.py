@@ -23,9 +23,18 @@ from partition_fields import (
 from partition_fields import fields
 from partition_fields.distributions import PmfKind, sample_zipf_rows
 from partition_fields.fields import KIND_TABLE, Axis, _corner_index, batch_size
-from partition_fields.partition1d import corner_counts, urn_head_size
+from partition_fields.partition1d import Patterns, corner_counts, urn_head_size
+from partition_fields.seeding import spin_key
 
-from conftest import corner_layout, roots_on_jumps, running_parity_oracle, simulate_2d_oracle, urn_layout
+from conftest import (
+    corner_layout,
+    group_by_column,
+    pair_spin_sums,
+    roots_on_jumps,
+    running_parity_oracle,
+    simulate_2d_oracle,
+    urn_layout,
+)
 
 SEED = "f1e1d0000000000000000000000000aa"
 
@@ -70,7 +79,9 @@ def _counts_of(axis: Axis, inv: np.ndarray, k: int, ts) -> np.ndarray:
     else:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fields, "roots_of", lambda alpha, keys, depth, n: inv[None])
-            classes, counts, _ = axis.sample([replicate_generator(SEED, 0)], ts)
+            table = axis.sample([replicate_generator(SEED, 0)], ts)
+        assert np.all(table.sizes == 1)
+        classes, counts = table.ids, table.counts
     assert counts.dtype == np.int64
     full = np.zeros((idx.size, k), np.int64)  # the classes no site holds count 0
     full[:, classes] = counts
@@ -131,11 +142,15 @@ def test_forest_layout_matches_per_row_unique(rows, depth, data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fields, "roots_of", lambda alpha, keys, depth, n: roots)
         got = Axis(PmfKind.HS_TAIL, 0.25, n, depth).sample([replicate_generator(SEED, r) for r in range(rows)], ts)
-    for part, want in zip(got, corner_layout(roots, idx)):
-        assert part.dtype == np.int64 and np.array_equal(part, want)
-    classes, _, starts = got
+    classes, counts, starts = corner_layout(roots, idx)
+    keep = counts.any(axis=0)  # a class whose sites all lie past the last corner is left out
+    kept_rows = np.repeat(np.arange(rows), np.diff(starts))[keep]
+    want = Patterns(classes[keep], counts[:, keep], np.ones(keep.sum(), dtype=np.int64),
+                    np.concatenate(([0], np.cumsum(np.bincount(kept_rows, minlength=rows)))))
+    for part, w in zip(got, want):
+        assert part.dtype == np.int64 and np.array_equal(part, w)
     for b in range(rows):  # increasing within a row: the 1D reduction sums the classes in this order
-        assert np.all(np.diff(classes[starts[b]:starts[b + 1]]) > 0)
+        assert np.all(np.diff(got.ids[got.starts[b]:got.starts[b + 1]]) > 0)
 
 
 @given(st.sampled_from(ModelKind), st.integers(1, 12), st.integers(1, 12), st.integers(1, 40),
@@ -176,12 +191,13 @@ def test_2d_simulate_matches_the_int64_core(spec, grid):
     assert got.tobytes() == want.tobytes()
 
 
-def _forced_counts(monkeypatch, counts: dict[int, list[int]]):
-    """Urn axes whose one replicate holds one class per count, counted at the one corner."""
+def _forced_counts(monkeypatch, counts: dict[int, list[int]], sizes: dict[int, list[int]] | None = None):
+    """Urn axes whose one replicate holds one pattern per count (of size 1 unless given), at the one corner."""
     def urn(alpha, n, corners, rngs):
         c = np.asarray([counts[n]], dtype=np.int64)
-        return np.arange(1, c.size + 1), c, np.array([0, c.size])
-    monkeypatch.setattr(fields, "urn_counts", urn)
+        size = np.asarray(sizes[n] if sizes else [1] * c.size, dtype=np.int64)
+        return Patterns(np.arange(c.size), c, size, np.array([0, c.size]))
+    monkeypatch.setattr(fields, "urn_patterns", urn)
 
 
 @pytest.mark.parametrize("counts", [
@@ -190,20 +206,37 @@ def _forced_counts(monkeypatch, counts: dict[int, list[int]]):
     {2: [1 << 40], 3: [1 << 40]},
 ])
 def test_2d_corner_sums_refuse_a_bound_at_2_53(monkeypatch, counts):
-    _force_partitions(monkeypatch, core=[[1]] if len(counts[2]) == 1 else [[1], [-1]])
     _forced_counts(monkeypatch, counts)
     spec, grid = ModelSpec(ModelKind.KARLIN_2D, (0.6, 0.6), (2, 3)), CornerGrid((1.0,), (1.0,))
     with pytest.raises(ValueError, match="row-sum bound"):
         simulate(spec, grid, [replicate_generator(SEED, 0)])
 
 
+def test_2d_corner_sums_refuse_a_bound_at_2_53_from_pattern_sizes(monkeypatch):
+    # parities of 1, but 2^27 x 2^26 boxes: refused before any of the 2^47 words is hashed
+    _forced_counts(monkeypatch, {2: [1], 3: [1]}, sizes={2: [1 << 27], 3: [1 << 26]})
+    spec, grid = ModelSpec(ModelKind.KARLIN_2D, (0.6, 0.6), (2, 3)), CornerGrid((1.0,), (1.0,))
+    with pytest.raises(ValueError, match="row-sum bound"):
+        simulate(spec, grid, [replicate_generator(SEED, 0)])
+
+
+def test_2d_pattern_pairs_refuse_more_than_2_16_words(monkeypatch):
+    # a pair's word index takes the bits 48.. of its second identifier, so 2^16 words at most
+    spec, grid = ModelSpec(ModelKind.KARLIN_2D, (0.6, 0.6), (2, 3)), CornerGrid((1.0,), (1.0,))
+    _forced_counts(monkeypatch, {2: [1], 3: [1]}, sizes={2: [1 << 11], 3: [1 << 11]})
+    assert abs(simulate(spec, grid, [replicate_generator(SEED, 0)])[0, 0, 0]) <= 1 << 22  # 2^16 words
+    _forced_counts(monkeypatch, {2: [1], 3: [1]}, sizes={2: [1 << 11], 3: [(1 << 11) + 1]})
+    with pytest.raises(ValueError, match="hash words"):
+        simulate(spec, grid, [replicate_generator(SEED, 0)])
+
+
 def test_2d_corner_sums_are_exact_just_below_2_53(monkeypatch):
     # 2^53 - 1 = 6361 * 69431 * 20394401: every integer below 2^53 is a float64
-    _force_partitions(monkeypatch, core=[[-1]])
     _forced_counts(monkeypatch, {2: [6361 * 69431], 3: [20394401]})
     spec, grid = ModelSpec(ModelKind.KARLIN_2D, (0.6, 0.6), (2, 3)), CornerGrid((1.0,), (1.0,))
     raw = simulate(spec, grid, [replicate_generator(SEED, 0)])
-    assert raw.tolist() == [[[-float(2**53 - 1)]]]
+    spin = pair_spin_sums(spin_key(replicate_generator(SEED, 0)), [0], [1], [0], [1])[0, 0]
+    assert raw.tolist() == [[[float(spin * (2**53 - 1))]]]
 
 
 def test_batch_size_divides_the_element_budget():
@@ -243,7 +276,7 @@ def test_stream_layout_spin_key_then_jump_key_then_labels(monkeypatch):
     spec = ModelSpec(ModelKind.COMBINED_2D, (0.25, 0.6), (16, 40), forest_depth=300)
     grid = CornerGrid((1.0,), (0.5, 1.0))
     seen = {}
-    real_urn, real_roots = fields.urn_counts, fields.roots_of
+    real_urn, real_roots = fields.urn_patterns, fields.roots_of
 
     def urn(alpha, n, corners, rngs):
         seen["boxes"] = real_urn(alpha, n, corners, rngs)
@@ -253,7 +286,7 @@ def test_stream_layout_spin_key_then_jump_key_then_labels(monkeypatch):
         seen["keys"] = keys
         return real_roots(alpha, keys, depth, n)
 
-    monkeypatch.setattr(fields, "urn_counts", urn)
+    monkeypatch.setattr(fields, "urn_patterns", urn)
     monkeypatch.setattr(fields, "roots_of", roots)
     rng = replicate_generator(SEED, 4)
     simulate(spec, grid, [rng])
@@ -271,13 +304,13 @@ def test_stream_layout_spin_key_then_multinomial_then_tail_rounds(monkeypatch):
     # then the tail labels' rejection rounds, and nothing else
     alpha, n, ts = 0.6, 40, (0.25, 0.5, 1.0)
     seen = {}
-    real = fields.urn_counts
+    real = fields.urn_patterns
 
     def urn(*args):
         seen["boxes"] = real(*args)
         return seen["boxes"]
 
-    monkeypatch.setattr(fields, "urn_counts", urn)
+    monkeypatch.setattr(fields, "urn_patterns", urn)
     rng = replicate_generator(SEED, 9)
     simulate(ModelSpec(ModelKind.KARLIN_1D, (alpha,), (n,)), CornerGrid(ts), [rng])
 
@@ -297,9 +330,8 @@ def test_stream_layout_spin_key_then_multinomial_then_tail_rounds(monkeypatch):
     for label, m in zip(tail.tolist(), np.repeat(np.arange(corners.size), drawn[:, -1]).tolist()):
         per_segment.setdefault(label, np.zeros(corners.size, dtype=np.int64))[m] += 1
     parity = np.array([np.cumsum(per_segment[box]) % 2 for box in boxes]).T
-    classes, got, starts = seen["boxes"]
-    assert classes.tolist() == boxes and starts.tolist() == [0, len(boxes)]
-    assert got.dtype == np.int64 and got.tolist() == parity.tolist()
+    got, want = seen["boxes"], group_by_column(parity, [0, len(boxes)])
+    assert all(g.dtype == np.int64 and g.tolist() == w.tolist() for g, w in zip(got, want))
 
 
 def test_model_spec_validation():
@@ -422,27 +454,32 @@ def test_corner_grid_validation():
     assert grid.is_2d and grid.shape() == (2, 2)
 
 
-def _force_partitions(monkeypatch, urn=None, roots=None, core=None):
-    """Pin the sampled partitions (labels / roots by horizon n) and the 2D spin core."""
+def _force_partitions(monkeypatch, urn=None, roots=None):
+    """Pin the sampled partitions: labels or roots by horizon n."""
     if urn is not None:
-        monkeypatch.setattr(fields, "urn_counts", lambda alpha, n, corners, rngs: urn_layout([urn[n]], corners))
+        monkeypatch.setattr(fields, "urn_patterns",
+                            lambda alpha, n, corners, rngs: group_by_column(*urn_layout([urn[n]], corners)[1:]))
     if roots is not None:
         monkeypatch.setattr(fields, "roots_of",
                             lambda alpha, keys, depth, n: np.asarray([roots[n]], dtype=np.int64))
-    if core is not None:
-        monkeypatch.setattr(fields, "pair_signs", lambda left, right: np.asarray(core, dtype=np.float64))
+
+
+def _spins(ids1, ids2) -> np.ndarray:
+    """The one-spin pair sums of replicate 0 for the given pattern ids: the signs of its pair hashes."""
+    key = spin_key(replicate_generator(SEED, 0))
+    return pair_spin_sums(key, ids1, [1] * len(ids1), ids2, [1] * len(ids2))
 
 
 def test_karlin1d_forced_labels(monkeypatch):
     _force_partitions(monkeypatch, urn={3: [3, 3, 5]})
     monkeypatch.setattr(Axis, "draw", lambda self, marginal, h: np.array([1.0, -1.0]))  # V(3)=1, V(5)=-1
     thirds = (1 / 3, 2 / 3, 1.0)
-    uniq, counts, _ = Axis(PmfKind.KARLIN_ZIPF, 0.6, 3).sample([None], thirds)
-    assert uniq.tolist() == [3, 5]
-    assert counts.tolist() == [[1, 0], [0, 0], [0, 1]]
+    boxes = Axis(PmfKind.KARLIN_ZIPF, 0.6, 3).sample([None], thirds)
+    assert boxes.ids.tolist() == [0, 1] and boxes.sizes.tolist() == [1, 1]  # box 3, then box 5, by code
+    assert boxes.counts.tolist() == [[1, 0], [0, 0], [0, 1]]
     # the labels sorted into boxes, one draw per corner segment
     _, direct, _ = corner_counts(np.zeros(3, np.int64), np.array([3, 3, 5]), np.arange(3), 1, 3)
-    assert (direct & 1).tolist() == counts.tolist()
+    assert (direct & 1).tolist() == boxes.counts.tolist()
     raw = simulate(ModelSpec(ModelKind.KARLIN_1D, (0.6,), (3,)), CornerGrid(thirds),
                    [replicate_generator(SEED, 0)])[0]
     x = np.diff(raw, prepend=0.0)
@@ -458,12 +495,12 @@ def test_karlin1d_single_draw_is_sign():
 
 def test_karlin2d_forced_alternation_cancels(monkeypatch):
     # labels dir1 = (3,3) share a box: signs +1,-1; dir2 = (7,) single draw
-    _force_partitions(monkeypatch, urn={2: [3, 3], 1: [7]}, core=[[1]])  # eps(3,7) = +1
+    _force_partitions(monkeypatch, urn={2: [3, 3], 1: [7]})
     grid = CornerGrid((0.5, 1.0), (1.0,))
     _, direct, _ = corner_counts(np.zeros(2, np.int64), np.array([3, 3]), np.arange(2), 1, 2)
     assert (direct & 1).tolist() == [[1], [0]]
     raw = simulate(ModelSpec(ModelKind.KARLIN_2D, (0.6, 0.6), (2, 1)), grid, [replicate_generator(SEED, 0)])[0]
-    assert raw[0, 0] == 1.0 and raw[1, 0] == 0.0  # S(1,1)=eps, S(2,1)=0
+    assert raw[0, 0] == _spins([0], [0])[0, 0] and raw[1, 0] == 0.0  # S(1,1)=eps(3,7), S(2,1)=0
 
 
 def test_hs1d_forced_chain_and_isolates():
@@ -497,25 +534,25 @@ def test_hs1d_independent_limit_variance():
 
 def test_hs2d_forced_product_structure(monkeypatch):
     # roots (5,5,9) x (9,5): classes inv1 = (0,0,1), inv2 = (1,0)
-    _force_partitions(monkeypatch, roots={3: [5, 5, 9], 2: [9, 5]}, core=[[1, -1], [-1, 1]])
+    _force_partitions(monkeypatch, roots={3: [5, 5, 9], 2: [9, 5]})
     grid = CornerGrid((1 / 3, 2 / 3, 1.0), (0.5, 1.0))  # every site is a corner
-    roots, counts, _ = Axis(PmfKind.HS_TAIL, 0.25, 3, 10).sample([replicate_generator(SEED, 0)], grid.t1)
-    assert roots.tolist() == [5, 9] and counts.tolist() == [[1, 0], [2, 0], [2, 1]]
+    trees = Axis(PmfKind.HS_TAIL, 0.25, 3, 10).sample([replicate_generator(SEED, 0)], grid.t1)
+    assert trees.ids.tolist() == [5, 9] and trees.counts.tolist() == [[1, 0], [2, 0], [2, 1]]
     spec = ModelSpec(ModelKind.HS_2D, (0.25, 0.25), (3, 2), forest_depth=10)
     raw = simulate(spec, grid, [replicate_generator(SEED, 0)])[0]
     x = np.diff(np.diff(np.pad(raw, ((1, 0), (1, 0))), axis=0), axis=1)
-    assert x.tolist() == [[-1, 1], [-1, 1], [1, -1]]
+    assert x.tolist() == _spins([5, 9], [5, 9])[np.ix_([0, 0, 1], [1, 0])].tolist()  # eps(root_i, root_j)
 
 
 def test_combined_forced_single_components(monkeypatch):
     # one forest component x one urn box: S(n1, n2) = ±n1·(n2 mod 2)
-    _force_partitions(monkeypatch, roots={4: [0, 0, 0, 0]}, urn={3: [9, 9, 9]}, core=[[1]])
+    _force_partitions(monkeypatch, roots={4: [0, 0, 0, 0]}, urn={3: [9, 9, 9]})
     grid = CornerGrid((1.0,), (1.0 / 3.0, 2.0 / 3.0, 1.0))
     _, direct, _ = corner_counts(np.zeros(3, np.int64), np.array([9, 9, 9]), np.arange(3), 1, 3)
     assert (direct & 1).tolist() == [[1], [0], [1]]
     spec = ModelSpec(ModelKind.COMBINED_2D, (0.25, 0.6), (4, 3), forest_depth=10)
     raw = simulate(spec, grid, [replicate_generator(SEED, 0)])[0]
-    assert raw[0].tolist() == [4.0, 0.0, 4.0]
+    assert raw[0].tolist() == (_spins([0], [0])[0, 0] * np.array([4.0, 0.0, 4.0])).tolist()
 
 
 def test_combined_single_row_reduces_to_urn_statistics():

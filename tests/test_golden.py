@@ -39,7 +39,7 @@ from partition_fields import (
 )
 from partition_fields.cli import RunConfig, cmd_simulate
 
-GOLDEN = Path(__file__).parent / "data" / "golden_v3.json"
+GOLDEN = Path(__file__).parent / "data" / "golden_v4.json"
 ABSENT = "(absent)"  # how --write prints a pinned value that one side lacks
 SEED = "601de000000000000000000000000001"
 REPLICATE = 3

@@ -14,13 +14,14 @@ from partition_fields._hashing import (
     hash1,
     left_words,
     low_uniforms_from,
-    pair_signs,
+    next_words,
+    pair_heads,
     right_words,
     signs_from,
     uniforms_from,
 )
 
-from conftest import finalize_oracle, hash2
+from conftest import top_bits_set, finalize_oracle, hash2
 
 KEY = (0x0123456789ABCDEF, 0xFEDCBA9876543210)
 
@@ -130,7 +131,11 @@ def _unfinalize(h: int) -> int:
 
 
 def _pair_core(key, a, b) -> np.ndarray:
-    return pair_signs(left_words(key[0], a), right_words(key[1], b))
+    """The sum 1 - 2 H of every one-spin pair (a, b), H read as the 2D core reads it."""
+    left, right = left_words(key[0], a)[:, None], right_words(key[1], b)[None, :]
+    shape = (left.shape[0], right.shape[1])
+    ones = np.ones((1, 1), dtype=np.uint64)
+    return 1.0 - 2.0 * pair_heads(left, right, ones, np.empty(shape, np.uint64), np.empty(shape, np.uint64))
 
 
 def _sign_oracle(key, a, b) -> np.ndarray:
@@ -163,3 +168,24 @@ def test_pair_signs_at_the_sign_boundary(word):
     assert int(hash2(key, a, b)[0]) == word
     assert _pair_core(key, a, [b]).tolist() == [[-1.0 if word >> 63 else 1.0]]
     assert _pair_core(key, a, [b]).tobytes() == _sign_oracle(key, a, [b]).tobytes()
+
+
+_WORDS = hnp.arrays(np.uint64, 20, elements=st.integers(0, 2**64 - 1))
+
+
+@given(_WORDS, _WORDS, hnp.arrays(np.uint64, 20, elements=st.integers(0, 64)))
+@settings(max_examples=200, deadline=None)
+@example(np.zeros(20, np.uint64), np.full(20, 2**64 - 1, np.uint64), np.arange(20, dtype=np.uint64))
+@example(np.zeros(20, np.uint64), np.zeros(20, np.uint64), np.full(20, 64, np.uint64))
+def test_pair_heads_count_the_top_bits(left, right, bits):
+    # bits 0 (nothing read), 1..31 (the finalizer's last step skipped) and 32..64
+    for read in (bits, np.minimum(bits, 31), np.minimum(bits, 1)):
+        want = top_bits_set(finalize_oracle(left ^ right), read.astype(np.int64))
+        got = pair_heads(left, right, read, np.empty(20, np.uint64), np.empty(20, np.uint64))
+        assert got.dtype == np.float64 and got.tolist() == want.tolist()
+
+
+@given(st.integers(0, 2**64 - 1), st.integers(0, 2**48 - 1), st.integers(0, 2**16 - 1))
+def test_next_words_take_the_word_index_above_bit_48(k1, b, j):
+    want = right_words(k1, np.array([b + (j << 48)], dtype=np.uint64))
+    assert next_words(right_words(k1, np.array([b], dtype=np.uint64)), j).tolist() == want.tolist()

@@ -1,7 +1,8 @@
 """Urn occupancy and forest component engines.
 
 The urn's label path (``conftest.sample_urn``: n labels, sorted into boxes)
-is the reference for the box-count path ``urn_counts``.
+is the reference for the box-count path ``urn_patterns``, and the boxes
+with their parities (``conftest.urn_counts_oracle``) for its grouping.
 """
 
 import math
@@ -30,14 +31,16 @@ from partition_fields.partition1d import (
     corner_counts,
     hashed_jumps,
     roots_of,
-    urn_counts,
+    urn_boxes,
     urn_head_size,
+    urn_patterns,
 )
 from partition_fields.seeding import spin_key
 
 from conftest import (
     UrnPath,
     expected_occupancy_oracle,
+    group_by_column,
     occupancy,
     roots_on_jumps,
     running_parity_oracle,
@@ -174,19 +177,24 @@ def _corners(n: int) -> np.ndarray:
     return np.array([math.floor(n * t) for t in _SEGMENT_TS], dtype=np.int64)
 
 
+def _per_row(boxes, weights) -> np.ndarray:
+    """Each row's sum over its patterns of the weights (one row of weights per corner, or one)."""
+    owner = np.repeat(np.arange(boxes.starts.size - 1), np.diff(boxes.starts))
+    return np.stack([np.bincount(owner, weights=w, minlength=boxes.starts.size - 1) for w in np.atleast_2d(weights)])
+
+
 @pytest.mark.parametrize("n", [1, 7, 64, 1024])
 def test_box_counts_match_the_label_oracle(n):
     # per corner: odd boxes from one call on the whole grid, distinct boxes from
-    # a call on the grid cut at that corner (the classes a row holds)
+    # a call on the grid cut at that corner
     alpha, reps = 0.6, 2000
     corners = _corners(n)
     assert corners[0] == corners[1] and corners[-1] < n
-    rngs = [replicate_generator("c0", r) for r in range(reps)]
-    _, parity, starts = urn_counts(alpha, n, corners, rngs)
-    owner = np.repeat(np.arange(reps), np.diff(starts))
-    odd = np.stack([np.bincount(owner, weights=row, minlength=reps) for row in parity])
+    boxes = urn_patterns(alpha, n, corners, [replicate_generator("c0", r) for r in range(reps)])
+    odd = _per_row(boxes, boxes.counts * boxes.sizes)
     distinct = np.stack([
-        np.diff(urn_counts(alpha, n, corners[: m + 1], [replicate_generator("c1", r) for r in range(reps)])[2])
+        np.bincount(urn_boxes(alpha, n, corners[: m + 1], [replicate_generator("c1", r) for r in range(reps)])[0],
+                    minlength=reps)
         for m in range(corners.size)
     ])
 
@@ -206,10 +214,8 @@ def test_box_counts_match_the_label_oracle(n):
 def test_mean_odd_boxes_match_expected_occupancy(n):
     alpha, reps = 0.6, 4000
     corners = _corners(n)
-    _, parity, starts = urn_counts(alpha, n, corners, [replicate_generator("e0", r) for r in range(reps)])
-    owner = np.repeat(np.arange(reps), np.diff(starts))
-    for c, row in zip(corners.tolist(), parity):
-        odd = np.bincount(owner, weights=row, minlength=reps)
+    boxes = urn_patterns(alpha, n, corners, [replicate_generator("e0", r) for r in range(reps)])
+    for c, odd in zip(corners.tolist(), _per_row(boxes, boxes.counts * boxes.sizes)):
         want = expected_occupancy(make_karlin_pmf(alpha), c) if c else 0.0
         se = odd.std(ddof=1) / math.sqrt(reps)
         assert abs(odd.mean() - want) <= 4 * se, (n, c, odd.mean(), want, se)
@@ -217,28 +223,34 @@ def test_mean_odd_boxes_match_expected_occupancy(n):
 
 def test_box_counts_layout_and_empty_segments():
     rngs = [replicate_generator("1a", r) for r in range(5)]
-    classes, parity, starts = urn_counts(0.6, 50, [0, 10, 10, 30], rngs)
-    assert parity.dtype == np.int64 and parity.shape == (4, classes.size)
-    assert starts[0] == 0 and starts[-1] == classes.size and np.all(np.diff(starts) >= 1)
-    assert not parity[0].any() and np.array_equal(parity[1], parity[2])  # nothing below 0, nothing added
-    head = urn_head_size(0.6, 50)
+    boxes = urn_patterns(0.6, 50, [0, 10, 10, 30], rngs)
+    assert all(part.dtype == np.int64 for part in boxes)
+    assert boxes.counts.shape == (4, boxes.ids.size) and boxes.sizes.shape == boxes.ids.shape
+    assert boxes.starts[0] == 0 and boxes.starts[-1] == boxes.ids.size and np.all(np.diff(boxes.starts) >= 1)
+    # nothing below corner 0, nothing added between two equal corners
+    assert not boxes.counts[0].any() and np.array_equal(boxes.counts[1], boxes.counts[2])
+    assert np.all(boxes.sizes >= 1) and set(np.unique(boxes.counts)) <= {0, 1}
+    assert boxes.counts.any(axis=0).all()  # no pattern of code 0: even at every corner
+    rows, codes = urn_boxes(0.6, 50, [0, 10, 10, 30], [replicate_generator("1a", r) for r in range(5)])
+    assert boxes.sizes.sum() == codes.any(axis=0).sum() and np.array_equal(np.bincount(rows, minlength=5) >= 1,
+                                                                               np.ones(5, dtype=bool))
     for b in range(5):
-        row = classes[starts[b]:starts[b + 1]]
-        top, tail = row[row <= head], row[row > head]
-        # head boxes first, then tail boxes, each in increasing order
-        assert np.array_equal(row, np.concatenate((top, tail)))
-        assert np.all(np.diff(top) > 0) and np.all(np.diff(tail) > 0)
+        row = slice(boxes.starts[b], boxes.starts[b + 1])
+        assert boxes.ids[row].tolist() == list(range(row.stop - row.start))
+        codes = (boxes.counts[:, row] << np.arange(4)[:, None]).sum(axis=0)
+        assert np.all(np.diff(codes) > 0)  # one pattern per code, in increasing code order
     # a grid whose last corner is 0 draws nothing
     fresh = [replicate_generator("1b", r) for r in range(2)]
-    classes, parity, starts = urn_counts(0.6, 50, [0], fresh)
-    assert classes.size == 0 and parity.shape == (1, 0) and starts.tolist() == [0] * 3
+    boxes = urn_patterns(0.6, 50, [0], fresh)
+    assert boxes.ids.size == 0 and boxes.counts.shape == (1, 0) and boxes.starts.tolist() == [0] * 3
+    assert urn_boxes(0.6, 50, [0], [replicate_generator("1b", 0)])[1].shape == (1, 0)
     assert [rng.random() for rng in fresh] == [replicate_generator("1b", r).random() for r in range(2)]
 
 
 @pytest.mark.parametrize("lengths", [[1000], [0, 250, 0, 500, 250], [3, 0, 0, 7], [256] * 4, [0, 0, 7, 7, 7, 3]],
                          ids=["one", "zeros", "short", "equal", "runs"])
 def test_int_n_multinomials_match_one_array_n_call(lengths):
-    # what urn_counts relies on: one int-n call per segment, or one size=k call per run of
+    # what urn_patterns relies on: one int-n call per segment, or one size=k call per run of
     # k equal lengths, draws what one call over the lengths draws, and leaves the generator
     # at the same place
     pvals = partition1d._head_pvals(0.6, 1000)
@@ -257,14 +269,26 @@ def test_int_n_multinomials_match_one_array_n_call(lengths):
 @example(0.6, 1024, [0.25, 0.5, 0.75, 1.0], 30, 5)  # one run of equal segments
 @example(0.6, 100, [0.0, 0.0, 0.07, 0.14, 0.21, 0.24], 30, 6)  # runs of empty, equal and lone segments
 def test_urn_counts_match_the_old_path(alpha, n, ts, rows, seed):
-    # against one array-n multinomial per row, the two-call sampler rounds and a lexsort;
-    # corners may repeat (zero-length segments) and start at 0
+    # the pattern table is the old path's boxes grouped by parity column, on the same
+    # generators, which end in the same place; corners may repeat (zero-length
+    # segments) and start at 0
     corners = np.sort([math.floor(n * t) for t in ts])
     gens = [replicate_generator(seed, r) for r in range(rows)]
     refs = [replicate_generator(seed, r) for r in range(rows)]
-    got, want = urn_counts(alpha, n, corners, gens), urn_counts_oracle(alpha, n, corners, refs)
+    _, parity, starts = urn_counts_oracle(alpha, n, corners, refs)
+    got, want = urn_patterns(alpha, n, corners, gens), group_by_column(parity, starts)
     assert all(g.dtype == w.dtype and np.array_equal(g, w) for g, w in zip(got, want))
     assert [gen.random() for gen in gens] == [ref.random() for ref in refs]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_urn_patterns_past_64_corners(seed):
+    # 70 corners: two code words per box, compared from the last
+    n, corners = 300, np.array([math.floor(300 * m / 70) for m in range(1, 71)])
+    _, parity, starts = urn_counts_oracle(0.9, n, corners, [replicate_generator(seed, r) for r in range(20)])
+    got = urn_patterns(0.9, n, corners, [replicate_generator(seed, r) for r in range(20)])
+    assert all(np.array_equal(g, w) for g, w in zip(got, group_by_column(parity, starts)))
+    assert got.counts.shape[0] == 70 and got.ids.size > got.starts.size  # some rows hold several patterns
 
 
 @given(st.lists(st.tuples(st.integers(0, 5), st.sampled_from([1, 2, 3, 2**62 - 2, 2**62 - 1])), max_size=40))

@@ -124,4 +124,4 @@ def test_spin_key_is_the_first_two_words():
 
 
 def test_scheme_id_stable():
-    assert SCHEME_ID == "philox128-jumped-v3"
+    assert SCHEME_ID == "philox128-jumped-v4"
