@@ -21,7 +21,7 @@ _S31 = np.uint64(31)
 
 _BITS = np.uint64(64)
 _ONE = np.uint64(0x3FF0000000000000)  # the bits of the float64 1.0
-# a pattern pair's word j hashes the second identifier b + (j << 48)
+# a pattern pair's word j = j_hi * 2^16 + j_lo hashes the second identifier b + (j_lo << 48)
 _WORD_STEP = np.uint64((int(_WORD2) << 48) & ((1 << 64) - 1))
 
 # 2**-53, for mapping the top 53 hash bits to a uniform in [0, 1)
@@ -78,10 +78,11 @@ def right_words(k1, b) -> np.ndarray:
 
 
 def next_words(right: np.ndarray, j) -> np.ndarray:
-    """``right_words(k1, b + (j << 48))`` from ``right = right_words(k1, b)``: a pattern pair's word j.
+    """``right_words(k1, b + (j << 48))`` from ``right = right_words(k1, b)``, for j < 2^16.
 
-    The right word is linear in the identifier, so word j of a pair is
-    its first word's right side plus j * (_WORD2 << 48), wrapping.
+    A pattern pair's word j_hi * 2^16 + j_lo takes this right side at
+    j = j_lo.  The right word is linear in the identifier, so it is the
+    first word's right side plus j * (_WORD2 << 48), wrapping.
     """
     return right + np.asarray(j, dtype=np.uint64) * _WORD_STEP
 

@@ -71,8 +71,10 @@ _RENEWAL_KMAX = 1 << 18  # least renewal horizon of a forest axis; see Axis.rene
 _BATCH_ELEMENTS = 1 << 21
 # pattern pairs one block of the 2D spin core holds, about; see _blocks
 _CORE_ELEMENTS = 1 << 15
-# a pattern pair's word index takes the bits 48.. of its second identifier
-_MAX_PAIR_WORDS = 1 << 16
+# a pattern pair's word j = j_hi * 2^16 + j_lo adds j_hi << 48 to its first identifier
+# and j_lo << 48 to its second; see _sums_2d
+_LOW_WORD_BITS = 16
+_MAX_PAIR_WORDS = 1 << 32
 
 
 class ModelKind(enum.Enum):
@@ -426,12 +428,14 @@ def _row_sums(counts: np.ndarray, x: np.ndarray, starts: np.ndarray) -> np.ndarr
     return np.bincount(cells, (counts * x).ravel(), n_rows * n_sums).reshape(n_rows, n_sums)
 
 
-def _wide_heads(heads: np.ndarray, spins: np.ndarray, left: np.ndarray, right: np.ndarray) -> None:
+def _wide_heads(heads: np.ndarray, spins: np.ndarray, left: np.ndarray, right: np.ndarray, far_left) -> None:
     """Add to ``heads`` the set bits of the words j >= 1 of every pair with more than 64 spins.
 
     Word j of a pair reads its top min(64, N - 64 j) bits; ``left``
     (rows, P, 1) and ``right`` (rows, 1, Q) hold the sides of the pairs'
-    first words, and ``spins`` their N, which broadcasts to ``heads``.
+    first words, and ``spins`` their N, which broadcasts to ``heads``.  A
+    word's right side is the first word's moved by j_lo (``next_words``);
+    its left side, from j = 2^16 on, is ``far_left(rows, columns, j_hi)``.
     """
     if spins.shape != heads.shape:
         spins = np.broadcast_to(spins, heads.shape)
@@ -442,10 +446,31 @@ def _wide_heads(heads: np.ndarray, spins: np.ndarray, left: np.ndarray, right: n
     extra = ((n - np.uint64(1)) >> np.uint64(6)).astype(np.int64)  # words past the first
     first = extra.cumsum() - extra  # each pair's first such word
     j = (np.arange(1, first[-1] + extra[-1] + 1) - first.repeat(extra)).astype(np.uint64)
-    right = next_words(right[b, 0, q].repeat(extra), j)
+    lw = left[b, p, 0].repeat(extra)
+    hi = j >> np.uint64(_LOW_WORD_BITS)
+    far = hi.nonzero()[0]
+    if far.size:
+        lw[far] = far_left(b.repeat(extra)[far], p.repeat(extra)[far], hi[far])
+    right = next_words(right[b, 0, q].repeat(extra), j & np.uint64((1 << _LOW_WORD_BITS) - 1))
     bits = np.minimum(n.repeat(extra) - (j << np.uint64(6)), 64)
-    more = pair_heads(left[b, p, 0].repeat(extra), right, bits, right, np.empty_like(right))
+    more = pair_heads(lw, right, bits, right, np.empty_like(right))
     heads[wide] += np.add.reduceat(more, first)
+
+
+def _far_left_words(k0: np.ndarray, table: Patterns, order: np.ndarray, rows, columns, hi) -> np.ndarray:
+    """left_words(k0, id_p + (j_hi << 48)) of the patterns in the given padded rows and columns.
+
+    Padded row r is replicate order[r], whose k0 is ``k0[order[r]]``.  The
+    first identifiers of distinct (id_p, j_hi) stay distinct while the ids
+    lie in [-2^47, 2^47), so others are refused: an urn pattern's number
+    always does, and a forest root, in (-depth, n], unless depth or n
+    reaches 2^47.
+    """
+    replicate = order[rows]
+    ids = table.ids[table.starts[replicate] + columns]
+    if ids.min() < -(1 << 47) or ids.max() >= 1 << 47:
+        raise ValueError("a pattern pair of more than 2^22 spins needs its first identifiers within ±2^47")
+    return left_words(k0[replicate], ids.astype(np.uint64) + (hi << np.uint64(48)))
 
 
 def _check_exact(bound1: np.ndarray, bound2: np.ndarray) -> None:
@@ -487,18 +512,20 @@ def _sums_2d(keys: np.ndarray, t1: Patterns, t2: Patterns) -> np.ndarray:
 
     X[p, q] = N - 2 H is the sum of the N = sizes1[p] * sizes2[q] spins of
     a pattern pair, H the set bits among the top N bits of its words
-    finalize(left_words(k0, id_p) ^ right_words(k1, id_q + (j << 48))),
-    j < ceil(N / 64).  So the sums are (A1 s1)(A2 s2)^T - 2 A1 H A2^T.  The
-    rows go in order of their number of pattern pairs, and the first words
-    of every pair of a block of rows are one padded (rows, P, Q) array
-    (``_blocks``); the further words of pairs with N > 64 follow as one
-    flat array (``_wide_heads``).
+    finalize(left_words(k0, id_p + (j_hi << 48)) ^ right_words(k1, id_q + (j_lo << 48)))
+    for j = j_hi * 2^16 + j_lo < ceil(N / 64), so word 0 is the pair hash
+    of (id_p, id_q) and a pair holds up to 2^32 words.  So the sums are
+    (A1 s1)(A2 s2)^T - 2 A1 H A2^T.  The rows go in order of their number
+    of pattern pairs, and the first words of every pair of a block of rows
+    are one padded (rows, P, Q) array (``_blocks``); the further words of
+    pairs with N > 64 follow as one flat array (``_wide_heads``).
     """
     p1, p2 = t1.starts[1:] - t1.starts[:-1], t2.starts[1:] - t2.starts[:-1]
     order = (p1 * p2).argsort(kind="stable")  # row i of the padded arrays is replicate order[i]
     slot = np.empty_like(order)
     slot[order] = np.arange(order.size)
-    left, f1, a1 = _padded(t1, left_words(keys[_class_rows(t1.starts), 0], t1.ids), slot)
+    k0 = keys[:, 0]
+    left, f1, a1 = _padded(t1, left_words(k0[_class_rows(t1.starts)], t1.ids), slot)
     right, f2, a2 = _padded(t2, right_words(keys[_class_rows(t2.starts), 1], t2.ids), slot)
     _check_exact(np.einsum("bp,bp->b", a1.max(axis=0), f1), np.einsum("bp,bp->b", a2.max(axis=0), f2))
     # (A1 s1)(A2 s2)^T, then less 2 A1 H A2^T block by block
@@ -517,7 +544,7 @@ def _sums_2d(keys: np.ndarray, t1: Patterns, t2: Patterns) -> np.ndarray:
         lw, rw = left[b0:b1, :p, None], right[b0:b1, None, :q]
         h = pair_heads(lw, rw, np.minimum(spins, 64), words[:size].reshape(shape), spare[:size].reshape(shape))
         if spins.max(initial=0) > 64:
-            _wide_heads(h, spins, lw, rw)
+            _wide_heads(h, spins, lw, rw, lambda r, c, hi: _far_left_words(k0, t1, order, r + b0, c, hi))
         sums[b0:b1] -= 2.0 * (a1[:, b0:b1, :p].transpose(1, 0, 2) @ h @ a2[:, b0:b1, :q].transpose(1, 2, 0))
     out = np.empty(sums.shape)
     out[order] = sums
@@ -551,7 +578,7 @@ def simulate(spec: ModelSpec, grid: CornerGrid, rngs) -> np.ndarray:
     classes by count column (``Axis.sample``) and a sum reads only how many
     spins each pattern (1D) or pattern pair (2D) holds: in 1D the values of
     the words (id_p, j < N_p), in 2D the set bits of the top N bits of the
-    words (id_p, id_q + (j << 48)), all under the spin key (``_sums_1d``,
+    words (id_p + (j_hi << 48), id_q + (j_lo << 48)), all under the spin key (``_sums_1d``,
     ``_sums_2d``).  The 2D sums are float64 products, refused with a
     ValueError when their row-sum bound reaches 2^53 (``_check_exact``).
     Divide by Z to normalize.  No generators give an empty array.

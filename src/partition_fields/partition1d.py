@@ -233,6 +233,7 @@ def urn_patterns(alpha: float, n: int, corners, rngs) -> Patterns:
     rows, codes = urn_boxes(alpha, n, corners, rngs)
     # one pattern per distinct (row, code), by one sort of row << width | code; a code
     # that leaves the row too few of a word's bits goes by its rank among the batch's codes
+    # (ranking every grid's codes costs karlin2d-cov about 6% of its replicates per second)
     shared = n_corners + n_rows.bit_length() <= 64
     if shared:
         code, width = codes[0], n_corners

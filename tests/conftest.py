@@ -146,7 +146,7 @@ def corner_layout(ids, corners) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def urn_layout(labels, corners) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Labels (one row per replicate) in the layout of ``partition1d.urn_counts``.
+    """Labels (one row per replicate) in the layout of :func:`urn_counts_oracle`, scheme v3's ``urn_counts``.
 
     As there, only the labels up to the last corner are read, and a box
     keeps the parity of its count: (classes, parities, starts).
@@ -382,15 +382,16 @@ def top_bits_set(words: np.ndarray, bits: np.ndarray) -> np.ndarray:
 def pair_spin_sums(key, ids1, sizes1, ids2, sizes2) -> np.ndarray:
     """X[p, q]: the sum of the N = sizes1[p] * sizes2[q] spins of each pattern pair under one key.
 
-    Word j of a pair is ``hash2(key, id_p, id_q + (j << 48))``, j < ceil(N / 64),
-    and X = N - 2 * (the set bits among the first N bits of the words, top bit first).
+    Word j = j_hi * 2^16 + j_lo of a pair is ``hash2(key, id_p + (j_hi << 48), id_q + (j_lo << 48))``,
+    j < ceil(N / 64), and X = N - 2 * (the set bits among the first N bits of the words, top bit first).
     """
     n = np.multiply.outer(np.asarray(sizes1, dtype=np.int64), np.asarray(sizes2, dtype=np.int64))
-    ids1, ids2 = np.asarray(ids1), np.asarray(ids2).astype(np.uint64)
+    ids1, ids2 = np.asarray(ids1).astype(np.uint64), np.asarray(ids2).astype(np.uint64)
     heads = top_bits_set(hash2(key, ids1[:, None], ids2[None, :]), np.minimum(n, 64))
     for p, q in zip(*np.nonzero(n > 64)):
         j = np.arange(1, -(-int(n[p, q]) // 64), dtype=np.uint64)
-        words = hash2(key, ids1[p], ids2[q] + (j << np.uint64(48)))
+        hi, lo = j >> np.uint64(16), j & np.uint64(0xFFFF)
+        words = hash2(key, ids1[p] + (hi << np.uint64(48)), ids2[q] + (lo << np.uint64(48)))
         heads[p, q] += int(top_bits_set(words, np.minimum(int(n[p, q]) - 64 * j.astype(np.int64), 64)).sum())
     return n - 2 * heads
 

@@ -220,14 +220,43 @@ def test_2d_corner_sums_refuse_a_bound_at_2_53_from_pattern_sizes(monkeypatch):
         simulate(spec, grid, [replicate_generator(SEED, 0)])
 
 
-def test_2d_pattern_pairs_refuse_more_than_2_16_words(monkeypatch):
-    # a pair's word index takes the bits 48.. of its second identifier, so 2^16 words at most
+def test_2d_pattern_pairs_past_2_16_words_match_the_int64_core(monkeypatch):
+    # 2^12 x 2^12 boxes: 2^18 words, so j_hi reaches 3 in the first identifier
     spec, grid = ModelSpec(ModelKind.KARLIN_2D, (0.6, 0.6), (2, 3)), CornerGrid((1.0,), (1.0,))
-    _forced_counts(monkeypatch, {2: [1], 3: [1]}, sizes={2: [1 << 11], 3: [1 << 11]})
-    assert abs(simulate(spec, grid, [replicate_generator(SEED, 0)])[0, 0, 0]) <= 1 << 22  # 2^16 words
-    _forced_counts(monkeypatch, {2: [1], 3: [1]}, sizes={2: [1 << 11], 3: [(1 << 11) + 1]})
+    _forced_counts(monkeypatch, {2: [1, 1], 3: [1]}, sizes={2: [1 << 12, 5], 3: [1 << 12]})
+    raw = simulate(spec, grid, [replicate_generator(SEED, 0)])
+    spin = pair_spin_sums(spin_key(replicate_generator(SEED, 0)), [0, 1], [1 << 12, 5], [0], [1 << 12])
+    assert raw.tolist() == [[[float(spin.sum())]]]
+
+
+def test_karlin2d_on_the_unit_grid_runs_pairs_past_2_16_words():
+    # a row's odd boxes are one pattern on the unit grid: about 2,450^2 spins per pair at alpha 0.9, n = 5000
+    spec, grid = ModelSpec(ModelKind.KARLIN_2D, (0.9, 0.9), (5000, 5000)), CornerGrid((1.0,), (1.0,))
+    t1, t2 = (axis.sample([replicate_generator(SEED, r) for r in range(2)], (1.0,)) for axis in spec.axes)
+    assert (t1.sizes * t2.sizes > 1 << 22).all()
+    want = simulate_2d_oracle(spec, grid, [replicate_generator(SEED, r) for r in range(2)])
+    assert simulate(spec, grid, [replicate_generator(SEED, r) for r in range(2)]).tobytes() == want.tobytes()
+
+
+def test_2d_pattern_pairs_refuse_more_than_2_32_words(monkeypatch):
+    # j_hi and j_lo take 16 bits each; refused before any word past the first is hashed
+    spec, grid = ModelSpec(ModelKind.KARLIN_2D, (0.6, 0.6), (2, 3)), CornerGrid((1.0,), (1.0,))
+    _forced_counts(monkeypatch, {2: [1], 3: [1]}, sizes={2: [1 << 19], 3: [(1 << 19) + 1]})
     with pytest.raises(ValueError, match="hash words"):
         simulate(spec, grid, [replicate_generator(SEED, 0)])
+
+
+def test_2d_pattern_pairs_past_2_16_words_refuse_first_identifiers_past_2_47(monkeypatch):
+    # a forest root at -2^50 would alias in id_p + (j_hi << 48); 2^23 spins reach j_hi = 1
+    spec, grid = ModelSpec(ModelKind.COMBINED_2D, (0.25, 0.6), (1, 3)), CornerGrid((1.0,), (1.0,))
+    monkeypatch.setattr(fields, "roots_of", lambda alpha, keys, depth, n: np.array([[-(1 << 50)]]))
+    _forced_counts(monkeypatch, {3: [1]}, sizes={3: [1 << 23]})
+    with pytest.raises(ValueError, match="2\\^47"):
+        simulate(spec, grid, [replicate_generator(SEED, 0)])
+    monkeypatch.setattr(fields, "roots_of", lambda alpha, keys, depth, n: np.array([[-(1 << 40)]]))
+    raw = simulate(spec, grid, [replicate_generator(SEED, 0)])
+    spin = pair_spin_sums(spin_key(replicate_generator(SEED, 0)), [-(1 << 40)], [1], [0], [1 << 23])
+    assert raw.tolist() == [[[float(spin.sum())]]]
 
 
 def test_2d_corner_sums_are_exact_just_below_2_53(monkeypatch):
