@@ -12,8 +12,9 @@ one sum of their spins.  A replicate samples each axis as a pattern table
 (``partition1d.Patterns``): its classes grouped by column, each pattern
 with its size.  An urn axis draws its boxes' counts per corner segment and
 groups them by parity code, so a row holds at most 2^corners - 1 patterns;
-a forest axis resolves its sites' roots, counts them through
-``partition1d.corner_counts`` and keeps each root as a pattern of size 1.
+a forest axis resolves the roots of only the sites up to its last corner,
+counts each root's sites per corner and keeps each root as a pattern of
+size 1.
 The spins of a pattern (1D) or pattern pair (2D) are summed from the
 keyed hash of (pattern id, word index) under the replicate's spin key:
 values drawn from each word in 1D, and in 2D the number of set bits among
@@ -49,7 +50,7 @@ from scipy.special import gamma
 
 from ._hashing import hash1, left_words, next_words, pair_heads, right_words
 from .distributions import MarginalLaw, PmfKind, PowerLawPmf, make_hs_pmf, make_karlin_pmf
-from .partition1d import Patterns, corner_counts, roots_of, urn_patterns
+from .partition1d import Patterns, roots_of, urn_patterns
 from .renewal import RenewalSequence, bn_sq_growth_constant, cached_renewal_sequence, q_sq_tail_bound, var_xstar
 from .seeding import spin_key
 
@@ -177,25 +178,28 @@ class Axis:
         An urn axis draws its boxes' counts per corner segment and groups
         the boxes by parity column
         (:func:`~partition_fields.partition1d.urn_patterns`); a forest axis
-        takes a jump key per generator, resolves the roots of its n sites,
-        counts each root's sites below each corner
-        (:func:`~partition_fields.partition1d.corner_counts`) and makes
-        each root a pattern of size 1.
+        takes a jump key per generator and resolves the roots of only the
+        sites up to its last corner, the sites that a corner counts, so
+        each root it finds is counted at the last corner.  It sorts each
+        row by root, counts every root's sites per corner with one
+        ``bincount`` and ``cumsum``, and makes each root a pattern of size 1.
         """
         idx = _corner_index(self.n, ts)
         if self.is_urn:
             return urn_patterns(self.alpha, self.n, idx, rngs)
         keys = [spin_key(rng) for rng in rngs]  # each row's jump key
-        roots = roots_of(self.alpha, keys, self.depth, self.n)
+        sites = int(idx[-1])
+        roots = roots_of(self.alpha, keys, self.depth, sites)
         order = np.argsort(roots, axis=1)  # each row's sites, by root
-        first = np.searchsorted(idx, np.arange(self.n), side="right")  # first corner holding each site
-        classes, counts, starts = corner_counts(
-            np.repeat(np.arange(len(roots)), self.n), np.take_along_axis(roots, order, axis=1).ravel(),
-            first[order].ravel(), len(roots), idx.size + 1,
-        )
-        table = Patterns(classes, counts[:-1], np.ones_like(classes), starts)
-        # a site past the last corner counts at none, and only such sites can make a class count at none
-        return _counted(table) if idx[-1] < self.n else table
+        ids = np.take_along_axis(roots, order, axis=1)
+        new = np.ones(ids.shape, dtype=bool)  # a row's first site of each root
+        np.not_equal(ids[:, 1:], ids[:, :-1], out=new[:, 1:])
+        k = int(np.count_nonzero(new))
+        root = new.cumsum().reshape(new.shape) - 1  # each site's root, numbered across the batch
+        first = np.searchsorted(idx, np.arange(sites), side="right")  # first corner counting each site
+        counts = np.bincount((first[order] * k + root).ravel(), minlength=idx.size * k)
+        starts = np.concatenate(([0], new.sum(axis=1).cumsum()))
+        return Patterns(ids[new], counts.reshape(idx.size, k).cumsum(axis=0), np.ones(k, dtype=np.int64), starts)
 
     def draw(self, marginal: MarginalLaw, h: np.ndarray) -> np.ndarray:
         """One class's value per hash word; urn boxes add an independent sign."""
@@ -374,11 +378,11 @@ def batch_size(spec: ModelSpec, grid: CornerGrid) -> int:
     """Replicates per simulate call: an element budget over one replicate's footprint.
 
     Per axis, a replicate is budgeted n roots and a (corners + 1) x n count
-    matrix.  That is a bound, not a size: a forest axis counts its classes
-    in a (corners + 1) x classes matrix, an urn axis its boxes in a dense
-    (corners x head boxes) array, and a row has at most n classes (an urn
-    row far fewer, and far fewer patterns still).  A forest axis draws no
-    sites, so its depth costs nothing here.
+    matrix.  That is a bound, not a size: a forest axis counts the classes
+    of its sites up to the last corner in a corners x classes matrix, an
+    urn axis its boxes in a dense (corners x head boxes) array, and a row
+    has at most n classes (an urn row far fewer, and far fewer patterns
+    still).  A forest axis draws no sites, so its depth costs nothing here.
     """
     footprint = sum((len(ts) + 2) * axis.n for axis, ts in zip(spec.axes, (grid.t1, grid.t2)))
     return max(1, _BATCH_ELEMENTS // footprint)
@@ -389,21 +393,12 @@ def _class_rows(starts: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(starts.size - 1), starts[1:] - starts[:-1])
 
 
-def _counted(table: Patterns) -> Patterns:
-    """The table without the patterns that no corner counts (they add 0 to every sum)."""
-    keep = table.counts.any(axis=0)
-    if keep.all():
-        return table
-    kept = np.zeros(keep.size + 1, dtype=np.int64)  # kept[c]: patterns kept before pattern c
-    np.cumsum(keep, out=kept[1:])
-    return Patterns(table.ids[keep], table.counts[:, keep], table.sizes[keep], kept[table.starts])
+def _padded(table: Patterns, words: np.ndarray, slot: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(words, ids, sizes, counts) with row b of the table in row slot[b], padded with empty patterns.
 
-
-def _padded(table: Patterns, words: np.ndarray, slot: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(words, sizes, counts) with row b of the table in row slot[b], padded with empty patterns.
-
-    Shapes (B, P), (B, P) and (corners, B, P) for the row maxima P; the
-    sizes and counts are float64, and a pad's are 0.
+    Shapes (B, P), (B, P), (B, P) and (corners, B, P) for the row maxima P;
+    the sizes and counts are float64, and a pad's word, id, size and counts
+    are 0.
     """
     n_rows, n_classes = table.starts.size - 1, table.ids.size
     per_row = table.starts[1:] - table.starts[:-1]
@@ -415,9 +410,9 @@ def _padded(table: Patterns, words: np.ndarray, slot: np.ndarray) -> tuple[np.nd
     counts[:-1, :-1] = table.counts
     counts[-1, :-1] = table.sizes
     counts = counts.take(src, axis=1).reshape(counts.shape[0], n_rows, width)
-    padded = np.zeros(n_classes + 1, dtype=np.uint64)
-    padded[:-1] = words
-    return padded[src].reshape(n_rows, width), counts[-1], counts[:-1]
+    padded, ids = np.zeros(n_classes + 1, dtype=np.uint64), np.zeros(n_classes + 1, dtype=np.int64)
+    padded[:-1], ids[:-1] = words, table.ids
+    return padded[src].reshape(n_rows, width), ids[src].reshape(n_rows, width), counts[-1], counts[:-1]
 
 
 def _row_sums(counts: np.ndarray, x: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -425,17 +420,25 @@ def _row_sums(counts: np.ndarray, x: np.ndarray, starts: np.ndarray) -> np.ndarr
     n_rows, n_sums = starts.size - 1, counts.shape[0]
     # a sum per row and count row, not float @: BLAS may sum in a CPU-dependent order
     cells = (_class_rows(starts) * n_sums + np.arange(n_sums)[:, None]).ravel()
-    return np.bincount(cells, (counts * x).ravel(), n_rows * n_sums).reshape(n_rows, n_sums)
+    # bincount gives int64 when it has no cells, whatever its weights
+    sums = np.bincount(cells, (counts * x).ravel(), n_rows * n_sums).astype(np.float64, copy=False)
+    return sums.reshape(n_rows, n_sums)
 
 
-def _wide_heads(heads: np.ndarray, spins: np.ndarray, left: np.ndarray, right: np.ndarray, far_left) -> None:
+def _wide_heads(heads: np.ndarray, spins: np.ndarray, left: np.ndarray, right: np.ndarray, ids: np.ndarray,
+                k0: np.ndarray) -> None:
     """Add to ``heads`` the set bits of the words j >= 1 of every pair with more than 64 spins.
 
     Word j of a pair reads its top min(64, N - 64 j) bits; ``left``
     (rows, P, 1) and ``right`` (rows, 1, Q) hold the sides of the pairs'
-    first words, and ``spins`` their N, which broadcasts to ``heads``.  A
-    word's right side is the first word's moved by j_lo (``next_words``);
-    its left side, from j = 2^16 on, is ``far_left(rows, columns, j_hi)``.
+    first words, ``ids`` (rows, P, 1) their first identifiers, ``k0`` the
+    rows' key words and ``spins`` their N, which broadcasts to ``heads``.
+    A word's right side is the first word's moved by j_lo
+    (``next_words``); its left side, from j = 2^16 on, is
+    left_words(k0, id_p + (j_hi << 48)).  The first identifiers of
+    distinct (id_p, j_hi) stay distinct while the ids lie in
+    [-2^47, 2^47), so others are refused: an urn pattern's number always
+    does, and a forest root, in (-depth, n], unless depth or n reaches 2^47.
     """
     if spins.shape != heads.shape:
         spins = np.broadcast_to(spins, heads.shape)
@@ -450,27 +453,14 @@ def _wide_heads(heads: np.ndarray, spins: np.ndarray, left: np.ndarray, right: n
     hi = j >> np.uint64(_LOW_WORD_BITS)
     far = hi.nonzero()[0]
     if far.size:
-        lw[far] = far_left(b.repeat(extra)[far], p.repeat(extra)[far], hi[far])
+        far_ids = ids[b, p, 0].repeat(extra)[far]
+        if far_ids.min() < -(1 << 47) or far_ids.max() >= 1 << 47:
+            raise ValueError("a pattern pair of more than 2^22 spins needs its first identifiers within ±2^47")
+        lw[far] = left_words(k0[b].repeat(extra)[far], far_ids.astype(np.uint64) + (hi[far] << np.uint64(48)))
     right = next_words(right[b, 0, q].repeat(extra), j & np.uint64((1 << _LOW_WORD_BITS) - 1))
     bits = np.minimum(n.repeat(extra) - (j << np.uint64(6)), 64)
     more = pair_heads(lw, right, bits, right, np.empty_like(right))
     heads[wide] += np.add.reduceat(more, first)
-
-
-def _far_left_words(k0: np.ndarray, table: Patterns, order: np.ndarray, rows, columns, hi) -> np.ndarray:
-    """left_words(k0, id_p + (j_hi << 48)) of the patterns in the given padded rows and columns.
-
-    Padded row r is replicate order[r], whose k0 is ``k0[order[r]]``.  The
-    first identifiers of distinct (id_p, j_hi) stay distinct while the ids
-    lie in [-2^47, 2^47), so others are refused: an urn pattern's number
-    always does, and a forest root, in (-depth, n], unless depth or n
-    reaches 2^47.
-    """
-    replicate = order[rows]
-    ids = table.ids[table.starts[replicate] + columns]
-    if ids.min() < -(1 << 47) or ids.max() >= 1 << 47:
-        raise ValueError("a pattern pair of more than 2^22 spins needs its first identifiers within ±2^47")
-    return left_words(k0[replicate], ids.astype(np.uint64) + (hi << np.uint64(48)))
 
 
 def _check_exact(bound1: np.ndarray, bound2: np.ndarray) -> None:
@@ -525,8 +515,8 @@ def _sums_2d(keys: np.ndarray, t1: Patterns, t2: Patterns) -> np.ndarray:
     slot = np.empty_like(order)
     slot[order] = np.arange(order.size)
     k0 = keys[:, 0]
-    left, f1, a1 = _padded(t1, left_words(k0[_class_rows(t1.starts)], t1.ids), slot)
-    right, f2, a2 = _padded(t2, right_words(keys[_class_rows(t2.starts), 1], t2.ids), slot)
+    left, ids, f1, a1 = _padded(t1, left_words(k0[_class_rows(t1.starts)], t1.ids), slot)
+    right, _, f2, a2 = _padded(t2, right_words(keys[_class_rows(t2.starts), 1], t2.ids), slot)
     _check_exact(np.einsum("bp,bp->b", a1.max(axis=0), f1), np.einsum("bp,bp->b", a2.max(axis=0), f2))
     # (A1 s1)(A2 s2)^T, then less 2 A1 H A2^T block by block
     sums = np.einsum("mbp,bp->bm", a1, f1)[:, :, None] * np.einsum("mbp,bp->bm", a2, f2)[:, None, :]
@@ -544,7 +534,7 @@ def _sums_2d(keys: np.ndarray, t1: Patterns, t2: Patterns) -> np.ndarray:
         lw, rw = left[b0:b1, :p, None], right[b0:b1, None, :q]
         h = pair_heads(lw, rw, np.minimum(spins, 64), words[:size].reshape(shape), spare[:size].reshape(shape))
         if spins.max(initial=0) > 64:
-            _wide_heads(h, spins, lw, rw, lambda r, c, hi: _far_left_words(k0, t1, order, r + b0, c, hi))
+            _wide_heads(h, spins, lw, rw, ids[b0:b1, :p, None], k0[order[b0:b1]])
         sums[b0:b1] -= 2.0 * (a1[:, b0:b1, :p].transpose(1, 0, 2) @ h @ a2[:, b0:b1, :q].transpose(1, 2, 0))
     out = np.empty(sums.shape)
     out[order] = sums

@@ -35,9 +35,9 @@ pattern table (``Patterns``): each row's classes grouped by their column
 of corner counts.  An urn box's column is the parity of its count at each
 corner, since its alternating signs sum to that parity, so the urn gives
 each box a parity code (``urn_boxes``) and groups the boxes by code
-(``urn_patterns``); the forest counts the roots of its sites 1..n with
-``corner_counts`` and keeps each root as a pattern of size 1
-(``fields.Axis.sample``).
+(``urn_patterns``); the forest resolves the roots of only the sites up to
+its last corner, counts each root's sites per corner and keeps each root
+as a pattern of size 1 (``fields.Axis.sample``).
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ from ._hashing import hash1, uniforms_from
 from .distributions import PmfKind, invert_hs_tail, make_karlin_pmf, sample_zipf_rows
 
 __all__ = [
-    "corner_counts",
     "Patterns",
     "urn_head_size",
     "urn_boxes",
@@ -63,23 +62,6 @@ __all__ = [
     "hashed_jumps",
     "roots_of",
 ]
-
-
-def corner_counts(rows, ids, segments, n_rows: int, n_segments: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(classes, counts, starts) of entries sorted by row, then by class id.
-
-    Entry e is one site of row ``rows[e]`` and class ``ids[e]``, first
-    counted at corner ``segments[e]`` (0 <= segments[e] < n_segments).  Row
-    b's classes, in increasing order, are ``classes[starts[b]:starts[b + 1]]``,
-    and ``counts[m, c]`` (int64) is the number of class c's sites counted at
-    corner m, which holds the segments 0..m.
-    """
-    new = np.ones(ids.size, dtype=bool)
-    new[1:] = (ids[1:] != ids[:-1]) | (rows[1:] != rows[:-1])
-    k = int(np.count_nonzero(new))
-    counts = np.bincount(segments * k + np.cumsum(new) - 1, minlength=n_segments * k)
-    starts = np.concatenate(([0], np.cumsum(np.bincount(rows[new], minlength=n_rows))))
-    return ids[new], np.cumsum(counts.reshape(n_segments, k), axis=0), starts
 
 
 class Patterns(NamedTuple):
@@ -141,12 +123,12 @@ def _codes(bits) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _segment_runs(corners: tuple[int, ...]) -> tuple[tuple[slice, int, int | None], ...]:
+def _segment_runs(corners: tuple[int, ...]) -> tuple[tuple[slice, int, int], ...]:
     """(segments, length, size) per run of equal segment lengths: one multinomial call each."""
     runs, m = [], 0
     for length, run in groupby(np.diff(corners, prepend=0).tolist()):
         k = len(list(run))
-        runs.append((slice(m, m + k), length, None if k == 1 else k))
+        runs.append((slice(m, m + k), length, k))
         m += k
     return tuple(runs)
 
@@ -182,9 +164,8 @@ def urn_boxes(alpha: float, n: int, corners, rngs) -> tuple[np.ndarray, np.ndarr
     tail draws are then drawn exactly from the law conditioned on
     k >= L + 1 and fill the segments in draw order.  A run of k segments
     of equal length is one call with ``size=k``, which loops the routine
-    that k calls would run, and a lone segment one call without ``size``;
-    together they draw what one call over the array of segment lengths
-    draws, without its broadcast.
+    that k calls would run; together the runs draw what one call over the
+    array of segment lengths draws, without its broadcast.
 
     Box k is in row ``rows[k]``, and its code, ``codes[:, k]`` (uint64, bit
     m in word m // 64), has bit m set when it holds an odd number of draws
@@ -319,16 +300,17 @@ def roots_of(alpha: float, keys, depth: int, n: int) -> np.ndarray:
 
     ``keys`` holds one jump key (two 64-bit words) per row.  The
     representative of site i is the lowest site on its ancestral line above
-    the floor -depth.  Jumps are at least 1, so a line can meet another
-    site of 1..n only on its first step.  Each site's jump is hashed once:
-    a site whose parent i - J_i is at least 1 points to it (the two lines
-    share the rest of their path), and a site whose parent is at or below
-    -depth is its own root.  Only the exit lines, whose parents fall in
-    (-depth, 1), are walked on, every exit line of every row at once, until
-    the next parent falls at or below -depth; the lowest site walked is
-    then the line's root.  The pointers are resolved by pointer jumping:
-    O(log n) gathers over the (rows x n) nodes and no hashing.  So depth
-    costs steps only for the exit lines.  The result is int64 of shape
+    the floor -depth, which no other site changes, so the roots of the sites
+    1..m are the first m of those of 1..n.  Jumps are at least 1, so a line
+    can meet another site of 1..n only on its first step.  Each site's jump
+    is hashed once: a site whose parent i - J_i is at least 1 points to it
+    (the two lines share the rest of their path), and a site whose parent is
+    at or below -depth is its own root.  Only the exit lines, whose parents
+    fall in (-depth, 1), are walked on, every exit line of every row at
+    once, until the next parent falls at or below -depth; the lowest site
+    walked is then the line's root.  The pointers are resolved by pointer
+    jumping: O(log n) gathers over the (rows x n) nodes and no hashing.  So
+    depth costs steps only for the exit lines.  The result is int64 of shape
     ``(len(keys), n)``.
     """
     keys = np.asarray(keys, dtype=np.uint64).reshape(-1, 2)

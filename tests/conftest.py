@@ -132,8 +132,26 @@ def occupancy(path: UrnPath) -> tuple[int, int]:
     return int(counts.size), int(np.count_nonzero(counts & 1))
 
 
+def corner_counts(rows, ids, segments, n_rows: int, n_segments: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(classes, counts, starts) of entries sorted by row, then by class id.
+
+    Entry e is one site of row ``rows[e]`` and class ``ids[e]``, first
+    counted at corner ``segments[e]`` (0 <= segments[e] < n_segments).  Row
+    b's classes, in increasing order, are ``classes[starts[b]:starts[b + 1]]``,
+    and ``counts[m, c]`` (int64) is the number of class c's sites counted at
+    corner m, which holds the segments 0..m.  Scheme v3's urn counted its
+    tail boxes with it (:func:`urn_counts_oracle`).
+    """
+    new = np.ones(ids.size, dtype=bool)
+    new[1:] = (ids[1:] != ids[:-1]) | (rows[1:] != rows[:-1])
+    k = int(np.count_nonzero(new))
+    counts = np.bincount(segments * k + np.cumsum(new) - 1, minlength=n_segments * k)
+    starts = np.concatenate(([0], np.cumsum(np.bincount(rows[new], minlength=n_rows))))
+    return ids[new], np.cumsum(counts.reshape(n_segments, k), axis=0), starts
+
+
 def corner_layout(ids, corners) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sites' class ids (one row per replicate) in the layout of ``partition1d.corner_counts``.
+    """Sites' class ids (one row per replicate) in the layout of :func:`corner_counts`.
 
     Returns (classes, counts, starts): each row's distinct ids in increasing
     order, the number of each class's sites among the first corners[m] sites
@@ -239,7 +257,7 @@ def urn_counts_oracle(alpha: float, n: int, corners, rngs) -> tuple[np.ndarray, 
     rows = np.repeat(np.arange(len(rngs)), per_segment.sum(axis=1))
     segment = np.repeat(np.tile(np.arange(corners.size), len(rngs)), per_segment.ravel())
     order = partition1d._row_label_order(rows, tail)
-    tail, tail_counts, tail_starts = partition1d.corner_counts(
+    tail, tail_counts, tail_starts = corner_counts(
         rows[order], tail[order], segment[order], len(rngs), corners.size)
     owner = np.concatenate((head_rows, np.repeat(np.arange(len(rngs)), np.diff(tail_starts))))
     merged = np.argsort(owner, kind="stable")

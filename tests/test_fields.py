@@ -23,10 +23,12 @@ from partition_fields import (
 from partition_fields import fields
 from partition_fields.distributions import PmfKind, sample_zipf_rows
 from partition_fields.fields import KIND_TABLE, Axis, _corner_index, batch_size
-from partition_fields.partition1d import Patterns, corner_counts, urn_head_size
+from partition_fields.partition1d import Patterns, urn_head_size
 from partition_fields.seeding import spin_key
+from partition_fields.stats import simulate_raw_matrix
 
 from conftest import (
+    corner_counts,
     corner_layout,
     group_by_column,
     pair_spin_sums,
@@ -68,7 +70,7 @@ def _counts_of(axis: Axis, inv: np.ndarray, k: int, ts) -> np.ndarray:
     """The axis's int64 (corners, k) count matrix of the sites' classes inv.
 
     A forest axis samples with its roots forced to inv; an urn site's
-    count goes through ``partition1d.corner_counts``, keeping the parity.
+    count goes through ``conftest.corner_counts``, keeping the parity.
     """
     idx = _corner_index(axis.n, ts)
     if axis.is_urn:
@@ -78,7 +80,7 @@ def _counts_of(axis: Axis, inv: np.ndarray, k: int, ts) -> np.ndarray:
         counts = counts[:-1] & 1
     else:
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(fields, "roots_of", lambda alpha, keys, depth, n: inv[None])
+            mp.setattr(fields, "roots_of", lambda alpha, keys, depth, n: inv[None, :n])
             table = axis.sample([replicate_generator(SEED, 0)], ts)
         assert np.all(table.sizes == 1)
         classes, counts = table.ids, table.counts
@@ -140,7 +142,7 @@ def test_forest_layout_matches_per_row_unique(rows, depth, data):
     jumps = data.draw(hnp.arrays(np.int64, (rows, depth + n), elements=st.integers(1, 40)))
     roots = roots_on_jumps(jumps, -depth, np.arange(1, n + 1))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fields, "roots_of", lambda alpha, keys, depth, n: roots)
+        mp.setattr(fields, "roots_of", lambda alpha, keys, depth, n: roots[:, :n])
         got = Axis(PmfKind.HS_TAIL, 0.25, n, depth).sample([replicate_generator(SEED, r) for r in range(rows)], ts)
     classes, counts, starts = corner_layout(roots, idx)
     keep = counts.any(axis=0)  # a class whose sites all lie past the last corner is left out
@@ -249,14 +251,25 @@ def test_2d_pattern_pairs_refuse_more_than_2_32_words(monkeypatch):
 def test_2d_pattern_pairs_past_2_16_words_refuse_first_identifiers_past_2_47(monkeypatch):
     # a forest root at -2^50 would alias in id_p + (j_hi << 48); 2^23 spins reach j_hi = 1
     spec, grid = ModelSpec(ModelKind.COMBINED_2D, (0.25, 0.6), (1, 3)), CornerGrid((1.0,), (1.0,))
-    monkeypatch.setattr(fields, "roots_of", lambda alpha, keys, depth, n: np.array([[-(1 << 50)]]))
+    monkeypatch.setattr(fields, "roots_of", lambda alpha, keys, depth, n: np.full((1, n), -(1 << 50)))
     _forced_counts(monkeypatch, {3: [1]}, sizes={3: [1 << 23]})
     with pytest.raises(ValueError, match="2\\^47"):
         simulate(spec, grid, [replicate_generator(SEED, 0)])
-    monkeypatch.setattr(fields, "roots_of", lambda alpha, keys, depth, n: np.array([[-(1 << 40)]]))
+    monkeypatch.setattr(fields, "roots_of", lambda alpha, keys, depth, n: np.full((1, n), -(1 << 40)))
     raw = simulate(spec, grid, [replicate_generator(SEED, 0)])
     spin = pair_spin_sums(spin_key(replicate_generator(SEED, 0)), [-(1 << 40)], [1], [0], [1 << 23])
     assert raw.tolist() == [[[float(spin.sum())]]]
+
+
+def test_2d_pattern_pairs_past_2_16_words_in_padded_rows_match_the_int64_core(monkeypatch):
+    # the last replicate holds fewer forest classes than the other, so its padded column
+    # pairs with an urn pattern of 2^23 boxes and reaches j_hi = 1 too (counts 0 there)
+    spec, grid = ModelSpec(ModelKind.COMBINED_2D, (0.25, 0.6), (2, 3)), CornerGrid((1.0,), (1.0,))
+    monkeypatch.setattr(fields, "roots_of", lambda alpha, keys, depth, n: np.array([[1, 2], [0, 0]])[:, :n])
+    monkeypatch.setattr(fields, "urn_patterns", lambda alpha, n, corners, rngs: Patterns(
+        np.zeros(2, np.int64), np.ones((1, 2), np.int64), np.full(2, 1 << 23), np.arange(3)))
+    want = simulate_2d_oracle(spec, grid, [replicate_generator(SEED, r) for r in range(2)])
+    assert simulate(spec, grid, [replicate_generator(SEED, r) for r in range(2)]).tobytes() == want.tobytes()
 
 
 def test_2d_corner_sums_are_exact_just_below_2_53(monkeypatch):
@@ -460,6 +473,42 @@ def test_simulate_of_no_generators_is_empty(kind):
     grid = CornerGrid((0.5, 1.0), (0.25, 0.5, 1.0) if spec.is_2d else None)
     out = simulate(spec, grid, [])
     assert out.shape == (0, *grid.shape()) and out.dtype == np.float64
+
+
+@pytest.mark.parametrize("spec, grid, seed", [
+    (ModelSpec(ModelKind.KARLIN_1D, (0.3,), (2,)), CornerGrid((1.0,)), 5),  # both draws in one box
+    (ModelSpec(ModelKind.HS_1D, (0.25,), (3,)), CornerGrid((0.1,)), SEED),  # the one corner holds no site
+], ids=["karlin1d-no-odd-box", "hs1d-no-site"])
+def test_1d_simulate_without_counted_patterns_is_float64(spec, grid, seed):
+    out = simulate(spec, grid, [replicate_generator(seed, 0)])
+    assert out.dtype == np.float64 and out.tolist() == [[0.0]]
+
+
+@pytest.mark.parametrize("kind", list(KIND_TABLE), ids=lambda k: k.value)
+def test_simulate_and_raw_matrix_are_c_ordered_float64(kind):
+    # the reports read the raw matrix through BLAS, whose sums follow its memory layout
+    spec = ModelSpec(kind, tuple(0.6 if axis is PmfKind.KARLIN_ZIPF else 0.25 for axis in KIND_TABLE[kind].axes),
+                     (40,) * len(KIND_TABLE[kind].axes), forest_depth=100)
+    grid = CornerGrid((0.01, 0.5, 0.9), (0.01, 0.75) if spec.is_2d else None)
+    out = simulate(spec, grid, [replicate_generator(SEED, r) for r in range(3)])
+    raw = simulate_raw_matrix(spec, grid, 3, SEED)
+    assert out.shape == (3, *grid.shape()) and raw.shape == (3, math.prod(grid.shape()))
+    for a in (out, raw):
+        assert a.dtype == np.float64 and a.flags.c_contiguous
+
+
+@pytest.mark.parametrize("ts, sites", [((0.25, 0.75), 96), ((0.001,), 0), ((0.5, 1.0), 128)])
+def test_forest_axis_asks_roots_of_for_the_sites_up_to_its_last_corner(monkeypatch, ts, sites):
+    asked, real = [], fields.roots_of
+
+    def roots(alpha, keys, depth, n):
+        asked.append(n)
+        return real(alpha, keys, depth, n)
+
+    monkeypatch.setattr(fields, "roots_of", roots)
+    table = Axis(PmfKind.HS_TAIL, 0.25, 128, 2000).sample([replicate_generator(SEED, r) for r in range(3)], ts)
+    assert asked == [sites]
+    assert table.counts.shape == (len(ts), table.ids.size) and np.all(table.counts[-1] > 0)
 
 
 def test_corner_grid_to_dict():

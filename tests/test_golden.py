@@ -3,7 +3,8 @@
 Each case pins one replicate's raw corner sums, Z and sigma, and the
 identities, truncation summary and sha256 of a small ``run_replicates``
 report on a grid that ends at 1 (so the variance identity and the truncation
-allowance are covered).  The suite cases pin the sha256 of small
+allowance are covered); the short-grid cases pin the same on a grid that
+ends below 1 and has a first corner at no site.  The suite cases pin the sha256 of small
 ``run_suite`` reports, the bytes that ``verify`` writes.  The CLI cases pin
 the sha256 of the CSV that ``simulate`` writes, and the ``z_norm``, ``sigma``
 and ``truncation`` of its meta.json.  Outputs are bit-reproducible, so every
@@ -73,6 +74,14 @@ CASES = {
     "hs2d-0.1-0.4": ModelSpec(ModelKind.HS_2D, (0.1, 0.4), (24, 32), forest_depth=2000),
     "combined2d": ModelSpec(ModelKind.COMBINED_2D, (0.25, 0.6), (24, 40), forest_depth=2000),
 }
+# grids that end below 1 with a first corner at floor(n t) = 0: a forest axis reads
+# only the sites up to its last corner, and no site counts at the first
+SHORT_GRIDS = {
+    "hs1d-short-grid": ("hs1d", CornerGrid((0.005, 0.25, 0.75))),
+    "generalized-hs1d-short-grid": ("generalized-hs1d", CornerGrid((0.005, 0.25, 0.75))),
+    "combined2d-short-grid": ("combined2d", CornerGrid((0.02, 0.5, 0.8), (0.02, 0.3, 0.9))),
+}
+CASES.update({name: CASES[base] for name, (base, _) in SHORT_GRIDS.items()})
 
 # name -> (suite, spec, grid, replicates)
 SUITE_CASES = {
@@ -102,9 +111,15 @@ CLI_CASES = {
 }
 
 
-def record(spec: ModelSpec) -> dict:
+def grid_of(name: str) -> CornerGrid:
+    """The grid of a case: its short grid if it has one, else GRID_1D or GRID_2D."""
+    if name in SHORT_GRIDS:
+        return SHORT_GRIDS[name][1]
+    return GRID_2D if CASES[name].is_2d else GRID_1D
+
+
+def record(spec: ModelSpec, grid: CornerGrid) -> dict:
     """Everything pinned for one case, as it reads back from JSON."""
-    grid = GRID_2D if spec.is_2d else GRID_1D
     raw = simulate(spec, grid, [replicate_generator(SEED, REPLICATE)])[0]
     z_norm, sigma = normalization(spec)
     report = run_replicates(spec, grid, REPORT_REPLICATES, SEED).to_dict()
@@ -153,7 +168,7 @@ def test_golden_covers_every_kind(golden):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_vectors(golden, name):
-    got = record(CASES[name])
+    got = record(CASES[name], grid_of(name))
     want = golden["cases"][name]
     for key in want:
         assert got[key] == want[key], f"{name}: {key} moved"
@@ -201,7 +216,7 @@ def main() -> None:
         "seed": SEED,
         "replicate": REPLICATE,
         "report_replicates": REPORT_REPLICATES,
-        "cases": {name: record(spec) for name, spec in CASES.items()},
+        "cases": {name: record(spec, grid_of(name)) for name, spec in CASES.items()},
         "suites": {name: suite_digest(*case) for name, case in SUITE_CASES.items()},
         "cli": {name: cli_record(config) for name, config in CLI_CASES.items()},
     }

@@ -28,7 +28,6 @@ from partition_fields.distributions import PmfKind, invert_hs_tail, sample_zipf_
 from partition_fields.fields import Axis
 from partition_fields import partition1d
 from partition_fields.partition1d import (
-    corner_counts,
     hashed_jumps,
     roots_of,
     urn_boxes,
@@ -39,6 +38,7 @@ from partition_fields.seeding import spin_key
 
 from conftest import (
     UrnPath,
+    corner_counts,
     expected_occupancy_oracle,
     group_by_column,
     occupancy,
@@ -474,6 +474,16 @@ def test_roots_of_matches_every_line_walk(data):
     got = roots_of(alpha, keys, depth, n)
     assert got.shape == (rows, n)
     assert np.array_equal(got, walk_roots_oracle(alpha, keys, depth, np.arange(1, n + 1)))
+
+
+@given(st.floats(0.05, 0.49), st.integers(1, 3), st.integers(1, 10**4), st.integers(0, 120), st.integers(0, 2**32))
+@settings(max_examples=50, deadline=None)
+def test_roots_of_a_prefix_of_sites_are_their_roots_among_more(alpha, rows, depth, n, seed):
+    # a site's root is the lowest site on its own line, whichever other sites are asked for
+    keys = [spin_key(replicate_generator(seed, r)) for r in range(rows)]
+    whole = roots_of(alpha, keys, depth, n)
+    for m in range(n + 1):
+        assert np.array_equal(whole[:, :m], roots_of(alpha, keys, depth, m))
 
 
 def test_roots_of_edge_cases():
