@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import numpy as np
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_WORD2 = np.uint64(0xD1B54A32D192ED03)
-_M1 = np.uint64(0xBF58476D1CE4E5B9)
-_M2 = np.uint64(0x94D049BB133111EB)
-_S30 = np.uint64(30)
-_S27 = np.uint64(27)
-_S31 = np.uint64(31)
+# 0-d arrays, not numpy scalars: a ufunc takes one about 0.5 us faster per call
+_GOLDEN = np.array(0x9E3779B97F4A7C15, dtype=np.uint64)
+_WORD2 = np.array(0xD1B54A32D192ED03, dtype=np.uint64)
+_M1 = np.array(0xBF58476D1CE4E5B9, dtype=np.uint64)
+_M2 = np.array(0x94D049BB133111EB, dtype=np.uint64)
+_S30 = np.array(30, dtype=np.uint64)
+_S27 = np.array(27, dtype=np.uint64)
+_S31 = np.array(31, dtype=np.uint64)
 
 _BITS = np.uint64(64)
 _ONE = np.uint64(0x3FF0000000000000)  # the bits of the float64 1.0
@@ -41,9 +42,9 @@ def _mix(z: np.ndarray, spare: np.ndarray | None = None) -> np.ndarray:
     return z
 
 
-def _finalize(z: np.ndarray) -> np.ndarray:
-    z = _mix(z)
-    z ^= z >> _S31
+def _finalize(z: np.ndarray, spare: np.ndarray | None = None) -> np.ndarray:
+    z = _mix(z, spare)
+    z ^= np.right_shift(z, _S31, out=spare)
     return z
 
 
@@ -65,6 +66,19 @@ def hash1(key, a) -> np.ndarray:
     """
     k0, k1 = _key_words(key)
     return _finalize(left_words(k0, a) ^ k1)
+
+
+def hash1_into(k0: np.ndarray, k1: np.ndarray, out: np.ndarray, spare: np.ndarray) -> np.ndarray:
+    """``hash1((k0, k1), a)`` in place: ``out`` holds the identifiers a on entry and their hashes on return.
+
+    ``out`` and ``spare``, its one temporary, are uint64 arrays of one
+    shape; the key words broadcast against them.
+    """
+    out += _GOLDEN
+    out ^= k0
+    _finalize(out, spare)
+    out ^= k1
+    return _finalize(out, spare)
 
 
 def left_words(k0, a) -> np.ndarray:

@@ -14,7 +14,7 @@ with its size.  An urn axis draws its boxes' counts per corner segment and
 groups them by parity code, so a row holds at most 2^corners - 1 patterns;
 a forest axis resolves the roots of only the sites up to its last corner,
 counts each root's sites per corner and keeps each root as a pattern of
-size 1.
+size 1.  The forest axes of a batch resolve their roots in one walk.
 The spins of a pattern (1D) or pattern pair (2D) are summed from the
 keyed hash of (pattern id, word index) under the replicate's spin key:
 values drawn from each word in 1D, and in 2D the number of set bits among
@@ -61,6 +61,7 @@ __all__ = [
     "ModelSpec",
     "CornerGrid",
     "simulate",
+    "sample_axes",
     "batch_size",
     "normalization",
     "truncation_summary",
@@ -172,40 +173,49 @@ class Axis:
             return None
         return 0.5 * q_sq_tail_bound(self.alpha, self.depth)
 
-    def sample(self, rngs, ts: tuple[float, ...]) -> Patterns:
-        """The pattern table of one row per generator, without patterns that no corner counts.
-
-        An urn axis draws its boxes' counts per corner segment and groups
-        the boxes by parity column
-        (:func:`~partition_fields.partition1d.urn_patterns`); a forest axis
-        takes a jump key per generator and resolves the roots of only the
-        sites up to its last corner, the sites that a corner counts, so
-        each root it finds is counted at the last corner.  It sorts each
-        row by root, counts every root's sites per corner with one
-        ``bincount`` and ``cumsum``, and makes each root a pattern of size 1.
-        """
-        idx = _corner_index(self.n, ts)
-        if self.is_urn:
-            return urn_patterns(self.alpha, self.n, idx, rngs)
-        keys = [spin_key(rng) for rng in rngs]  # each row's jump key
-        sites = int(idx[-1])
-        roots = roots_of(self.alpha, keys, self.depth, sites)
-        order = np.argsort(roots, axis=1)  # each row's sites, by root
-        ids = np.take_along_axis(roots, order, axis=1)
-        new = np.ones(ids.shape, dtype=bool)  # a row's first site of each root
-        np.not_equal(ids[:, 1:], ids[:, :-1], out=new[:, 1:])
-        k = int(np.count_nonzero(new))
-        root = new.cumsum().reshape(new.shape) - 1  # each site's root, numbered across the batch
-        first = np.searchsorted(idx, np.arange(sites), side="right")  # first corner counting each site
-        counts = np.bincount((first[order] * k + root).ravel(), minlength=idx.size * k)
-        starts = np.concatenate(([0], new.sum(axis=1).cumsum()))
-        return Patterns(ids[new], counts.reshape(idx.size, k).cumsum(axis=0), np.ones(k, dtype=np.int64), starts)
-
     def draw(self, marginal: MarginalLaw, h: np.ndarray) -> np.ndarray:
         """One class's value per hash word; urn boxes add an independent sign."""
         if self.is_urn:
             return marginal.draw_symmetrized_from_hash(h)
         return marginal.draw_from_hash(h)
+
+
+def sample_axes(axes, grids, rngs) -> list[Patterns]:
+    """Each axis's pattern table, one row per generator, without patterns that no corner counts.
+
+    Each generator gives the axes' draws in direction order: an urn axis
+    draws its boxes' counts per corner segment and groups the boxes by
+    parity column (:func:`~partition_fields.partition1d.urn_patterns`); a
+    forest axis takes a jump key.  Then one walk resolves every forest
+    axis's roots (:func:`~partition_fields.partition1d.roots_of`), of only
+    the sites up to the axis's last corner, the sites that a corner counts,
+    and each axis counts them per corner (``_root_patterns``).
+    """
+    idx = [_corner_index(axis.n, ts) for axis, ts in zip(axes, grids)]
+    drawn = [urn_patterns(axis.alpha, axis.n, i, rngs) if axis.is_urn else [spin_key(rng) for rng in rngs]
+             for axis, i in zip(axes, idx)]
+    walks = [(axis.alpha, keys, axis.depth, int(i[-1])) for axis, i, keys in zip(axes, idx, drawn) if not axis.is_urn]
+    roots = iter(roots_of(walks) if walks else ())
+    return [table if axis.is_urn else _root_patterns(next(roots), i) for axis, i, table in zip(axes, idx, drawn)]
+
+
+def _root_patterns(roots: np.ndarray, idx: np.ndarray) -> Patterns:
+    """A forest axis's pattern table from the (rows, sites) roots of the sites up to its last corner.
+
+    Every root is counted at the last corner.  Each row is sorted by root,
+    every root's sites are counted per corner with one ``bincount`` and
+    ``cumsum``, and each root is a pattern of size 1.
+    """
+    order = np.argsort(roots, axis=1)  # each row's sites, by root
+    ids = np.take_along_axis(roots, order, axis=1)
+    new = np.ones(ids.shape, dtype=bool)  # a row's first site of each root
+    np.not_equal(ids[:, 1:], ids[:, :-1], out=new[:, 1:])
+    k = int(np.count_nonzero(new))
+    root = new.cumsum().reshape(new.shape) - 1  # each site's root, numbered across the batch
+    first = np.searchsorted(idx, np.arange(roots.shape[1]), side="right")  # first corner counting each site
+    counts = np.bincount((first[order] * k + root).ravel(), minlength=idx.size * k)
+    starts = np.concatenate(([0], new.sum(axis=1).cumsum()))
+    return Patterns(ids[new], counts.reshape(idx.size, k).cumsum(axis=0), np.ones(k, dtype=np.int64), starts)
 
 
 def _whole(value, what: str) -> int:
@@ -250,8 +260,8 @@ class ModelSpec:
                 raise ValueError(f"alpha={a} outside (0,{kind.alpha_max}) for {self.kind.value}")
         if any(v < 1 for v in self.n):
             raise ValueError("horizons must be >= 1")
-        if self.forest_depth is not None and self.forest_depth < 1:
-            raise ValueError("forest_depth must be positive")
+        if self.forest_depth is not None and not 1 <= self.forest_depth <= 2**53:
+            raise ValueError("forest_depth must be positive and at most 2^53")
         if not row.generalized and not self.marginal.is_rademacher:
             raise ValueError(f"{self.kind.value} uses ±1 spins; marginal laws apply to generalized variants")
 
@@ -560,12 +570,14 @@ def simulate(spec: ModelSpec, grid: CornerGrid, rngs) -> np.ndarray:
 
     Row b is a pure function of (spec, grid, rngs[b] state): each generator
     gives its spin key first and then the axes' draws in direction order (a
-    forest axis's two-word jump key; an urn axis's multinomial draws, one
-    per corner segment, then its tail draws), which fixes the stream's
-    layout.  An urn axis draws only up to its last corner and per corner
-    segment, so a replicate's realization depends on the grid's segments as
-    well.  Given the partitions the spins are iid, so each axis groups its
-    classes by count column (``Axis.sample``) and a sum reads only how many
+    forest axis's two-word jump key, drawn at its axis's turn; an urn axis's
+    multinomial draws, one per corner segment, then its tail draws), which
+    fixes the stream's layout.  The forest roots are resolved after every
+    axis has drawn, all forest axes in one walk.  An urn axis draws only up
+    to its last corner and per corner segment, so a replicate's realization
+    depends on the grid's segments as well.  Given the partitions the spins
+    are iid, so each axis groups its classes by count column
+    (``sample_axes``) and a sum reads only how many
     spins each pattern (1D) or pattern pair (2D) holds: in 1D the values of
     the words (id_p, j < N_p), in 2D the set bits of the top N bits of the
     words (id_p + (j_hi << 48), id_q + (j_lo << 48)), all under the spin key (``_sums_1d``,
@@ -578,7 +590,7 @@ def simulate(spec: ModelSpec, grid: CornerGrid, rngs) -> np.ndarray:
     if len(rngs) == 0:
         return np.empty((0, *grid.shape()))
     keys = np.array([spin_key(rng) for rng in rngs], dtype=np.uint64)
-    tables = [axis.sample(rngs, ts) for axis, ts in zip(spec.axes, (grid.t1, grid.t2))]
+    tables = sample_axes(spec.axes, (grid.t1, grid.t2), rngs)
     if spec.is_2d:
         return _sums_2d(keys, *tables)
     return _sums_1d(keys, tables[0], lambda h: spec.axes[0].draw(spec.marginal, h))

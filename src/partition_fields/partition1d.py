@@ -25,7 +25,10 @@ Two partitions of the index line are provided:
   least 1 points to it (the two lines share the rest of their path); then
   only the exit lines, whose parents fall in (-depth, 1), are walked down
   to the floor, with no membership test, and the pointers are resolved by
-  pointer jumping.  So depth costs steps only for the exit lines.
+  pointer jumping.  So depth costs steps only for the exit lines.  One
+  loop walks the exit lines of several forests at once (``roots_of``
+  takes a list of walks), so a batch with two forest axes pays the fixed
+  cost of a step once per step of its longest line, not once per axis.
 
 Both engines sample a batch of replicates at once, one row per replicate
 generator, and resolve each row's partition once.  A partial sum reads
@@ -37,7 +40,7 @@ corner, since its alternating signs sum to that parity, so the urn gives
 each box a parity code (``urn_boxes``) and groups the boxes by code
 (``urn_patterns``); the forest resolves the roots of only the sites up to
 its last corner, counts each root's sites per corner and keeps each root
-as a pattern of size 1 (``fields.Axis.sample``).
+as a pattern of size 1 (``fields.sample_axes``).
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import betainc, gamma, poch
 
-from ._hashing import hash1, uniforms_from
+from ._hashing import hash1, hash1_into, uniforms_from
 from .distributions import PmfKind, invert_hs_tail, make_karlin_pmf, sample_zipf_rows
 
 __all__ = [
@@ -295,41 +298,110 @@ def hashed_jumps(alpha: float, key, sites) -> np.ndarray:
     return invert_hs_tail(alpha, uniforms_from(hash1(key, sites)))
 
 
-def roots_of(alpha: float, keys, depth: int, n: int) -> np.ndarray:
-    """Canonical component representative of each site 1..n, one row per jump key.
+# the exit walk's constants, as 0-d arrays (see _hashing)
+_S11 = np.array(11, dtype=np.uint64)
+_U53 = np.array(2.0**-53)
+_ONE = np.array(1.0)
+_TWO = np.array(2.0)
+# the exit walk runs in float64, exact while every site above the floor is a float64
+_MAX_DEPTH = 1 << 53
+# rows of the exit walk's line state: the float64 fields, then the uint64 and int64 ones
+_POS, _POWER, _FLOOR, _K0, _K1, _NODE = range(6)
 
-    ``keys`` holds one jump key (two 64-bit words) per row.  The
-    representative of site i is the lowest site on its ancestral line above
-    the floor -depth, which no other site changes, so the roots of the sites
-    1..m are the first m of those of 1..n.  Jumps are at least 1, so a line
-    can meet another site of 1..n only on its first step.  Each site's jump
-    is hashed once: a site whose parent i - J_i is at least 1 points to it
-    (the two lines share the rest of their path), and a site whose parent is
-    at or below -depth is its own root.  Only the exit lines, whose parents
-    fall in (-depth, 1), are walked on, every exit line of every row at
-    once, until the next parent falls at or below -depth; the lowest site
-    walked is then the line's root.  The pointers are resolved by pointer
-    jumping: O(log n) gathers over the (rows x n) nodes and no hashing.  So
-    depth costs steps only for the exit lines.  The result is int64 of shape
-    ``(len(keys), n)``.
+
+def roots_of(walks) -> list[np.ndarray]:
+    """Canonical component representative of each site 1..n of every walk, one row per jump key.
+
+    ``walks`` holds one ``(alpha, keys, depth, n)`` per forest, ``keys``
+    one jump key (two 64-bit words) per row.  The representative of site i
+    is the lowest site on its ancestral line above the floor -depth, which
+    no other site changes, so the roots of the sites 1..m are the first m
+    of those of 1..n.  Jumps are at least 1, so a line can meet another
+    site of 1..n only on its first step.  Each site's jump is hashed once:
+    a site whose parent i - J_i is at least 1 points to it (the two lines
+    share the rest of their path), and a site whose parent is at or below
+    -depth is its own root.  Only the exit lines, whose parents fall in
+    (-depth, 1), are walked on, every exit line of every row of every walk
+    in one loop, until the next parent falls at or below -depth; the
+    lowest site walked is then the line's root.  So the loop takes as many
+    steps as the longest exit line, whatever the number of walks, and
+    depth costs steps only for the exit lines.  The pointers are resolved
+    by pointer jumping: O(log n) gathers over all the nodes and no
+    hashing.  The loop steps in float64 (``_exit_walk``), so a depth past
+    2^53 is refused.  The result is one int64 array of shape
+    ``(len(keys), n)`` per walk.
     """
-    keys = np.asarray(keys, dtype=np.uint64).reshape(-1, 2)
-    # node r*n + i - 1 is row r's site i; `lowest` holds the lowest site
-    # walked on its line, `up` the node its line joins (itself if none)
-    lowest = np.tile(np.arange(1, n + 1, dtype=np.int64), len(keys))
-    node = np.arange(lowest.size)
-    k0, k1 = np.repeat(keys.T, n, axis=1)
-    jumps = hashed_jumps(alpha, (k0, k1), lowest)
-    pos = lowest - jumps
-    up = np.where(pos >= 1, node - jumps, node)
-    exits = (pos > -depth) & (pos < 1)
-    node, pos, k0, k1 = node[exits], pos[exits], k0[exits], k1[exits]
-    while node.size:
-        lowest[node] = pos
-        pos = pos - hashed_jumps(alpha, (k0, k1), pos)
-        inside = pos > -depth
-        node, pos, k0, k1 = node[inside], pos[inside], k0[inside], k1[inside]
+    lowest, up, lines, shapes = [], [], [], []
+    offset = 0
+    for alpha, keys, depth, n in walks:
+        if depth > _MAX_DEPTH:
+            raise ValueError(f"forest depth {depth} is past 2^53, where the exit walk would round")
+        keys = np.asarray(keys, dtype=np.uint64).reshape(-1, 2)
+        # node offset + r*n + i - 1 is row r's site i; `lowest` holds the
+        # lowest site walked on its line, `up` the node its line joins (itself if none)
+        sites = np.arange(1, n + 1)
+        jumps = hashed_jumps(alpha, (keys[:, :1], keys[:, 1:]), sites)
+        pos = sites - jumps
+        node = np.arange(offset, offset + jumps.size).reshape(jumps.shape)
+        lowest.append(np.tile(sites, len(keys)))
+        up.append(np.where(pos >= 1, node - jumps, node).ravel())
+        at = np.flatnonzero((pos > -depth) & (pos < 1))
+        line = np.empty((6, at.size), dtype=np.uint64)
+        reals, ints = line.view(np.float64), line.view(np.int64)
+        reals[_POS] = pos.ravel()[at]
+        reals[_POWER] = -1.0 / alpha
+        reals[_FLOOR] = -depth
+        line[[_K0, _K1]] = keys[at // n].T  # (at is empty when n = 0)
+        ints[_NODE] = at + offset
+        lines.append(line)
+        shapes.append(jumps.shape)
+        offset += jumps.size
+    if not walks:
+        return []
+    lowest, up = np.concatenate(lowest), np.concatenate(up)
+    _exit_walk(lowest, np.concatenate(lines, axis=1))
     jumped = up[up]
     while not np.array_equal(jumped, up):
         up, jumped = jumped, jumped[jumped]
-    return lowest[up].reshape(len(keys), n)
+    roots = lowest[up]
+    ends = np.cumsum([math.prod(shape) for shape in shapes])
+    return [part.reshape(shape) for part, shape in zip(np.split(roots, ends[:-1]), shapes)]
+
+
+def _exit_walk(lowest: np.ndarray, lines: np.ndarray) -> None:
+    """Walk every exit line down to its floor, writing the lowest site it reaches to ``lowest``.
+
+    Column l of ``lines`` is one line: its site, the exponent -1/alpha and
+    the floor -depth of its walk as float64, its row's jump key and its
+    node.  A step hashes each line's site (``hash1_into``), inverts the
+    uniform to its jump J = max(ceil(x) - 1, 1), x = (1 - u)^(-1/alpha), as
+    ``hashed_jumps`` does, and keeps the lines whose next site is above
+    their floor.  Every value is a float64 integer while it stays above
+    the floor, so those lines step exactly; the others may round or reach
+    infinity (x passes the float range below alpha of about 0.052), but
+    only further down.  So the walk needs neither clamp of
+    ``invert_hs_tail``: both change only jumps that pass every floor.  Each
+    step works in place on buffers of the first step's width and keeps the
+    live lines with one ``compress``.
+    """
+    width = lines.shape[1]
+    words, spare, x = np.empty(width, np.uint64), np.empty(width, np.uint64), np.empty(width)
+    sites, inside = words.view(np.int64), np.empty(width, dtype=bool)
+    with np.errstate(over="ignore"):
+        while lines.shape[1]:
+            m = lines.shape[1]
+            reals, ints = lines.view(np.float64), lines.view(np.int64)
+            pos, z, u = reals[_POS], words[:m], x[:m]
+            lowest[ints[_NODE]] = pos
+            np.copyto(sites[:m], pos, casting="unsafe")
+            hash1_into(lines[_K0], lines[_K1], z, spare[:m])
+            z >>= _S11
+            np.multiply(z, _U53, out=u)  # the uniform of the top 53 bits
+            np.subtract(_ONE, u, out=u)
+            np.power(u, reals[_POWER], out=u)
+            np.ceil(u, out=u)
+            np.maximum(u, _TWO, out=u)
+            np.subtract(u, _ONE, out=u)  # the jump
+            np.subtract(pos, u, out=pos)
+            np.greater(pos, reals[_FLOOR], out=inside[:m])
+            lines = lines.compress(inside[:m], axis=1)

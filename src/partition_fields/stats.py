@@ -195,8 +195,11 @@ def empirical_cov(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     The jackknife deviations have the closed form
     (S - R u_i u_i') / ((R-1)(R-2)) with u_i the centered rows, so the SE
     needs only elementwise second and fourth moments.  SE is NaN for R < 3.
+    The matrix is taken in C order: the mean's and BLAS's summation orders
+    follow the memory layout, so a Fortran-ordered copy would move the
+    last bits.
     """
-    x = np.asarray(vectors, dtype=np.float64)
+    x = np.ascontiguousarray(vectors, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ValueError("need a (R >= 2) x m matrix of replicate vectors")
     big_r, m = x.shape

@@ -9,7 +9,7 @@ from scipy.special import zeta
 
 from numpy.random import Generator, Philox
 
-from partition_fields import partition1d
+from partition_fields import fields, partition1d
 from partition_fields._hashing import _finalize, _key_words, left_words, right_words
 from partition_fields.distributions import FinitePmf, PmfKind, PowerLawPmf, sample_zipf_rows
 from partition_fields.seeding import normalize_seed, spin_key
@@ -417,7 +417,7 @@ def pair_spin_sums(key, ids1, sizes1, ids2, sizes2) -> np.ndarray:
 def simulate_2d_oracle(spec, grid, rngs) -> np.ndarray:
     """``fields.simulate`` on a 2D spec, one replicate at a time in int64, which no summation order can round."""
     keys = [spin_key(rng) for rng in rngs]
-    t1, t2 = (axis.sample(rngs, ts) for axis, ts in zip(spec.axes, (grid.t1, grid.t2)))
+    t1, t2 = fields.sample_axes(spec.axes, (grid.t1, grid.t2), rngs)
     out = np.empty((len(rngs), *grid.shape()))
     for b, key in enumerate(keys):
         c1, c2 = slice(t1.starts[b], t1.starts[b + 1]), slice(t2.starts[b], t2.starts[b + 1])
@@ -471,7 +471,7 @@ def roots_on_jumps(jumps, lo: int, sites) -> np.ndarray:
     keys = [(b, 0) for b in range(rows.shape[0])]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(partition1d, "hashed_jumps", explicit)
-        roots = partition1d.roots_of(0.25, keys, 0, rows.shape[1]) + lo  # the stub ignores alpha
+        roots = partition1d.roots_of([(0.25, keys, 0, rows.shape[1])])[0] + lo  # the stub ignores alpha
     return roots[:, sites - lo - 1].reshape(jumps.shape[:-1] + sites.shape)
 
 

@@ -20,10 +20,10 @@ from partition_fields import (
     replicate_generator,
     simulate,
 )
-from partition_fields import fields
+from partition_fields import fields, partition1d
 from partition_fields.distributions import PmfKind, sample_zipf_rows
-from partition_fields.fields import KIND_TABLE, Axis, _corner_index, batch_size
-from partition_fields.partition1d import Patterns, urn_head_size
+from partition_fields.fields import KIND_TABLE, Axis, _corner_index, batch_size, sample_axes
+from partition_fields.partition1d import Patterns, hashed_jumps, urn_head_size
 from partition_fields.seeding import spin_key
 from partition_fields.stats import simulate_raw_matrix
 
@@ -80,8 +80,8 @@ def _counts_of(axis: Axis, inv: np.ndarray, k: int, ts) -> np.ndarray:
         counts = counts[:-1] & 1
     else:
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(fields, "roots_of", lambda alpha, keys, depth, n: inv[None, :n])
-            table = axis.sample([replicate_generator(SEED, 0)], ts)
+            mp.setattr(fields, "roots_of", lambda walks: [inv[None, :n] for *_, n in walks])
+            table, = sample_axes([axis], [ts], [replicate_generator(SEED, 0)])
         assert np.all(table.sizes == 1)
         classes, counts = table.ids, table.counts
     assert counts.dtype == np.int64
@@ -142,8 +142,8 @@ def test_forest_layout_matches_per_row_unique(rows, depth, data):
     jumps = data.draw(hnp.arrays(np.int64, (rows, depth + n), elements=st.integers(1, 40)))
     roots = roots_on_jumps(jumps, -depth, np.arange(1, n + 1))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fields, "roots_of", lambda alpha, keys, depth, n: roots[:, :n])
-        got = Axis(PmfKind.HS_TAIL, 0.25, n, depth).sample([replicate_generator(SEED, r) for r in range(rows)], ts)
+        mp.setattr(fields, "roots_of", lambda walks: [roots[:, :n] for *_, n in walks])
+        got, = sample_axes([Axis(PmfKind.HS_TAIL, 0.25, n, depth)], [ts], [replicate_generator(SEED, r) for r in range(rows)])
     classes, counts, starts = corner_layout(roots, idx)
     keep = counts.any(axis=0)  # a class whose sites all lie past the last corner is left out
     kept_rows = np.repeat(np.arange(rows), np.diff(starts))[keep]
@@ -234,7 +234,7 @@ def test_2d_pattern_pairs_past_2_16_words_match_the_int64_core(monkeypatch):
 def test_karlin2d_on_the_unit_grid_runs_pairs_past_2_16_words():
     # a row's odd boxes are one pattern on the unit grid: about 2,450^2 spins per pair at alpha 0.9, n = 5000
     spec, grid = ModelSpec(ModelKind.KARLIN_2D, (0.9, 0.9), (5000, 5000)), CornerGrid((1.0,), (1.0,))
-    t1, t2 = (axis.sample([replicate_generator(SEED, r) for r in range(2)], (1.0,)) for axis in spec.axes)
+    t1, t2 = sample_axes(spec.axes, ((1.0,), (1.0,)), [replicate_generator(SEED, r) for r in range(2)])
     assert (t1.sizes * t2.sizes > 1 << 22).all()
     want = simulate_2d_oracle(spec, grid, [replicate_generator(SEED, r) for r in range(2)])
     assert simulate(spec, grid, [replicate_generator(SEED, r) for r in range(2)]).tobytes() == want.tobytes()
@@ -251,11 +251,11 @@ def test_2d_pattern_pairs_refuse_more_than_2_32_words(monkeypatch):
 def test_2d_pattern_pairs_past_2_16_words_refuse_first_identifiers_past_2_47(monkeypatch):
     # a forest root at -2^50 would alias in id_p + (j_hi << 48); 2^23 spins reach j_hi = 1
     spec, grid = ModelSpec(ModelKind.COMBINED_2D, (0.25, 0.6), (1, 3)), CornerGrid((1.0,), (1.0,))
-    monkeypatch.setattr(fields, "roots_of", lambda alpha, keys, depth, n: np.full((1, n), -(1 << 50)))
+    monkeypatch.setattr(fields, "roots_of", lambda walks: [np.full((1, n), -(1 << 50)) for *_, n in walks])
     _forced_counts(monkeypatch, {3: [1]}, sizes={3: [1 << 23]})
     with pytest.raises(ValueError, match="2\\^47"):
         simulate(spec, grid, [replicate_generator(SEED, 0)])
-    monkeypatch.setattr(fields, "roots_of", lambda alpha, keys, depth, n: np.full((1, n), -(1 << 40)))
+    monkeypatch.setattr(fields, "roots_of", lambda walks: [np.full((1, n), -(1 << 40)) for *_, n in walks])
     raw = simulate(spec, grid, [replicate_generator(SEED, 0)])
     spin = pair_spin_sums(spin_key(replicate_generator(SEED, 0)), [-(1 << 40)], [1], [0], [1 << 23])
     assert raw.tolist() == [[[float(spin.sum())]]]
@@ -265,7 +265,7 @@ def test_2d_pattern_pairs_past_2_16_words_in_padded_rows_match_the_int64_core(mo
     # the last replicate holds fewer forest classes than the other, so its padded column
     # pairs with an urn pattern of 2^23 boxes and reaches j_hi = 1 too (counts 0 there)
     spec, grid = ModelSpec(ModelKind.COMBINED_2D, (0.25, 0.6), (2, 3)), CornerGrid((1.0,), (1.0,))
-    monkeypatch.setattr(fields, "roots_of", lambda alpha, keys, depth, n: np.array([[1, 2], [0, 0]])[:, :n])
+    monkeypatch.setattr(fields, "roots_of", lambda walks: [np.array([[1, 2], [0, 0]])[:, :n] for *_, n in walks])
     monkeypatch.setattr(fields, "urn_patterns", lambda alpha, n, corners, rngs: Patterns(
         np.zeros(2, np.int64), np.ones((1, 2), np.int64), np.full(2, 1 << 23), np.arange(3)))
     want = simulate_2d_oracle(spec, grid, [replicate_generator(SEED, r) for r in range(2)])
@@ -324,9 +324,9 @@ def test_stream_layout_spin_key_then_jump_key_then_labels(monkeypatch):
         seen["boxes"] = real_urn(alpha, n, corners, rngs)
         return seen["boxes"]
 
-    def roots(alpha, keys, depth, n):
-        seen["keys"] = keys
-        return real_roots(alpha, keys, depth, n)
+    def roots(walks):
+        seen["walks"] = walks
+        return real_roots(walks)
 
     monkeypatch.setattr(fields, "urn_patterns", urn)
     monkeypatch.setattr(fields, "roots_of", roots)
@@ -334,7 +334,9 @@ def test_stream_layout_spin_key_then_jump_key_then_labels(monkeypatch):
     simulate(spec, grid, [rng])
     ref = replicate_generator(SEED, 4)
     words = ref.bit_generator.random_raw(4)
-    assert [tuple(k) for k in np.asarray(seen["keys"], dtype=np.uint64)] == [(words[2], words[3])]
+    (_, keys, depth, n), = seen["walks"]  # one forest axis, one walk
+    assert [tuple(k) for k in np.asarray(keys, dtype=np.uint64)] == [(words[2], words[3])]
+    assert (depth, n) == (300, 16)
     want = real_urn(0.6, 40, _corner_index(40, grid.t2), [ref])
     assert all(np.array_equal(g, w) for g, w in zip(seen["boxes"], want))
     assert rng.random() == ref.random()
@@ -393,6 +395,10 @@ def test_model_spec_validation():
     assert spec.hurst() == (0.75, 0.3)
     assert spec.effective_forest_depth(10) == 10**5
     assert ModelSpec(ModelKind.HS_1D, (0.25,), (10,), forest_depth=777).effective_forest_depth(10) == 777
+    # the exit walk steps in float64, exact above floors down to -2^53
+    assert ModelSpec(ModelKind.HS_1D, (0.25,), (10,), forest_depth=2**53).forest_depth == 2**53
+    with pytest.raises(ValueError, match="2\\^53"):
+        ModelSpec(ModelKind.HS_1D, (0.25,), (10,), forest_depth=2**53 + 1)
 
 
 @pytest.mark.parametrize("n, depth", [((10.5,), None), ((10.0,), None), ((True,), None),
@@ -501,14 +507,57 @@ def test_simulate_and_raw_matrix_are_c_ordered_float64(kind):
 def test_forest_axis_asks_roots_of_for_the_sites_up_to_its_last_corner(monkeypatch, ts, sites):
     asked, real = [], fields.roots_of
 
-    def roots(alpha, keys, depth, n):
-        asked.append(n)
-        return real(alpha, keys, depth, n)
+    def roots(walks):
+        asked.append([n for *_, n in walks])
+        return real(walks)
 
     monkeypatch.setattr(fields, "roots_of", roots)
-    table = Axis(PmfKind.HS_TAIL, 0.25, 128, 2000).sample([replicate_generator(SEED, r) for r in range(3)], ts)
-    assert asked == [sites]
+    table, = sample_axes([Axis(PmfKind.HS_TAIL, 0.25, 128, 2000)], [ts], [replicate_generator(SEED, r) for r in range(3)])
+    assert asked == [[sites]]
     assert table.counts.shape == (len(ts), table.ids.size) and np.all(table.counts[-1] > 0)
+
+
+def _longest_exit_line(alpha, keys, depth, n) -> int:
+    """The steps of a forest's longest exit line: the sites in (-depth, 1) it reaches, walked one jump at a time."""
+    keys = np.asarray(keys, dtype=np.uint64).reshape(-1, 2)
+    k0, k1 = np.repeat(keys, n, axis=0).T
+    sites = np.tile(np.arange(1, n + 1), len(keys))
+    pos = sites - hashed_jumps(alpha, (k0, k1), sites)
+    steps = 0
+    while True:
+        live = pos > -depth if steps else (pos > -depth) & (pos < 1)
+        pos, k0, k1 = pos[live], k0[live], k1[live]
+        if not pos.size:
+            return steps
+        pos = pos - hashed_jumps(alpha, (k0, k1), pos)
+        steps += 1
+
+
+def test_hs2d_walks_both_axes_in_one_loop(monkeypatch):
+    # the walk loop hashes once a step: as many steps as the longest exit line of
+    # either axis, not one loop per axis; each axis's walk reads its own jump keys
+    spec = ModelSpec(ModelKind.HS_2D, (0.45, 0.3), (64, 96), forest_depth=10**4)
+    grid = CornerGrid((0.5, 1.0), (0.25, 1.0))
+    rows = 2
+    steps, walked, real_hash, real_roots = [0], [], partition1d.hash1_into, fields.roots_of
+
+    def counting(*args):
+        steps[0] += 1
+        return real_hash(*args)
+
+    def roots(walks):
+        walked.extend(walks)
+        return real_roots(walks)
+
+    monkeypatch.setattr(partition1d, "hash1_into", counting)
+    monkeypatch.setattr(fields, "roots_of", roots)
+    simulate(spec, grid, [replicate_generator(SEED, r) for r in range(rows)])
+    words = [replicate_generator(SEED, r).bit_generator.random_raw(6) for r in range(rows)]
+    assert [(alpha, depth, n) for alpha, _, depth, n in walked] == [(0.45, 10**4, 64), (0.3, 10**4, 96)]
+    for q, (_, keys, _, _) in enumerate(walked):  # spin key, then axis 1's jump key, then axis 2's
+        assert [tuple(k) for k in np.asarray(keys, dtype=np.uint64)] == [tuple(w[2 + 2 * q: 4 + 2 * q]) for w in words]
+    longest = [_longest_exit_line(*walk) for walk in walked]
+    assert min(longest) > 0 and steps[0] == max(longest), (steps, longest)
 
 
 def test_corner_grid_to_dict():
@@ -539,7 +588,7 @@ def _force_partitions(monkeypatch, urn=None, roots=None):
                             lambda alpha, n, corners, rngs: group_by_column(*urn_layout([urn[n]], corners)[1:]))
     if roots is not None:
         monkeypatch.setattr(fields, "roots_of",
-                            lambda alpha, keys, depth, n: np.asarray([roots[n]], dtype=np.int64))
+                            lambda walks: [np.asarray([roots[n]], dtype=np.int64) for *_, n in walks])
 
 
 def _spins(ids1, ids2) -> np.ndarray:
@@ -552,7 +601,7 @@ def test_karlin1d_forced_labels(monkeypatch):
     _force_partitions(monkeypatch, urn={3: [3, 3, 5]})
     monkeypatch.setattr(Axis, "draw", lambda self, marginal, h: np.array([1.0, -1.0]))  # V(3)=1, V(5)=-1
     thirds = (1 / 3, 2 / 3, 1.0)
-    boxes = Axis(PmfKind.KARLIN_ZIPF, 0.6, 3).sample([None], thirds)
+    boxes, = sample_axes([Axis(PmfKind.KARLIN_ZIPF, 0.6, 3)], [thirds], [None])
     assert boxes.ids.tolist() == [0, 1] and boxes.sizes.tolist() == [1, 1]  # box 3, then box 5, by code
     assert boxes.counts.tolist() == [[1, 0], [0, 0], [0, 1]]
     # the labels sorted into boxes, one draw per corner segment
@@ -614,7 +663,7 @@ def test_hs2d_forced_product_structure(monkeypatch):
     # roots (5,5,9) x (9,5): classes inv1 = (0,0,1), inv2 = (1,0)
     _force_partitions(monkeypatch, roots={3: [5, 5, 9], 2: [9, 5]})
     grid = CornerGrid((1 / 3, 2 / 3, 1.0), (0.5, 1.0))  # every site is a corner
-    trees = Axis(PmfKind.HS_TAIL, 0.25, 3, 10).sample([replicate_generator(SEED, 0)], grid.t1)
+    trees, = sample_axes([Axis(PmfKind.HS_TAIL, 0.25, 3, 10)], [grid.t1], [replicate_generator(SEED, 0)])
     assert trees.ids.tolist() == [5, 9] and trees.counts.tolist() == [[1, 0], [2, 0], [2, 1]]
     spec = ModelSpec(ModelKind.HS_2D, (0.25, 0.25), (3, 2), forest_depth=10)
     raw = simulate(spec, grid, [replicate_generator(SEED, 0)])[0]

@@ -73,6 +73,9 @@ CASES = {
     "hs2d": ModelSpec(ModelKind.HS_2D, (0.25, 0.25), (24, 32), forest_depth=2000),
     "hs2d-0.1-0.4": ModelSpec(ModelKind.HS_2D, (0.1, 0.4), (24, 32), forest_depth=2000),
     "combined2d": ModelSpec(ModelKind.COMBINED_2D, (0.25, 0.6), (24, 40), forest_depth=2000),
+    # each axis at its own alpha, horizon and default floor (10^5 and 64 * 2048): one
+    # walk holds lines of both axes, each with its own exponent and floor
+    "hs2d-own-floors": ModelSpec(ModelKind.HS_2D, (0.25, 0.45), (24, 2048)),
 }
 # grids that end below 1 with a first corner at floor(n t) = 0: a forest axis reads
 # only the sites up to its last corner, and no site counts at the first

@@ -12,6 +12,7 @@ from partition_fields._hashing import (
     _M2,
     _WORD2,
     hash1,
+    hash1_into,
     left_words,
     low_uniforms_from,
     next_words,
@@ -108,6 +109,18 @@ def test_in_place_finalizer_matches_the_allocating_one(key, signed, unsigned):
     assert np.array_equal(hash2(key, signed[:, None], unsigned[None, :]),
                           _hash2_oracle(key, signed[:, None], unsigned[None, :]))
     assert np.array_equal(signed, before[0]) and np.array_equal(unsigned, before[1])
+
+
+@given(hnp.arrays(np.uint64, 2, elements=st.integers(0, 2**64 - 1)),
+       hnp.arrays(np.int64, st.integers(0, 50), elements=st.integers(-(2**63), 2**63 - 1)))
+@settings(max_examples=200, deadline=None)
+def test_hash1_into_writes_hash1_in_place(key, ids):
+    # the forest walk's step: identifiers in, their hashes out, one key per identifier or one for all
+    want = _hash1_oracle(tuple(int(k) for k in key), ids)
+    for k0, k1 in ((key[0], key[1]), (np.full(ids.size, key[0]), np.full(ids.size, key[1]))):
+        out, spare = ids.astype(np.uint64), np.empty(ids.size, dtype=np.uint64)
+        assert hash1_into(k0, k1, out, spare) is out
+        assert np.array_equal(out, want)
 
 
 # ---------------------------------------------------------------------------

@@ -414,7 +414,7 @@ def test_roots_walk_matches_pointer_doubling(data):
 def test_lazy_walk_matches_dense_jumps(alpha, n, depth, rows, seed):
     # the walk against pointer doubling on the same hashed jumps, laid out densely
     keys = [spin_key(replicate_generator(seed, r)) for r in range(rows)]
-    got = roots_of(alpha, keys, depth, n)
+    got, = roots_of([(alpha, keys, depth, n)])
     assert got.shape == (rows, n)
     window = np.arange(1 - depth, n + 1)
     for row, key in zip(got, keys):
@@ -452,10 +452,10 @@ def test_forest_window_rejects_bad_jumps():
 
 def test_sample_forest_validation_and_determinism():
     keys = [spin_key(replicate_generator("aa", r)) for r in (1, 2)]
-    first = roots_of(0.25, keys, 500, 600)
+    first, = roots_of([(0.25, keys, 500, 600)])
     assert first.shape == (2, 600) and first.dtype == np.int64
-    assert np.array_equal(first, roots_of(0.25, keys, 500, 600))
-    assert np.array_equal(first[1], roots_of(0.25, keys[1:], 500, 600)[0])  # a row reads its own key
+    assert np.array_equal(first, roots_of([(0.25, keys, 500, 600)])[0])
+    assert np.array_equal(first[1], roots_of([(0.25, keys[1:], 500, 600)])[0][0])  # a row reads its own key
     assert not np.array_equal(first[0], first[1])
     # a root is the lowest site of its line, above the floor
     assert np.all(first <= np.arange(1, 601)) and np.all(first > -500)
@@ -471,9 +471,57 @@ def test_roots_of_matches_every_line_walk(data):
     n = data.draw(st.integers(1, 300))
     seed = data.draw(st.integers(0, 2**32))
     keys = [spin_key(replicate_generator(seed, r)) for r in range(rows)]
-    got = roots_of(alpha, keys, depth, n)
+    got, = roots_of([(alpha, keys, depth, n)])
     assert got.shape == (rows, n)
     assert np.array_equal(got, walk_roots_oracle(alpha, keys, depth, np.arange(1, n + 1)))
+
+
+@st.composite
+def _walks(draw):
+    """One to three walks of any alpha, depth, row count and n."""
+    walks = []
+    for _ in range(draw(st.integers(1, 3))):
+        # near 0, x = (1 - u)^(-1/alpha) often passes the float range; at 0.49 lines are long
+        alpha = draw(st.sampled_from([0.003, 0.03, 0.25, 0.49]) | st.floats(0.003, 0.49))
+        # lines walk far to a floor of 10^7; at small alpha many jumps reach the 2^62 cap
+        depth = draw(st.sampled_from([1, 10**7]) | st.integers(1, 60))
+        n = draw(st.sampled_from([0, 1]) | st.integers(0, 80))
+        seed = draw(st.integers(0, 2**32))
+        keys = [spin_key(replicate_generator(seed, r)) for r in range(draw(st.integers(0, 3)))]
+        walks.append((alpha, keys, depth, n))
+    return walks
+
+
+def _walk(alpha, seed, rows, depth, n):
+    return alpha, [spin_key(replicate_generator(seed, r)) for r in range(rows)], depth, n
+
+
+@given(_walks())
+@settings(max_examples=60, deadline=None)
+# long lines to a deep floor beside lines whose jumps reach the 2^62 cap; no site, one site, no row
+@example([_walk(0.49, 1, 2, 10**7, 30), _walk(0.003, 2, 3, 10**7, 50)])
+@example([_walk(0.25, 3, 2, 1, 0), _walk(0.25, 4, 1, 10**7, 1), _walk(0.45, 5, 0, 20, 7)])
+def test_roots_of_many_walks_match_every_line_walk(walks):
+    # one exit-line loop over lines of every walk, each with its own exponent and floor
+    got = roots_of(walks)
+    assert len(got) == len(walks)
+    for roots, (alpha, keys, depth, n) in zip(got, walks):
+        assert roots.shape == (len(keys), n) and roots.dtype == np.int64
+        assert np.array_equal(roots, walk_roots_oracle(alpha, keys, depth, np.arange(1, n + 1)))
+    # one call on the walks returns what one call per walk returns
+    for roots, walk in zip(got, walks):
+        assert np.array_equal(roots, roots_of([walk])[0])
+
+
+def test_roots_of_the_deepest_floors_and_none():
+    keys = [spin_key(replicate_generator("aa", r)) for r in (1, 2)]
+    assert roots_of([]) == []
+    # tiny alpha at the deepest floor the float64 walk holds exactly, beside a long line
+    walks = [(0.02, keys, 1 << 53, 40), (0.45, keys[:1], 10**6, 3)]
+    for roots, (alpha, k, depth, n) in zip(roots_of(walks), walks):
+        assert np.array_equal(roots, walk_roots_oracle(alpha, k, depth, np.arange(1, n + 1)))
+    with pytest.raises(ValueError, match="2\\^53"):
+        roots_of([(0.25, keys, (1 << 53) + 1, 4)])
 
 
 @given(st.floats(0.05, 0.49), st.integers(1, 3), st.integers(1, 10**4), st.integers(0, 120), st.integers(0, 2**32))
@@ -481,53 +529,59 @@ def test_roots_of_matches_every_line_walk(data):
 def test_roots_of_a_prefix_of_sites_are_their_roots_among_more(alpha, rows, depth, n, seed):
     # a site's root is the lowest site on its own line, whichever other sites are asked for
     keys = [spin_key(replicate_generator(seed, r)) for r in range(rows)]
-    whole = roots_of(alpha, keys, depth, n)
+    whole, = roots_of([(alpha, keys, depth, n)])
     for m in range(n + 1):
-        assert np.array_equal(whole[:, :m], roots_of(alpha, keys, depth, m))
+        assert np.array_equal(whole[:, :m], roots_of([(alpha, keys, depth, m)])[0])
 
 
 def test_roots_of_edge_cases():
     keys = [spin_key(replicate_generator("aa", r)) for r in (1, 2, 3)]
     # no site: one empty row per key
-    empty = roots_of(0.25, keys, 10, 0)
+    empty, = roots_of([(0.25, keys, 10, 0)])
     assert empty.shape == (3, 0) and empty.dtype == np.int64
     assert roots_on_jumps(np.ones(20, dtype=np.int64), -10, np.array([], dtype=np.int64)).shape == (0,)
     # a single site walks its line alone
     assert roots_on_jumps(np.ones(20, dtype=np.int64), -10, np.array([5])).tolist() == [-9]
-    assert np.array_equal(roots_of(0.45, keys, 1000, 1), walk_roots_oracle(0.45, keys, 1000, [1]))
+    assert np.array_equal(roots_of([(0.45, keys, 1000, 1)])[0], walk_roots_oracle(0.45, keys, 1000, [1]))
     # a site one above the floor is its own root, whatever its jump
     assert roots_on_jumps(np.ones(20, dtype=np.int64), -10, np.array([-9, -9])).tolist() == [-9, -9]
     # at depth 1 an exit line stops at 0, the one site between 1..n and the floor
-    shallow = roots_of(0.45, keys, 1, 200)
+    shallow, = roots_of([(0.45, keys, 1, 200)])
     assert np.array_equal(shallow, walk_roots_oracle(0.45, keys, 1, np.arange(1, 201)))
     assert 0 in shallow and np.all(shallow >= 0)
 
 
 def test_roots_of_hashes_each_query_site_once(monkeypatch):
-    real = partition1d.hashed_jumps
-    calls = []
+    real_jumps, real_hash = partition1d.hashed_jumps, partition1d.hash1_into
+    first, walked = [], []
 
     def recording(alpha, key, sites):
-        jumps = real(alpha, key, sites)
-        calls.append((np.asarray(key[0]).copy(), np.asarray(sites).copy(), jumps))
+        jumps = real_jumps(alpha, key, sites)
+        first.append((np.broadcast_to(key[0], jumps.shape), np.broadcast_to(sites, jumps.shape), jumps))
         return jumps
+
+    def stepping(k0, k1, out, spare):
+        walked.append(out.view(np.int64).copy())  # the sites a step hashes
+        return real_hash(k0, k1, out, spare)
 
     keys = [spin_key(replicate_generator("aa", r)) for r in range(3)]
     row_of = {k0: r for r, (k0, _) in enumerate(keys)}
     n, depth = 400, 10**4
     monkeypatch.setattr(partition1d, "hashed_jumps", recording)
-    roots = roots_of(0.45, keys, depth, n)
+    monkeypatch.setattr(partition1d, "hash1_into", stepping)
+    roots, = roots_of([(0.45, keys, depth, n)])
     monkeypatch.undo()
     assert np.array_equal(roots, walk_roots_oracle(0.45, keys, depth, np.arange(1, n + 1)))
 
-    words, first, jumps = calls[0]
-    hashed = sorted(zip((row_of[int(w)] for w in words), first.tolist()))
+    assert len(first) == 1
+    words, sites, jumps = (a.ravel() for a in first[0])
+    hashed = sorted(zip((row_of[int(w)] for w in words), sites.tolist()))
     assert hashed == [(r, s) for r in range(len(keys)) for s in range(1, n + 1)]  # each (row, site) once
-    joined = first - jumps >= 1  # the site's parent is another of the sites 1..n
-    assert np.any(joined) and len(calls) > 1
+    joined = sites - jumps >= 1  # the site's parent is another of the sites 1..n
+    assert np.any(joined) and walked
     # the walk then reads only sites in (-depth, 1): no joined line, whose
     # parent is one of 1..n, is walked on, and no site at or below the floor
-    walked = np.concatenate([sites for _, sites, _ in calls[1:]])
+    walked = np.concatenate(walked)
     assert np.all((walked > -depth) & (walked < 1))
 
 
@@ -580,7 +634,7 @@ def test_adjacent_coalescence_against_line_walk_oracle():
 
     reps = 4000
     keys = [spin_key(replicate_generator("0b", r)) for r in range(reps)]
-    roots = roots_of(alpha, keys, depth, 2)
+    roots, = roots_of([(alpha, keys, depth, 2)])
     p_forest = float(np.mean(roots[:, 0] == roots[:, 1]))
 
     # oracle: walk the two ancestral lines directly, meeting within depth

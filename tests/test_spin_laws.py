@@ -89,7 +89,7 @@ _MOMENT_CASES = {
 @pytest.mark.parametrize("name", sorted(_MOMENT_CASES))
 def test_second_moments_given_the_partitions(name):
     spec, grid = _MOMENT_CASES[name]
-    tables = [axis.sample([replicate_generator(PARTITION_SEED, q)], ts)
+    tables = [fields.sample_axes([axis], [ts], [replicate_generator(PARTITION_SEED, q)])[0]
               for q, (axis, ts) in enumerate(zip(spec.axes, (grid.t1, grid.t2)))]
     assert all(t.ids.size for t in tables)
     keys = _keys(KEYS)

@@ -70,6 +70,16 @@ def test_jackknife_se_against_direct_recomputation(rng):
     assert np.max(np.abs(se - direct)) < 1e-10
 
 
+def test_empirical_cov_bytes_do_not_follow_the_memory_layout():
+    # the normalized raw matrix of a 100-replicate hs2d call on the 4 x 4 grid:
+    # a Fortran-ordered copy summed in its own order moved every output's last bits
+    g = (0.25, 0.5, 0.75, 1.0)
+    spec = ModelSpec(ModelKind.HS_2D, (0.25, 0.25), (64, 64), forest_depth=2000)
+    x = simulate_raw_matrix(spec, CornerGrid(g, g), 100, SEED) / 7.3
+    for c, f in zip(empirical_cov(x), empirical_cov(np.asfortranarray(x))):
+        assert c.tobytes() == f.tobytes()
+
+
 def test_empirical_cov_shape_errors():
     with pytest.raises(ValueError):
         empirical_cov(np.zeros((1, 3)))
