@@ -23,9 +23,9 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.special import zeta
 
 from ._hashing import low_uniforms_from, signs_from, uniforms_from
+from ._special import hurwitz_zeta
 
 __all__ = [
     "PmfKind",
@@ -81,7 +81,7 @@ class PowerLawPmf:
 
     @cached_property
     def _zeta_s(self) -> float:
-        return float(zeta(self._s))
+        return hurwitz_zeta(self._s, 1.0)
 
     @cached_property
     def sv_constant(self) -> float:
@@ -108,7 +108,7 @@ class PowerLawPmf:
         if np.any(n < 1):
             raise ValueError("tail is defined for n >= 1")
         if self.kind is PmfKind.KARLIN_ZIPF:
-            out = zeta(self._s, n) / self._zeta_s
+            out = np.asarray(hurwitz_zeta(self._s, n)) / self._zeta_s
         else:
             out = n ** (-self.alpha)
         return out if out.ndim else float(out)

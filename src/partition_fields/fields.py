@@ -46,7 +46,6 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gamma
 
 from ._hashing import hash1, left_words, next_words, pair_heads, right_words
 from .distributions import MarginalLaw, PmfKind, PowerLawPmf, make_hs_pmf, make_karlin_pmf
@@ -151,7 +150,7 @@ class Axis:
     def variance_factors(self) -> tuple[float, float]:
         """Factors of this direction's limit variance at t = 1."""
         if self.is_urn:
-            return gamma(1 - self.alpha), 2 ** (self.alpha - 1)
+            return math.gamma(1 - self.alpha), 2 ** (self.alpha - 1)
         return bn_sq_growth_constant(self.alpha), var_xstar(self.renewal)
 
     @property

@@ -51,9 +51,9 @@ from itertools import groupby
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import betainc, gamma, poch
 
 from ._hashing import hash1, hash1_into, uniforms_from
+from ._special import scaled_betainc
 from .distributions import PmfKind, invert_hs_tail, make_karlin_pmf, sample_zipf_rows
 
 __all__ = [
@@ -251,13 +251,12 @@ def expected_occupancy(pmf, n: int) -> float:
     f(x) = (1 - (1 - 2 c x^-s)^n)/2, s = 1/alpha and c = 1/zeta(s).  Under
     u = 2 c x^-s, with w = 2 c L^-s, that integral is the incomplete beta
     tail ((2 c)^alpha n B(1-alpha, n) I_w(1-alpha, n) - L (1 - (1-w)^n))/2,
-    which is 0 once w underflows (alpha below about 0.019).  SciPy's beta
-    loses up to 3e-9 relative near n = 10^6, so n B(1-alpha, n) =
-    Gamma(1-alpha) Gamma(n+1) / Gamma(n+1-alpha) is taken from poch at
-    m = max(n, 2^14), where it holds to 1e-15, times the product of
-    (1 - alpha/k) over n < k <= m.  The first Euler-Maclaurin term left
-    out, f'''(L)/720, is of order f(L) s^3 / L^3, while the tail itself is
-    of order L f(L), so every alpha < 1 and n have a target, at a cost that
+    which is 0 once w underflows (alpha below about 0.019).  Since
+    w <= 2^-19, n B(1-alpha, n) I_w(1-alpha, n) is a short series of
+    positive terms (``scaled_betainc``) that needs no beta function and
+    does not cancel at large n.  The first Euler-Maclaurin term left out,
+    f'''(L)/720, is of order f(L) s^3 / L^3, while the tail itself is of
+    order L f(L), so every alpha < 1 and n have a target, at a cost that
     grows with neither.
 
     L = 2^16 is as accurate and takes about 4 ms rather than 40, but the
@@ -275,16 +274,13 @@ def expected_occupancy(pmf, n: int) -> float:
     alpha, s, c = pmf.alpha, 1.0 / pmf.alpha, pmf.pmf_at(1)
     p = pmf.pmf_block(1, big_l)
     small = p < 0.25  # log1p(-2 p) is infinite or invalid once 2 p >= 1
-    m = max(n, 1 << 14)
-    k = np.arange(n + 1, m + 1, dtype=np.float64)
-    n_beta = gamma(1.0 - alpha) * poch(m + 1.0 - alpha, alpha) * math.exp(np.sum(np.log1p(-alpha / k)))
     terms = np.empty_like(p)  # 2 f(l)
     terms[small] = -np.expm1(n * np.log1p(-2.0 * p[small]))
     terms[~small] = 1.0 - np.power(1.0 - 2.0 * p[~small], n)
     head = float(np.sum(terms, dtype=np.longdouble))
     w = 2.0 * c * big_l ** (-s)
     f_l = -math.expm1(n * math.log1p(-w))  # 2 f(L)
-    integral = (2.0 * c) ** alpha * n_beta * betainc(1.0 - alpha, n, w) - big_l * f_l
+    integral = (2.0 * c) ** alpha * scaled_betainc(1.0 - alpha, n, w) - big_l * f_l
     minus_df_l = n * w * s / big_l * math.exp((n - 1) * math.log1p(-w))  # -2 f'(L)
     return 0.5 * (head + integral + f_l / 2.0 + minus_df_l / 12.0)
 

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
-from scipy.special import gamma
 
+from ._special import next_fast_len
 from .distributions import PmfKind
 
 __all__ = [
@@ -77,15 +76,16 @@ def q_sq_tail_bound(alpha: float, depth: int) -> float:
 def _fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Full linear convolution of two real 1D arrays, as SciPy's ``fftconvolve``.
 
-    Same padding, same operand order and the same length-1 shortcut, so the
-    result is bitwise that of the SciPy routine without importing SciPy's
-    signal package, which was most of this package's import time.
+    Same 5-smooth padding, same operand order and the same length-1
+    shortcut, and NumPy's FFT is the same pocketfft, so the result is
+    bitwise that of the SciPy routine (the tests compare them) without
+    SciPy.
     """
     if a.size == 1 or b.size == 1:
         return a * b
     size = a.size + b.size - 1
-    fsize = next_fast_len(size, True)
-    return irfft(rfft(a, fsize) * rfft(b, fsize), fsize)[:size]
+    fsize = next_fast_len(size)
+    return np.fft.irfft(np.fft.rfft(a, fsize) * np.fft.rfft(b, fsize), fsize)[:size]
 
 
 def _series_inverse(a: np.ndarray, n: int) -> np.ndarray:
@@ -175,7 +175,7 @@ def c_alpha(alpha: float) -> float:
     """The closed form sin(pi a) / (pi a (2a+1) Gamma(1-2a)) on (0, 1/2)."""
     if not 0.0 < alpha < 0.5:
         raise ValueError(f"alpha must lie strictly inside (0,1/2), got {alpha}")
-    return math.sin(math.pi * alpha) / (math.pi * alpha * (2 * alpha + 1) * gamma(1 - 2 * alpha))
+    return math.sin(math.pi * alpha) / (math.pi * alpha * (2 * alpha + 1) * math.gamma(1 - 2 * alpha))
 
 
 def bn_sq_growth_constant(alpha: float) -> float:
@@ -194,7 +194,7 @@ def bn_sq_growth_constant(alpha: float) -> float:
     """
     if not 0.0 < alpha < 0.5:
         raise ValueError(f"alpha must lie strictly inside (0,1/2), got {alpha}")
-    return gamma(1 - 2 * alpha) / (gamma(1 + alpha) * gamma(1 - alpha) ** 3 * (2 * alpha + 1))
+    return math.gamma(1 - 2 * alpha) / (math.gamma(1 + alpha) * math.gamma(1 - alpha) ** 3 * (2 * alpha + 1))
 
 
 def p_alpha_weights(alpha: float, rmax: int) -> np.ndarray:

@@ -15,10 +15,10 @@ realized growth of the squared window weights by the factor
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gamma
 
 from .distributions import FinitePmf, PmfKind, make_hs_pmf, make_karlin_pmf
 from .fbs import HurstPair, fbs_cov_matrix
@@ -126,7 +126,7 @@ def suite_occupancy(alpha: float = 0.6, n: int = 10**6, seed=0xC0FFEE) -> SuiteR
     scale = n**alpha * pmf.sv_constant
     checks = (
         _band_check(
-            "distinct-boxes-ratio", k_n / scale, gamma(1 - alpha), 0.9, 1.1,
+            "distinct-boxes-ratio", k_n / scale, math.gamma(1 - alpha), 0.9, 1.1,
             alpha=alpha, n=n, k_n=k_n,
         ),
         _band_check(

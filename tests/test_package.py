@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -86,3 +89,52 @@ TRACED = [
 @pytest.mark.parametrize("module, attr", TRACED, ids=[f"{m}.{a}" for m, a in TRACED])
 def test_traced_binding_resolves(module, attr):
     assert callable(getattr(importlib.import_module(module), attr, None))
+
+
+# Runs every model kind (with its KS step), two suites and the CLI's simulate
+# in an interpreter whose import system refuses SciPy, so that an import of
+# SciPy inside a function fails here and not only where SciPy is missing.
+_WITHOUT_SCIPY = """
+import importlib.abc, json, sys, tempfile
+from pathlib import Path
+
+
+class RefuseScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is refused")
+        return None
+
+
+sys.meta_path.insert(0, RefuseScipy())
+import partition_fields as pf
+from partition_fields.cli import main
+
+models = {
+    "karlin1d": ((0.6,), (200,)), "hs1d": ((0.25,), (128,)), "karlin2d": ((0.6, 0.6), (32, 48)),
+    "hs2d": ((0.25, 0.25), (24, 32)), "combined2d": ((0.25, 0.6), (24, 40)),
+}
+specs = {}
+for kind, (alphas, n) in models.items():
+    depth = None if kind.startswith("karlin") else 2000
+    spec = specs[kind] = pf.ModelSpec(pf.ModelKind(kind), alphas, n, forest_depth=depth)
+    grid = pf.CornerGrid((0.5, 1.0), (0.5, 1.0) if spec.is_2d else None)
+    report = pf.run_replicates(spec, grid, 100, 7)
+    assert all(entry["p_value"] is not None for entry in report.ks), kind
+pf.run_suite("variance", spec=specs["karlin1d"], replicates=64, seed=7)
+pf.run_suite("renewal-asymptotics", spec=specs["hs1d"], seed=7)
+with tempfile.TemporaryDirectory() as tmp:
+    config = {"command": "simulate", "seed": 7, "output": f"{tmp}/sim",
+              "model": {"kind": "hs2d", "alphas": [0.1, 0.4], "n": [24, 32], "forest_depth": 2000},
+              "grid": {"t1": [0.5, 1.0], "t2": [0.5, 1.0]}}
+    Path(tmp, "c.json").write_text(json.dumps(config))
+    main(["simulate", "--config", f"{tmp}/c.json"], standalone_mode=False)
+    assert Path(tmp, "sim.csv").exists()
+print("ok")
+"""
+
+
+def test_package_runs_with_scipy_refused():
+    out = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY], env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0 and out.stdout.splitlines()[-1:] == ["ok"], out.stderr[-2000:]

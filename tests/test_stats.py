@@ -137,6 +137,34 @@ def test_ks_calibration_under_null():
     assert 0.03 <= rate <= 0.07, rate
 
 
+def test_ks_one_pass_over_a_matrix_equals_each_column_alone():
+    rng = replicate_generator(SEED, 2)
+    x = rng.standard_normal((300, 16)) * np.linspace(0.5, 3.0, 16)
+    stats, pvalues = ks_normal(x, 1.3)
+    assert stats.shape == pvalues.shape == (16,)
+    for j in range(16):
+        assert (float(stats[j]), float(pvalues[j])) == ks_normal(x[:, j], 1.3)
+    with pytest.raises(DegenerateSampleError):
+        ks_normal(np.column_stack((x[:, 0], np.ones(300))), 1.0)
+
+
+@pytest.mark.parametrize("replicates", [99, 100])
+def test_run_replicates_ks_entries(replicates):
+    # a corner at no site has zero spread; below 100 replicates no corner is tested
+    spec = ModelSpec(ModelKind.HS_1D, (0.25,), (128,), forest_depth=2000)
+    grid = CornerGrid((0.005, 0.5, 1.0))
+    report = run_replicates(spec, grid, replicates, SEED)
+    normalized = simulate_raw_matrix(spec, grid, replicates, SEED) / report.z_norm
+    degenerate = {"statistic": None, "p_value": None, "degenerate": True}
+    assert report.ks[0] == {"t": [0.005], **degenerate}
+    for j, entry in enumerate(report.ks[1:], start=1):
+        if replicates < 100:
+            assert entry == {"t": [grid.t1[j]], **degenerate}
+        else:
+            stat, p = ks_normal(normalized[:, j], 1.0)
+            assert entry == {"t": [grid.t1[j]], "statistic": stat, "p_value": p}
+
+
 # ---------------------------------------------------------------------------
 # replicate driver
 # ---------------------------------------------------------------------------
