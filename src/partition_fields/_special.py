@@ -157,12 +157,14 @@ def ndtr(x) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.float64)
     out = np.empty(x.shape)
-    y = np.abs(x) * math.sqrt(0.5)
+    # past |x| = 40 the result is 0 or 1 anyway; the cap keeps huge and infinite x from overflowing
+    ax = np.minimum(np.abs(x), 40.0)
+    y = ax * math.sqrt(0.5)
     small = y <= 0.46875
     t = y[small]
     out[small] = 0.5 + 0.5 * (x[small] * math.sqrt(0.5)) * _rational(_ERF_SMALL, t * t)
     rest = ~small
-    xr, yr = x[rest], y[rest]
+    xr, ax, yr = x[rest], ax[rest], y[rest]
     # erfc(y) exp(y^2)
     ratio = np.empty(yr.shape)
     mid = yr <= 4.0
@@ -170,7 +172,6 @@ def ndtr(x) -> np.ndarray:
     far = yr[~mid]
     inv_sq = 1.0 / (far * far)
     ratio[~mid] = (_INV_SQRT_PI - inv_sq * _rational(_ERFC_LARGE, inv_sq)) / far
-    ax = np.abs(xr)
     h = np.trunc(ax * 16.0) / 16.0
     half_erfc = 0.5 * np.exp(-0.5 * h * h) * np.exp(-0.5 * (ax - h) * (ax + h)) * ratio
     out[rest] = np.where(xr < 0.0, half_erfc, 1.0 - half_erfc)
@@ -189,10 +190,10 @@ def kolmogorov_sf(x) -> np.ndarray:
     ninth term is below 1e-20 there; below it, the theta form
     1 - sqrt(2 pi)/x sum_k exp(-(2k-1)^2 pi^2 / (8 x^2)) over k <= 3, whose
     fourth term is below 1e-70.  Each form is summed from its smallest term
-    up.  P(K > x) = 1 for x <= 0.
+    up.  P(K > x) = 1 for x <= 0, and NaN at NaN.
     """
     x = np.asarray(x, dtype=np.float64)
-    out = np.ones(x.shape)
+    out = np.where(np.isnan(x), np.nan, 1.0)
     large = x >= 0.6
     xl = x[large]
     terms = np.exp(-2.0 * np.square(np.multiply.outer(xl, _KS_TERMS))) * _KS_SIGNS

@@ -103,6 +103,8 @@ def test_ndtr_matches_scipy():
     assert np.all(np.abs(got - want) <= tol)
     assert got.shape == x.shape
     assert ndtr(0.0) == 0.5 and ndtr(40.0) == 1.0 and ndtr(-40.0) == 0.0
+    edges = ndtr([-np.inf, np.inf, np.nan])
+    assert edges[0] == 0.0 and edges[1] == 1.0 and np.isnan(edges[2])
 
 
 def test_kolmogorov_sf_matches_scipy():
@@ -111,6 +113,7 @@ def test_kolmogorov_sf_matches_scipy():
     x = np.linspace(0.05, 5.0, 100001)
     np.testing.assert_allclose(kolmogorov_sf(x), sps.kolmogorov(x), rtol=2e-14, atol=0)
     assert kolmogorov_sf(0.0) == 1.0 and kolmogorov_sf(40.0) == 0.0
+    assert kolmogorov_sf(np.inf) == 0.0 and np.isnan(kolmogorov_sf(np.nan))
 
 
 def test_next_fast_len_matches_scipy():

@@ -124,6 +124,10 @@ def test_ks_null_behavior_and_errors():
         ks_normal(np.zeros(200), 1.0)
     with pytest.raises(ValueError):
         ks_normal(samples, 0.0)
+    # an infinite sample sits where a huge finite one does; it must not turn the test into a pass
+    huge, inf = samples[:200].copy(), samples[:200].copy()
+    huge[0], inf[0] = 1e300, np.inf
+    assert ks_normal(inf, 2.5) == ks_normal(huge, 2.5)
 
 
 def test_ks_calibration_under_null():
